@@ -9,16 +9,24 @@ c / sqrt(m) (the O(1) constant c defaults to 1):
     sir           g = (sqrt(q^2 + 4qr) + q) / (2 r)      (SIR-filter collapse)
     strong        g = s r / (s + r)                      (one-shot smoothing, prior s)
 
+Every level set g = l (l = c/sqrt(m)) has a closed form:
+
+    feasibility   r = l + l^2/q                         per grid column q
+    strong        r = l s / (s - l)                     per column s > l
+    sir           eps = l^2 / (1 + l)                   one ray q = eps r
+    optimal       (l + l^2) eps^2 + (2l - 1)(1 + l) eps + l^2 = 0
+
 The filter criteria depend only on the ratio eps = q/r, so their level
-sets are rays through the origin; the feasibility and strong criteria
-are monotone in r, so their level sets are extracted by per-column
-bisection.  ``max_dimension`` inverts g <= c/sqrt(m) for m.
+sets are rays through the origin.  The optimal criterion peaks at
+g(1/2, 1) = 1/3: below the peak its two roots are rays on either side of
+eps = 1/2, within LEVEL_TOL of it the one tangent ray eps = 1/2, and
+above it there is no boundary.  ``max_dimension`` inverts g <= c/sqrt(m)
+for m.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +35,8 @@ from ._util import fmt17
 from .model import LinearGaussianProblem, frobenius
 from .kalman import DARE_MAX_ITER, DARE_TOL, solve_dare
 
-LEVEL_TOL = 1e-7  # |g - level| guaranteed at emitted level-set points
+LEVEL_TOL = 1e-7  # half-width of the tangent band at the optimal peak
+OPTIMAL_PEAK = 1.0 / 3.0  # g_optimal(1/2, 1), the peak over eps
 DEFAULT_GRID_MIN = 1e-4
 DEFAULT_GRID_MAX = 1e2
 DEFAULT_GRID_POINTS = 200
@@ -106,6 +115,11 @@ _G_FUNCS = {
 _RAY_KINDS = (MapKind.OPTIMAL, MapKind.SIR)
 
 
+def _check_constant(constant: float) -> None:
+    if not 0.0 < constant < np.inf:
+        raise ValueError("constant must be positive and finite")
+
+
 def max_dimension(eps: float, kind, constant: float = 1.0) -> float:
     """Largest state dimension for which the filter criterion holds at ratio eps.
 
@@ -113,6 +127,7 @@ def max_dimension(eps: float, kind, constant: float = 1.0) -> float:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    _check_constant(constant)
     kind = MapKind(kind)
     if kind not in _RAY_KINDS:
         raise ValueError("max_dimension applies to the optimal and sir criteria")
@@ -124,7 +139,7 @@ def max_dimension(eps: float, kind, constant: float = 1.0) -> float:
 class LevelSet:
     m: int
     level: float
-    points: np.ndarray  # rows (q, r), each satisfying |g - level| <= LEVEL_TOL
+    points: np.ndarray  # rows (q, r) on g = level, from the closed forms
 
 
 @dataclass(frozen=True)
@@ -145,85 +160,36 @@ class MaxDimCurve:
 
 def log_grid(lo: float = DEFAULT_GRID_MIN, hi: float = DEFAULT_GRID_MAX,
              n: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    if lo <= 0 or hi <= lo or n < 2:
-        raise ValueError("need 0 < lo < hi and n >= 2")
+    if not 0 < lo < hi < np.inf or n < 2:
+        raise ValueError("need 0 < lo < hi < inf and n >= 2")
     return np.logspace(np.log10(lo), np.log10(hi), n)
 
 
-def _bisect_in_r(g, q: float, level: float, r_lo: float, r_hi: float):
-    """Root of g(q, r) = level for g increasing in r, by log-space bisection."""
-    g_lo = g(q, r_lo)
-    g_hi = g(q, r_hi)
-    if g_lo > level or g_hi < level:
-        return None
-    lo, hi = np.log(r_lo), np.log(r_hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(q, float(np.exp(mid))) < level:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    r = float(np.exp(0.5 * (lo + hi)))
-    if abs(g(q, r) - level) > LEVEL_TOL:
-        return None
-    return r
+def _column_roots(kind: MapKind, q_grid, level: float):
+    """Closed-form r with g(q, r) = level per column; nan where none exists."""
+    if kind is MapKind.FEASIBILITY:
+        return level + level * level / q_grid
+    # strong: r = l s / (s - l) needs s > l, else g < s <= l for every r
+    return np.divide(level * q_grid, q_grid - level,
+                     out=np.full_like(q_grid, np.nan), where=q_grid > level)
 
 
-def _bisect_in_eps(g, level: float, lo: float, hi: float, increasing: bool):
-    """Root of g(eps, 1) = level on a monotone bracket, log-space bisection."""
-    lo, hi = np.log(lo), np.log(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        below = g(float(np.exp(mid)), 1.0) < level
-        if below == increasing:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    eps = float(np.exp(0.5 * (lo + hi)))
-    if abs(g(eps, 1.0) - level) > LEVEL_TOL:
-        return None
-    return eps
-
-
-def _ray_roots(kind: MapKind, level: float) -> list[float]:
+def _ray_slopes(kind: MapKind, level: float) -> list[float]:
     """All eps with g(eps, 1) = level for the ray criteria."""
-    g = _G_FUNCS[kind]
-    lo, hi = 1e-14, 1e14
     if kind is MapKind.SIR:
-        # strictly increasing in eps
-        if not g(lo, 1.0) <= level <= g(hi, 1.0):
-            return []
-        root = _bisect_in_eps(g, level, lo, hi, increasing=True)
-        return [root] if root is not None else []
-    # optimal: unimodal with an interior peak; golden-section for the peak
-    phi = 0.5 * (np.sqrt(5.0) - 1.0)
-    a, b = np.log(lo), np.log(hi)
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    for _ in range(200):
-        if g(float(np.exp(c)), 1.0) < g(float(np.exp(d)), 1.0):
-            a = c
-        else:
-            b = d
-        c = b - phi * (b - a)
-        d = a + phi * (b - a)
-    eps_peak = float(np.exp(0.5 * (a + b)))
-    g_peak = g(eps_peak, 1.0)
-    if level > g_peak + LEVEL_TOL:
+        return [level * level / (1.0 + level)]
+    # optimal: a eps^2 + b eps + c = 0 with b^2 - 4ac = (1 - 3l)(1 + l),
+    # which vanishes at the peak g(1/2, 1) = 1/3
+    if abs(level - OPTIMAL_PEAK) <= LEVEL_TOL:
+        return [0.5]
+    if level > OPTIMAL_PEAK:
         return []  # criterion holds for every ratio; no boundary
-    if level >= g_peak - LEVEL_TOL:
-        return [eps_peak]
-    roots = []
-    left = _bisect_in_eps(g, level, lo, eps_peak, increasing=True)
-    right = _bisect_in_eps(g, level, eps_peak, hi, increasing=False)
-    for root in (left, right):
-        if root is not None:
-            roots.append(root)
-    return roots
+    a = level * (1.0 + level)
+    b = (2.0 * level - 1.0) * (1.0 + level)  # < 0 below the peak
+    c = level * level
+    # t = -(b + sign(b) sqrt(disc))/2 has no cancellation; roots c/t < t/a
+    t = 0.5 * (np.sqrt((1.0 - 3.0 * level) * (1.0 + level)) - b)
+    return [c / t, t / a]
 
 
 def build_map(kind, q_grid, r_grid, dims, constant: float = 1.0) -> BalanceMap:
@@ -234,34 +200,37 @@ def build_map(kind, q_grid, r_grid, dims, constant: float = 1.0) -> BalanceMap:
     for name, grid in (("q_grid", q_grid), ("r_grid", r_grid)):
         if grid.size == 0:
             raise ValueError(f"{name} is empty")
-        if np.any(grid <= 0):
-            raise ValueError(f"{name} must be positive")
+        if not np.all((grid > 0) & np.isfinite(grid)):
+            raise ValueError(f"{name} must be positive and finite")
         if np.any(np.diff(grid) <= 0):
             raise ValueError(f"{name} must be strictly increasing")
-    g = _G_FUNCS[kind]
-    values = g(q_grid[:, None], r_grid[None, :])
+    if not all(m >= 1 for m in dims):
+        raise ValueError("dims must be >= 1")
+    _check_constant(constant)
+    values = _G_FUNCS[kind](q_grid[:, None], r_grid[None, :])
     level_sets: list[LevelSet] = []
+
+    def emit(m, level, q_pts, r_pts):
+        if q_pts.size:
+            level_sets.append(LevelSet(m=int(m), level=float(level),
+                                       points=np.column_stack([q_pts, r_pts])))
+
     for m in dims:
         level = constant / np.sqrt(m)
         if kind in _RAY_KINDS:
-            for eps in _ray_roots(kind, level):
+            for eps in _ray_slopes(kind, level):
                 q_pts = eps * r_grid
                 keep = (q_pts >= q_grid[0]) & (q_pts <= q_grid[-1])
-                if not np.any(keep):
-                    continue
-                points = np.column_stack([q_pts[keep], r_grid[keep]])
-                level_sets.append(LevelSet(m=int(m), level=float(level),
-                                           points=points))
+                emit(m, level, q_pts[keep], r_grid[keep])
         else:
-            points = []
-            for q in q_grid:
-                r = _bisect_in_r(g, float(q), level, float(r_grid[0]),
-                                 float(r_grid[-1]))
-                if r is not None:
-                    points.append((float(q), r))
-            if points:
-                level_sets.append(LevelSet(m=int(m), level=float(level),
-                                           points=np.asarray(points)))
+            # g is increasing in r: a column has a root on the r range
+            # exactly when its end values bracket the level; the clip
+            # absorbs the last-bit rounding of the closed form
+            r_pts = np.clip(_column_roots(kind, q_grid, level),
+                            r_grid[0], r_grid[-1])
+            keep = ((values[:, 0] <= level) & (level <= values[:, -1])
+                    & np.isfinite(r_pts))
+            emit(m, level, q_grid[keep], r_pts[keep])
     return BalanceMap(kind=kind, q_grid=q_grid, r_grid=r_grid, values=values,
                       level_sets=level_sets)
 
@@ -341,10 +310,6 @@ def map_to_dict(bm: BalanceMap) -> dict:
             for ls in bm.level_sets
         ],
     }
-
-
-def map_to_json(bm: BalanceMap, indent: int = 2) -> str:
-    return json.dumps(map_to_dict(bm), indent=indent)
 
 
 def curve_to_csv(curve: MaxDimCurve) -> str:

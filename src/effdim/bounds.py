@@ -34,7 +34,6 @@ monotone and can overshoot; the rigorous form is used.)
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,7 +162,3 @@ def bounds_to_dict(bounds: DareBounds) -> dict:
         "eta": bounds.eta,
         "q_regularized": bounds.q_regularized,
     }
-
-
-def bounds_to_json(bounds: DareBounds, indent: int = 2) -> str:
-    return json.dumps(bounds_to_dict(bounds), indent=indent)

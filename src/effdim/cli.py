@@ -132,16 +132,36 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _emit_single(args, config: dict, payload: dict, csv_header: str,
-                 csv_rows: list[str], summary: str) -> None:
-    """One-file commands: write/print csv or json per --format."""
-    text = (_csv_text(config, csv_header, csv_rows) if args.format == "csv"
-            else _json_text(config, payload))
+def _emit_single(args, config: dict, payload: dict, csv_lines,
+                 summary: str) -> None:
+    """One-file commands: write/print csv or json per --format.
+
+    ``csv_lines()`` returns the csv header and rows; it runs only under
+    ``--format csv``.
+    """
+    if args.format == "csv":
+        lines = csv_lines()
+        text = _csv_text(config, lines[0], lines[1:])
+    else:
+        text = _json_text(config, payload)
     if args.out:
         _write(args.out, text)
         print(summary)
     else:
         sys.stdout.write(text)
+
+
+def _emit_pair(args, config: dict, payload: dict, csv_header: str,
+               csv_rows: list[str]) -> None:
+    """Run commands: --out is a stem for .csv and .json, else print --format."""
+    csv_text = _csv_text(config, csv_header, csv_rows)
+    if args.out:
+        _write(args.out + ".csv", csv_text)
+        _write(args.out + ".json", _json_text(config, payload))
+        print(f"wrote {args.out}.csv and {args.out}.json")
+    else:
+        sys.stdout.write(csv_text if args.format == "csv"
+                         else _json_text(config, payload))
 
 
 def _cmd_effdim(args) -> int:
@@ -169,7 +189,7 @@ def _cmd_effdim(args) -> int:
     print(f"mean_y = {fmt17(stats.mean_y)}  var_y = {fmt17(stats.var_y)}  "
           f"e_hat = {fmt17(stats.e_hat)}  v_hat = {fmt17(stats.v_hat)}")
     print(f"dare residual = {fmt17(eq_residual)}")
-    _emit_single(args, config, payload, header, [row], summary)
+    _emit_single(args, config, payload, lambda: [header, row], summary)
     return 0
 
 
@@ -185,7 +205,7 @@ def _cmd_bounds(args) -> int:
     row = ",".join(fmt17(x) for x in (state.eff_dim, db.eff_dim_upper, db.eta))
     print(f"eff_dim = {fmt17(state.eff_dim)} <= "
           f"eff_dim_upper = {fmt17(db.eff_dim_upper)} (eta {fmt17(db.eta)})")
-    _emit_single(args, config, payload, header, [row],
+    _emit_single(args, config, payload, lambda: [header, row],
                  f"wrote bounds for eff_dim {fmt17(state.eff_dim)}")
     return 0
 
@@ -197,34 +217,49 @@ def _map_kind(args, allowed, default=None) -> str:
     return kind
 
 
+def _grid(args) -> np.ndarray:
+    try:
+        return balance.log_grid(args.grid_min, args.grid_max,
+                                args.grid_points)
+    except ValueError as exc:
+        raise InputError(f"--grid-min/--grid-max/--grid-points: {exc}") \
+            from exc
+
+
 def _cmd_map(args) -> int:
     kind = _map_kind(args, ("feasibility", "optimal", "sir", "strong"),
                      default="feasibility")
     dims = _parse_int_list(args.dims, "--dims")
-    grid = balance.log_grid(args.grid_min, args.grid_max, args.grid_points)
-    bm = balance.build_map(kind, grid, grid, dims,
-                           constant=args.balance_constant)
+    grid = _grid(args)
+    try:
+        bm = balance.build_map(kind, grid, grid, dims,
+                               constant=args.balance_constant)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     config = _config_dict(args)
-    csv_body = balance.map_to_csv(bm).splitlines()
     payload = balance.map_to_dict(bm)
     print(f"{kind} map: {len(bm.level_sets)} level-set polylines for "
           f"dims {dims}")
-    _emit_single(args, config, payload, csv_body[0], csv_body[1:],
+    _emit_single(args, config, payload,
+                 lambda: balance.map_to_csv(bm).splitlines(),
                  f"wrote {kind} map")
     return 0
 
 
 def _cmd_maxdim(args) -> int:
     kind = _map_kind(args, ("optimal", "sir"))
-    grid = balance.log_grid(args.grid_min, args.grid_max, args.grid_points)
-    curve = balance.build_max_dim_curve(grid, kind,
-                                        constant=args.balance_constant)
+    grid = _grid(args)
+    try:
+        curve = balance.build_max_dim_curve(grid, kind,
+                                            constant=args.balance_constant)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     config = _config_dict(args)
-    csv_body = balance.curve_to_csv(curve).splitlines()
     payload = balance.curve_to_dict(curve)
     print(f"max dimension curve ({kind}): min m_max = "
           f"{fmt17(float(np.min(curve.m_max)))}")
-    _emit_single(args, config, payload, csv_body[0], csv_body[1:],
+    _emit_single(args, config, payload,
+                 lambda: balance.curve_to_csv(curve).splitlines(),
                  f"wrote {kind} max-dimension curve")
     return 0
 
@@ -288,14 +323,7 @@ def _cmd_filter(args) -> int:
     print(f"{kind} filter: collapse fraction {fraction:.3f} over "
           f"{len(seeds)} seeds (threshold {args.collapse_threshold}, "
           f"sigma_frob {fmt17(runs[0].sigma_frob)})")
-    if args.out:
-        _write(args.out + ".csv", _csv_text(config, header, rows))
-        _write(args.out + ".json", _json_text(config, payload))
-        print(f"wrote {args.out}.csv and {args.out}.json")
-    else:
-        sys.stdout.write(_csv_text(config, header, rows)
-                         if args.format == "csv"
-                         else _json_text(config, payload))
+    _emit_pair(args, config, payload, header, rows)
     return 0
 
 
@@ -304,8 +332,7 @@ def _sweep_cells(args, seeds):
         if args.m is None:
             raise InputError("eps sweep needs --m (fixed state dimension)")
         r = args.r if args.r is not None else 1.0
-        grid = balance.log_grid(args.grid_min, args.grid_max,
-                                args.grid_points)
+        grid = _grid(args)
         return [{"eps": float(eps), "m": args.m, "q": float(eps) * r, "r": r}
                 for eps in grid]
     if args.q is None or args.r is None:
@@ -363,14 +390,7 @@ def _cmd_collapse_sweep(args) -> int:
         print(f"eps={fmt17(c['eps'])} m={c['m']}: collapse fraction "
               f"{c['collapse_fraction']:.3f} (sigma_frob "
               f"{fmt17(c['sigma_frob'])})")
-    if args.out:
-        _write(args.out + ".csv", _csv_text(config, header, rows))
-        _write(args.out + ".json", _json_text(config, payload))
-        print(f"wrote {args.out}.csv and {args.out}.json")
-    else:
-        sys.stdout.write(_csv_text(config, header, rows)
-                         if args.format == "csv"
-                         else _json_text(config, payload))
+    _emit_pair(args, config, payload, header, rows)
     return 0
 
 
@@ -419,14 +439,7 @@ def _cmd_smooth(args) -> int:
           + (" (lower bound)" if posterior.frob_cov_is_lower_bound else ""))
     print(f"smoother condition: lhs {fmt17(condition.lhs)} <= rhs "
           f"{fmt17(condition.rhs)}: {condition.holds}")
-    if args.out:
-        _write(args.out + ".csv", _csv_text(config, header, rows))
-        _write(args.out + ".json", _json_text(config, payload))
-        print(f"wrote {args.out}.csv and {args.out}.json")
-    else:
-        sys.stdout.write(_csv_text(config, header, rows)
-                         if args.format == "csv"
-                         else _json_text(config, payload))
+    _emit_pair(args, config, payload, header, rows)
     return 0
 
 

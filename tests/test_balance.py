@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from effdim.balance import (MapKind, build_map, build_max_dim_curve,
-                            curve_to_csv, g_feasibility, g_optimal, g_sir,
-                            g_strong, general_sufficient_conditions, log_grid,
+from effdim.balance import (LEVEL_TOL, MapKind, build_map,
+                            build_max_dim_curve, curve_to_csv, g_feasibility,
+                            g_optimal, g_sir, g_strong,
+                            general_sufficient_conditions, log_grid,
                             map_to_csv, map_to_dict, max_dimension)
 from effdim.kalman import isotropic_steady_p
 from effdim.model import LinearGaussianProblem
@@ -170,6 +173,9 @@ def test_build_map_validates_grids():
     with pytest.raises(ValueError):
         build_map(MapKind.FEASIBILITY, np.array([-1.0, 1.0]),
                   np.array([1.0, 2.0]), [5])
+    with pytest.raises(ValueError):
+        build_map(MapKind.FEASIBILITY, np.array([1.0, np.nan]),
+                  np.array([1.0, 2.0]), [5])
 
 
 def test_general_conditions_small_q():
@@ -210,3 +216,125 @@ def test_map_exports():
     lines = curve_to_csv(curve).strip().split("\n")
     assert lines[0] == "eps,m_max"
     assert len(lines) == 11
+
+
+def _random_log_grid(rng) -> np.ndarray:
+    lo = rng.uniform(-5.0, 2.0)
+    hi = lo + rng.uniform(0.5, 6.0)
+    return 10.0 ** np.unique(rng.uniform(lo, hi, int(rng.integers(2, 60))))
+
+
+def _level_tol(kind: MapKind, level: float) -> float:
+    # only the optimal tangent ray eps = 1/2 is off by up to LEVEL_TOL
+    if kind is MapKind.OPTIMAL and abs(level - 1.0 / 3.0) <= LEVEL_TOL:
+        return LEVEL_TOL
+    return 1e-12 * level
+
+
+_G = {MapKind.FEASIBILITY: g_feasibility, MapKind.OPTIMAL: g_optimal,
+      MapKind.SIR: g_sir, MapKind.STRONG: g_strong}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10**6),
+       st.floats(0.1, 10.0), st.sampled_from(list(MapKind)))
+def test_level_set_points_solve_g_equals_level(seed, m, constant, kind):
+    rng = np.random.default_rng(seed)
+    q_grid, r_grid = _random_log_grid(rng), _random_log_grid(rng)
+    bm = build_map(kind, q_grid, r_grid, [m], constant=constant)
+    level = constant / np.sqrt(m)
+    g = _G[kind]
+    for ls in bm.level_sets:
+        assert ls.m == m and ls.level == level
+        q, r = ls.points[:, 0], ls.points[:, 1]
+        assert np.all(np.abs(g(q, r) - level) <= _level_tol(kind, level))
+        assert np.all((q >= q_grid[0]) & (q <= q_grid[-1]))
+        assert np.all((r >= r_grid[0]) & (r <= r_grid[-1]))
+    if kind in (MapKind.FEASIBILITY, MapKind.STRONG):
+        # g is increasing in r: exactly the bracketing columns have a root
+        bracket = ((g(q_grid, r_grid[0]) <= level)
+                   & (level <= g(q_grid, r_grid[-1])))
+        got = bm.level_sets[0].points[:, 0] if bm.level_sets else []
+        assert np.array_equal(got, q_grid[bracket])
+
+
+def test_ray_count_matches_sign_changes_of_g():
+    # every root of g(eps, 1) = level appears as one ray on a grid wide
+    # enough to hold it; the oracle counts sign changes on a dense sweep
+    eps = np.logspace(-10, 10, 200_001)
+    grid = log_grid(1e-6, 1e6, 30)
+    for kind, g in ((MapKind.SIR, g_sir), (MapKind.OPTIMAL, g_optimal)):
+        for m in (1, 5, 10, 11, 100, 1000, 10**6):
+            level = 1.0 / np.sqrt(m)
+            roots = int(np.count_nonzero(np.diff(np.sign(g(eps, 1.0) - level))))
+            bm = build_map(kind, grid, grid, [m])
+            slopes = sorted({float(ls.points[0, 0] / ls.points[0, 1])
+                             for ls in bm.level_sets})
+            assert len(slopes) == roots, (kind, m)
+
+
+def test_optimal_tangent_ray_at_peak():
+    grid = log_grid(1e-3, 1e3, 50)
+    bm = build_map(MapKind.OPTIMAL, grid, grid, dims=[9])
+    assert len(bm.level_sets) == 1
+    pts = bm.level_sets[0].points
+    assert np.all(pts[:, 0] / pts[:, 1] == 0.5)
+
+
+def test_optimal_no_ray_just_above_peak():
+    grid = log_grid(1e-3, 1e3, 50)
+    bm = build_map(MapKind.OPTIMAL, grid, grid, dims=[1],
+                   constant=1.0 / 3.0 + 2.0 * LEVEL_TOL)
+    assert bm.level_sets == []
+
+
+def test_optimal_two_rays_just_below_peak():
+    level = 1.0 / 3.0 - 2.0 * LEVEL_TOL
+    grid = log_grid(1e-3, 1e3, 50)
+    bm = build_map(MapKind.OPTIMAL, grid, grid, dims=[1], constant=level)
+    assert len(bm.level_sets) == 2
+    slopes = [ls.points[:, 0] / ls.points[:, 1] for ls in bm.level_sets]
+    assert np.max(slopes[0]) < 0.5 < np.min(slopes[1])
+    for ls in bm.level_sets:
+        q, r = ls.points[:, 0], ls.points[:, 1]
+        assert np.all(np.abs(g_optimal(q, r) - level) <= 1e-12 * level)
+
+
+@pytest.mark.parametrize("dims, constant", [
+    ([0], 1.0), ([-4], 1.0), ([5, 0], 1.0), ([5], 0.0), ([5], -1.0),
+    ([5], float("nan")), ([5], float("inf"))])
+def test_build_map_rejects_bad_dims_and_constant(dims, constant):
+    grid = log_grid(1e-2, 1e2, 10)
+    with pytest.raises(ValueError):
+        build_map(MapKind.FEASIBILITY, grid, grid, dims, constant=constant)
+
+
+@pytest.mark.parametrize("lo, hi, n", [
+    (0.0, 1.0, 10), (-1.0, 1.0, 10), (1.0, 1.0, 10), (1e-2, 1e2, 1),
+    (float("nan"), 1.0, 10), (1e-2, float("inf"), 10)])
+def test_log_grid_rejects_bad_ranges(lo, hi, n):
+    with pytest.raises(ValueError):
+        log_grid(lo, hi, n)
+
+
+def test_max_dimension_rejects_bad_constant():
+    for constant in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            max_dimension(1.0, MapKind.OPTIMAL, constant=constant)
+
+
+@pytest.mark.parametrize("kind", [MapKind.FEASIBILITY, MapKind.STRONG])
+def test_grid_end_an_ulp_past_the_root_keeps_points_inside(kind):
+    # at q = 0.8, m = 10 the grid end one ulp past the root still
+    # brackets the level after rounding; the point must stay on the grid
+    level = 1.0 / np.sqrt(10)
+    q = 0.8
+    root = (level + level * level / q if kind is MapKind.FEASIBILITY
+            else level * q / (q - level))
+    g = _G[kind]
+    for r_grid in (np.array([np.nextafter(root, np.inf), 10.0]),
+                   np.array([0.01, np.nextafter(root, 0.0)])):
+        assert g(q, r_grid[0]) <= level <= g(q, r_grid[-1])
+        bm = build_map(kind, np.array([q]), r_grid, [10])
+        (ls,) = bm.level_sets
+        assert r_grid[0] <= ls.points[0, 1] <= r_grid[-1]

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from effdim import balance
 from effdim.balance import g_feasibility, g_optimal, g_sir
 from effdim.cli import main
 from effdim.model import LinearGaussianProblem, save_problem
@@ -295,3 +297,61 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.exists()
+
+
+def _no_csv(*_args, **_kwargs):
+    raise AssertionError("csv rendered although json was requested")
+
+
+def test_map_default_format_renders_no_csv(tmp_path, monkeypatch):
+    monkeypatch.setattr(balance, "map_to_csv", _no_csv)
+    out = tmp_path / "map.json"
+    assert run_cli("--command", "map", "--grid-points", "12",
+                   "--out", str(out)) == 0
+    assert json.loads(out.read_text())["kind"] == "feasibility"
+
+
+def test_maxdim_default_format_renders_no_csv(tmp_path, monkeypatch):
+    monkeypatch.setattr(balance, "curve_to_csv", _no_csv)
+    out = tmp_path / "maxdim.json"
+    assert run_cli("--command", "maxdim", "--kind", "sir", "--grid-points",
+                   "4", "--out", str(out)) == 0
+    assert len(json.loads(out.read_text())["m_max"]) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["--command", "map", "--grid-min", "0"],
+    ["--command", "map", "--grid-min", "10", "--grid-max", "1"],
+    ["--command", "map", "--grid-points", "1"],
+    ["--command", "map", "--grid-max", "nan"],
+    ["--command", "map", "--balance-constant", "0"],
+    ["--command", "maxdim", "--kind", "sir", "--grid-min", "0"],
+    ["--command", "maxdim", "--kind", "optimal", "--balance-constant", "-1"],
+    ["--command", "collapse-sweep", "--kind", "sir", "--m", "2",
+     "--seeds", "1", "--grid-min", "0"],
+], ids=["map-grid-min-0", "map-grid-reversed", "map-grid-points-1",
+        "map-grid-max-nan", "map-constant-0", "maxdim-grid-min-0",
+        "maxdim-constant-negative", "sweep-eps-grid-min-0"])
+def test_bad_balance_input_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_map_negative_dims_exits_2(tmp_path, capsys):
+    out = tmp_path / "map.json"
+    assert run_cli("--command", "map", "--dims", "-4", "--grid-points", "5",
+                   "--out", str(out)) == 2
+    assert "dims must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_map_zero_dims_exits_2_without_warning(tmp_path, capsys):
+    out = tmp_path / "map.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("--command", "map", "--dims", "5,0",
+                       "--grid-points", "5", "--out", str(out)) == 2
+    assert "dims must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
