@@ -111,6 +111,15 @@ def _config_dict(args) -> dict:
     return cfg
 
 
+def _dare_options(args) -> dict:
+    """--dare-tol and --dare-max-iter as solve_dare keywords, validated."""
+    if not (args.dare_tol > 0 and np.isfinite(args.dare_tol)):
+        raise InputError("--dare-tol must be positive and finite")
+    if args.dare_max_iter < 1:
+        raise InputError("--dare-max-iter must be >= 1")
+    return {"tol": args.dare_tol, "max_iter": args.dare_max_iter}
+
+
 def _require_seeds(args) -> list[int]:
     if args.seeds is None:
         raise InputError("--seeds is required (no wall-clock default)")
@@ -165,11 +174,11 @@ def _emit_pair(args, config: dict, payload: dict, csv_header: str,
 
 
 def _cmd_effdim(args) -> int:
+    dare = _dare_options(args)
     problem = _resolve_problem(args)
-    state = kalman.solve_dare(problem, tol=args.dare_tol,
-                              max_iter=args.dare_max_iter)
+    state = kalman.solve_dare(problem, **dare)
     stats = kalman.spread_stats(state.P)
-    eq_residual = kalman.dare_residual(problem, state.X)
+    eq_residual = state.residual
     payload = {
         "steady_state": kalman.steady_state_to_dict(state),
         "dare_equation_residual": eq_residual,
@@ -194,9 +203,9 @@ def _cmd_effdim(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    dare = _dare_options(args)
     problem = _resolve_problem(args)
-    state = kalman.solve_dare(problem, tol=args.dare_tol,
-                              max_iter=args.dare_max_iter)
+    state = kalman.solve_dare(problem, **dare)
     db = bounds.p_upper_bound(problem)
     payload = {"steady_state": kalman.steady_state_to_dict(state),
                "bounds": bounds.bounds_to_dict(db)}
@@ -302,14 +311,20 @@ def _filter_csv_rows(run: filters.FilterRun) -> list[str]:
     return rows
 
 
+def _run_filter(args, problem, kind, seed) -> filters.FilterRun:
+    try:
+        return filters.run_filter(problem, kind, args.steps, args.particles,
+                                  seed, resample_every=args.resample_every)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _cmd_filter(args) -> int:
     problem = _resolve_problem(args)
     kind = _map_kind(args, ("sir", "optimal"))
     seeds = _require_seeds(args)
     config = _config_dict(args)
-    runs = [filters.run_filter(problem, kind, args.steps, args.particles,
-                               seed, resample_every=args.resample_every)
-            for seed in seeds]
+    runs = [_run_filter(args, problem, kind, seed) for seed in seeds]
     summaries = [_run_summary(run, args.collapse_threshold) for run in runs]
     fraction = float(np.mean([s["collapsed"] for s in summaries]))
     payload = {
@@ -338,6 +353,8 @@ def _sweep_cells(args, seeds):
     if args.q is None or args.r is None:
         raise InputError("m sweep needs --q and --r")
     dims = _parse_int_list(args.dims, "--dims")
+    if min(dims) < 1:
+        raise InputError("--dims must be >= 1")
     return [{"eps": args.q / args.r, "m": m, "q": args.q, "r": args.r}
             for m in dims]
 
@@ -355,9 +372,7 @@ def _cmd_collapse_sweep(args) -> int:
         summaries = []
         for seed in seeds:
             try:
-                run = filters.run_filter(problem, kind, args.steps,
-                                         args.particles, seed,
-                                         resample_every=args.resample_every)
+                run = _run_filter(args, problem, kind, seed)
             except (kalman.DareConvergenceError,
                     np.linalg.LinAlgError) as exc:
                 summaries.append({"seed": seed, "error": str(exc)})
@@ -395,6 +410,7 @@ def _cmd_collapse_sweep(args) -> int:
 
 
 def _cmd_smooth(args) -> int:
+    dare = _dare_options(args)
     problem = _resolve_problem(args)
     if args.trajectory is not None:
         try:
@@ -408,7 +424,10 @@ def _cmd_smooth(args) -> int:
         traj_source = {"trajectory_path": args.trajectory}
     else:
         seeds = _require_seeds(args)
-        trajectory = filters.simulate(problem, args.steps, seeds[0])
+        try:
+            trajectory = filters.simulate(problem, args.steps, seeds[0])
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         traj_source = {"simulated_with_seed": seeds[0],
                        "n_steps": args.steps}
     observations = trajectory.observations
@@ -418,8 +437,7 @@ def _cmd_smooth(args) -> int:
                                                               problem.m)
     condition = smoothing.smoother_condition(problem)
     conditions = balance.general_sufficient_conditions(
-        problem, constant=args.balance_constant, tol=args.dare_tol,
-        max_iter=args.dare_max_iter)
+        problem, constant=args.balance_constant, **dare)
     config = _config_dict(args)
     payload = {
         "trajectory_source": traj_source,

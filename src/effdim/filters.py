@@ -36,7 +36,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from . import _kernels
 from .kalman import DareConvergenceError, solve_dare
 from .model import (LinearGaussianProblem, as_matrix, psd_factor, validate)
 
@@ -259,7 +258,9 @@ def resample(ensemble: ParticleEnsemble, seed) -> ParticleEnsemble:
     cdf = np.cumsum(w)
     N = norm.n_particles
     points = (np.arange(N) + rng.random()) / N
-    idx = _kernels.systematic_resample(cdf, points)
+    # point p picks the first i with cdf[i] >= p; the clamp absorbs a
+    # cdf top that round-off left just below the last point
+    idx = np.minimum(np.searchsorted(cdf, points, side="left"), N - 1)
     return ParticleEnsemble(step=norm.step, positions=norm.positions[idx],
                             log_weights=np.full(N, -np.log(N)),
                             normalized=True)

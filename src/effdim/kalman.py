@@ -7,7 +7,8 @@ The posterior covariance of the state given all data so far evolves as
     P[n+1] = (I - K[n] H) X[n]
 
 For detectable/stabilizable problems the recursion reaches a steady state
-P, with prior X solving the discrete algebraic Riccati equation.  The
+P, with prior X solving the discrete algebraic Riccati equation (DARE),
+which :func:`solve_dare` finds by structure-preserving doubling.  The
 Frobenius norm ||P||_F is the effective dimension of the assimilation
 problem: it controls the radius and thickness of the shell on which
 posterior samples concentrate (see :func:`spread_stats`).
@@ -20,20 +21,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .model import (LinearGaussianProblem, SymMatrix, as_matrix, frobenius,
                     sym)
 
 DARE_TOL = 1e-10
 DARE_MAX_ITER = 100_000
 INNOVATION_COND_LIMIT = 1e14
+# X counts as unchanged by a doubling that moves it less than this, relative
+_STALL_RTOL = 4.0 * np.finfo(float).eps
 
 
 class DareConvergenceError(RuntimeError):
-    """Fixed-point iteration failed to reach the requested tolerance.
+    """The DARE solve did not bring the equation residual below tolerance.
 
-    Operationally this is the signal for an undetectable or
-    unstabilizable (A, Q, H) combination; no algebraic pre-check is done.
+    ``residual`` is the last DARE residual ||X - F(X)||_F and
+    ``iterations`` the doublings (or fallback sweeps) done.  Operationally
+    this is the signal for an undetectable or unstabilizable (A, Q, H)
+    combination, or for a tolerance below round-off; no algebraic
+    pre-check is done.
     """
 
     def __init__(self, message: str, residual: float, iterations: int):
@@ -46,8 +51,9 @@ class DareConvergenceError(RuntimeError):
 class SteadyState:
     """Converged covariances: DARE solution X, gain K, posterior P.
 
-    ``eff_dim`` is ||P||_F; ``residual`` the final Frobenius change of
-    the fixed-point iteration.
+    ``eff_dim`` is ||P||_F; ``residual`` is the DARE residual of X (see
+    :func:`dare_residual`); ``iterations`` counts doublings, or sweeps
+    when the solve fell back to the fixed-point sweep.
     """
 
     X: SymMatrix
@@ -97,46 +103,130 @@ def kalman_cov_step(problem: LinearGaussianProblem, P_n) -> SymMatrix:
     return SymMatrix(sym(P_next, rtol=np.inf))
 
 
+def _converged(residual: float, norm_x: float, tol: float) -> bool:
+    """Residual test that an overflowed norm never passes."""
+    return np.isfinite(norm_x) and residual <= tol * (1.0 + norm_x)
+
+
+def _doubling(problem: LinearGaussianProblem, X0, tol: float,
+              max_iter: int):
+    """SDA on the filter DARE in control form: (X, doublings, residual).
+
+    With A_0 = A', G_0 = H'R^{-1}H and H_0 = Q, a doubling solves
+    (I + G_k H_k) [V1, V2] = [A_k, G_k] and sets A_{k+1} = A_k V1,
+    G_{k+1} = G_k + A_k V2 A_k' and H_{k+1} = H_k + A_k' H_k V1.  H_k is
+    the prior covariance 2^k steps of the recursion on from zero, and
+    H_k + A_k' X0 (I + G_k X0)^{-1} A_k the one from X0.  H_k rises to the
+    minimal solution.  That is the limit from X0 too unless Q leaves a
+    growing mode unexcited, which keeps ||A_k||_2 above 1; then the
+    doubling goes on from X0.  None (a non-finite iterate or a singular
+    solve) asks for the sweep.
+    """
+    m = problem.m
+    try:
+        G = problem.H.T @ np.linalg.solve(problem.R, problem.H)
+        Ak, Gk, Hk = problem.A.T, 0.5 * (G + G.T), problem.Q
+        k, from_x0, X = 0, False, None
+        while True:
+            X_next = Hk
+            if from_x0:
+                X_next = Hk + Ak.T @ X0 @ np.linalg.solve(
+                    np.eye(m) + Gk @ X0, Ak)
+                X_next = 0.5 * (X_next + X_next.T)
+            norm_x = np.linalg.norm(X_next)
+            if not np.isfinite(norm_x):
+                return None
+            # X no longer moves (or A_k is gone): more doublings are idle
+            stalled = X is not None and (
+                np.linalg.norm(X_next - X) <= _STALL_RTOL * norm_x
+                or not np.any(Ak))
+            X = X_next
+            residual = dare_residual(problem, X)
+            if _converged(residual, norm_x, tol):
+                # ||A_k||_2^2 <= ||A_k||_1 ||A_k||_inf
+                if from_x0 or (np.linalg.norm(Ak, 1)
+                               * np.linalg.norm(Ak, np.inf) <= 1.0):
+                    return X, k, residual
+                from_x0, X = True, None
+                continue
+            if stalled or k == max_iter:
+                break
+            V = np.linalg.solve(np.eye(m) + Gk @ Hk, np.hstack((Ak, Gk)))
+            Hk = Hk + Ak.T @ Hk @ V[:, :m]
+            Hk = 0.5 * (Hk + Hk.T)
+            Gk = Gk + Ak @ V[:, m:] @ Ak.T
+            Gk = 0.5 * (Gk + Gk.T)
+            Ak = Ak @ V[:, :m]
+            k += 1
+    except np.linalg.LinAlgError:
+        return None
+    raise DareConvergenceError(
+        f"DARE doubling {'stagnated' if stalled else 'did not converge'} "
+        f"after {k} doublings (residual {residual:.3e})",
+        residual=residual, iterations=k)
+
+
+def _sweep(problem: LinearGaussianProblem, X, tol: float, max_iter: int):
+    """Fixed-point sweep X <- A (X - X H' S^{-1} H X) A' + Q from X.
+
+    The step ||X_new - X||_F is the DARE residual of X, so the sweep stops
+    on the equation residual.  Returns (X, sweeps, residual).
+    """
+    A, Q, H, R = problem.A, problem.Q, problem.H, problem.R
+    for it in range(1, max_iter + 1):
+        HX = H @ X
+        try:
+            X_next = A @ (X - HX.T @ np.linalg.solve(HX @ H.T + R, HX)) @ A.T
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                "innovation covariance singular during DARE iteration"
+            ) from exc
+        X_next = 0.5 * (X_next + X_next.T) + Q
+        step = float(np.linalg.norm(X_next - X))
+        X = X_next
+        if not np.isfinite(step):
+            raise DareConvergenceError(
+                "DARE iteration diverged (non-finite covariance)",
+                residual=step, iterations=it)
+        if _converged(step, np.linalg.norm(X), tol):
+            return X, it, dare_residual(problem, X)
+    raise DareConvergenceError(
+        f"DARE iteration did not converge in {max_iter} sweeps "
+        f"(last residual {step:.3e})", residual=step, iterations=max_iter)
+
+
 def solve_dare(problem: LinearGaussianProblem, tol: float = DARE_TOL,
                max_iter: int = DARE_MAX_ITER, start=None) -> SteadyState:
-    """Steady-state covariances by fixed-point iteration from Sigma0.
+    """Steady-state covariances by structure-preserving doubling.
 
-    Iterates :func:`kalman_cov_step` until the Frobenius change drops
-    below ``tol * (1 + ||P||_F)``; the converged limit is independent of
-    the start.  X is recomputed as A P A' + Q.  Raises
-    DareConvergenceError after ``max_iter`` sweeps, carrying the last
-    residual.
+    SDA (Chu, Fan & Lin, LAA 2005) follows the Kalman recursion from the
+    posterior covariance ``start`` (default Sigma0) in steps of 2^k and
+    stops once ``dare_residual(problem, X) <= tol * (1 + ||X||_F)``; K
+    and P follow from X.  On stabilizable/detectable problems it
+    converges quadratically and the limit does not depend on ``start``.
+    A non-finite iterate or a singular solve falls back to the
+    fixed-point sweep from the same start.
+
+    Raises DareConvergenceError, carrying the last residual and the
+    doubling (or sweep) count, when doubling stagnates above ``tol``,
+    when ``max_iter`` doublings or sweeps fall short, or when the sweep
+    diverges.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    P0 = np.ascontiguousarray(as_matrix(start if start is not None
-                                        else problem.Sigma0))
-    A = np.ascontiguousarray(problem.A)
-    Q = np.ascontiguousarray(problem.Q)
-    H = np.ascontiguousarray(problem.H)
-    R = np.ascontiguousarray(problem.R)
-    try:
-        P, iterations, change = _kernels.dare_fixed_point(
-            A, Q, H, R, P0, tol, max_iter)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "innovation covariance singular during DARE iteration") from exc
-    if not np.all(np.isfinite(P)):
-        raise DareConvergenceError(
-            "DARE iteration diverged (non-finite covariance)",
-            residual=float(change), iterations=int(iterations))
-    if change > tol * (1.0 + np.linalg.norm(P)):
-        raise DareConvergenceError(
-            f"DARE iteration did not converge in {max_iter} sweeps "
-            f"(last change {change:.3e})",
-            residual=float(change), iterations=int(iterations))
-    X = 0.5 * ((A @ P @ A.T + Q) + (A @ P @ A.T + Q).T)
-    S = H @ X @ H.T + R
-    K = np.linalg.solve(S, H @ X).T
-    P_sym = SymMatrix(sym(P, rtol=np.inf))
-    return SteadyState(X=SymMatrix(sym(X, rtol=np.inf)), K=K, P=P_sym,
-                       eff_dim=frobenius(P_sym), iterations=int(iterations),
-                       residual=float(change))
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    P0 = as_matrix(problem.Sigma0 if start is None else start)
+    with np.errstate(all="ignore"):
+        X0 = problem.A @ P0 @ problem.A.T + problem.Q
+        X, iterations, residual = (_doubling(problem, X0, tol, max_iter)
+                                   or _sweep(problem, X0, tol, max_iter))
+    HX = problem.H @ X
+    K = np.linalg.solve(HX @ problem.H.T + problem.R, HX).T
+    P = SymMatrix(sym(X - K @ HX, rtol=np.inf))
+    return SteadyState(X=SymMatrix(sym(X, rtol=np.inf)), K=K, P=P,
+                       eff_dim=frobenius(P), iterations=int(iterations),
+                       residual=float(residual))
 
 
 def dare_residual(problem: LinearGaussianProblem, X) -> float:

@@ -332,26 +332,3 @@ def optimal_smoother_sample(problem: LinearGaussianProblem, observations,
     weights = np.full(N, 1.0 / N)
     return samples, weights
 
-
-def kalman_filter_means(problem: LinearGaussianProblem,
-                        observations) -> np.ndarray:
-    """Kalman filter posterior means mu_0..mu_n (equivalence oracle).
-
-    The smoothing tests compare the final 4D-Var block against mu_n; the
-    main package otherwise never tracks the state mean.
-    """
-    observations = np.atleast_2d(np.asarray(observations, dtype=float))
-    mu = problem.mu0.copy()
-    P = problem.Sigma0.copy()
-    A, Q, H, R = problem.A, problem.Q, problem.H, problem.R
-    means = [mu.copy()]
-    eye = np.eye(problem.m)
-    for z in observations:
-        X = A @ P @ A.T + Q
-        S = H @ X @ H.T + R
-        K = np.linalg.solve(S, H @ X).T
-        mu = A @ mu + K @ (z - H @ (A @ mu))
-        P = (eye - K @ H) @ X
-        P = 0.5 * (P + P.T)
-        means.append(mu.copy())
-    return np.asarray(means)

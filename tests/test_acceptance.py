@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Monte Carlo criteria use fixed seeds; runtime budgets are asserted
-with time.perf_counter around the measured work (JIT warm-up excluded).
+with time.perf_counter around the measured work (warm-up excluded).
 """
 
 import json
@@ -19,10 +19,10 @@ from effdim.cli import main as cli_main
 from effdim.filters import run_filter
 from effdim.kalman import isotropic_steady_p, solve_dare
 from effdim.model import LinearGaussianProblem, PsdVerdict, psd_compare
-from effdim.smoothing import (kalman_filter_means, optimal_smoother_sample,
-                              strong_precision, weak_mode, weak_precision)
+from effdim.smoothing import (optimal_smoother_sample, strong_precision,
+                              weak_mode, weak_precision)
 from test_smoothing import conditional_trajectory_gaussian
-from util import random_problem
+from util import kalman_filter_means, random_problem
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 OK_ORDER = (PsdVerdict.LESS_OR_EQUAL, PsdVerdict.EQUAL)
@@ -45,7 +45,7 @@ def iso_steady(m, q, r):
 
 def test_criterion_01_isotropic_dare_oracle():
     with criterion(1, "isotropic DARE closed form, rel 1e-8, < 10 s"):
-        solve_dare(LinearGaussianProblem.isotropic(100, 1.0, 1.0))  # warm JIT
+        solve_dare(LinearGaussianProblem.isotropic(100, 1.0, 1.0))  # warm-up
         qs = np.logspace(-1, 1, 10)
         rs = np.logspace(-1, 1, 5)
         start = time.perf_counter()
@@ -93,7 +93,7 @@ def test_criterion_03_figure3_curve_values():
 
 def test_criterion_04_bounds_sandwich():
     with criterion(4, "bounds sandwich on 100 random instances, < 30 s"):
-        solve_dare(LinearGaussianProblem.isotropic(4, 1.0, 1.0))  # warm JIT
+        solve_dare(LinearGaussianProblem.isotropic(4, 1.0, 1.0))  # warm-up
         rng = np.random.default_rng(8128)
         start = time.perf_counter()
         asymmetric_violations = []

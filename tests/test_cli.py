@@ -355,3 +355,48 @@ def test_map_zero_dims_exits_2_without_warning(tmp_path, capsys):
                        "--grid-points", "5", "--out", str(out)) == 2
     assert "dims must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dims", ["0", "-2", "3,0"])
+def test_collapse_sweep_m_axis_bad_dims_exits_2(dims, tmp_path, capsys):
+    stem = tmp_path / "sweep"
+    assert run_cli("--command", "collapse-sweep", "--kind", "sir",
+                   "--sweep", "m", "--dims", dims, "--q", "1", "--r", "1",
+                   "--seeds", "1", "--out", str(stem)) == 2
+    assert "dims must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+_ISO = ["--m", "2", "--q", "1", "--r", "1", "--seeds", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--command", "filter", "--kind", "sir", *_ISO, "--particles", "0"],
+    ["--command", "filter", "--kind", "sir", *_ISO, "--steps", "-1"],
+    ["--command", "filter", "--kind", "optimal", *_ISO,
+     "--resample-every", "0"],
+    ["--command", "collapse-sweep", "--kind", "sir", *_ISO,
+     "--grid-points", "2", "--particles", "1"],
+    ["--command", "smooth", *_ISO, "--steps", "0"],
+], ids=["filter-particles-0", "filter-steps-negative",
+        "filter-resample-every-0", "sweep-particles-1", "smooth-steps-0"])
+def test_bad_run_input_exits_2(argv, tmp_path, capsys):
+    stem = tmp_path / "run"
+    assert run_cli(*argv, "--out", str(stem)) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["effdim", "bounds", "smooth"])
+@pytest.mark.parametrize("flag", [
+    ["--dare-tol", "0"], ["--dare-tol=-1e-10"], ["--dare-tol", "nan"],
+    ["--dare-tol", "inf"], ["--dare-max-iter", "0"],
+    ["--dare-max-iter", "-5"],
+], ids=["tol-0", "tol-negative", "tol-nan", "tol-inf", "max-iter-0",
+        "max-iter-negative"])
+def test_bad_dare_flags_exit_2(command, flag, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("--command", command, *_ISO, *flag,
+                   "--out", str(out)) == 2
+    assert "--dare-" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

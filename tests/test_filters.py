@@ -9,7 +9,7 @@ from effdim.filters import (FilterKind, ParticleEnsemble, WeightCollapseError,
                             trajectory_from_json, trajectory_to_json)
 from effdim.kalman import isotropic_steady_p, solve_dare
 from effdim.model import LinearGaussianProblem
-from effdim.smoothing import kalman_filter_means
+from util import kalman_filter_means
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -251,6 +251,38 @@ def test_resample_expected_counts_within_one():
     out = resample(ens, seed=3)
     counts = np.bincount(out.positions[:, 0].astype(int), minlength=N)
     assert np.all(np.abs(counts - N * w) <= 1.0 + 1e-9)
+
+
+def test_resample_flat_cdf_never_picks_zero_weights():
+    # zero weights before, between and after the live particles make
+    # flat stretches in the CDF; a point on a flat stretch must go to the
+    # next particle with weight, never to a zero-weight one
+    positions = np.arange(6, dtype=float)[:, None]
+    with np.errstate(divide="ignore"):
+        lw = np.log(np.array([0.0, 0.0, 0.5, 0.0, 0.5, 0.0]))
+    for seed in range(20):
+        ens = ParticleEnsemble(step=0, positions=positions, log_weights=lw,
+                               normalized=True)
+        out = resample(ens, seed=seed)
+        counts = np.bincount(out.positions[:, 0].astype(int), minlength=6)
+        np.testing.assert_array_equal(counts, [0, 0, 3, 0, 3, 0])
+
+
+class _TopOffset(np.random.Generator):
+    """A generator whose systematic offset sits just below one."""
+
+    def random(self, *args, **kwargs):
+        return 1.0 - 1e-13
+
+
+def test_resample_clamps_cdf_top_below_last_point():
+    # round-off leaves the CDF top at 1 - 1e-12, below the last point
+    # (1 + 1 - 1e-13) / 2; it must select the last particle, not overrun
+    ens = ParticleEnsemble(step=0, positions=np.arange(2, dtype=float)[:, None],
+                           log_weights=np.log([0.5, 0.5 - 1e-12]),
+                           normalized=True)
+    out = resample(ens, _TopOffset(np.random.PCG64(0)))
+    np.testing.assert_array_equal(out.positions[:, 0], [0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effdim.kalman import (DareConvergenceError, dare_residual,
                            effective_dimension, isotropic_steady_p,
@@ -12,28 +14,21 @@ from util import random_problem, random_spd
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0  # steady per-component P at q = r = 1
 
-try:
-    from numba import njit
-
-    def _jit(fn):
-        return njit(cache=True)(fn)
-except ImportError:  # pragma: no cover
-    def _jit(fn):
-        return fn
-
 
 # Independent oracle for effective_dimension: sample covariance of the
-# steady-state filter error e[n+1] = (I-KH)(A e[n] + w[n]) - K v[n+1].
-@_jit
-def _error_chain_cov(A, IKH, K, Lq, Lr, xi, eta):
-    m = A.shape[0]
-    e = np.zeros(m)
-    s2 = np.zeros((m, m))
-    n = xi.shape[0]
-    for i in range(n):
-        e = IKH @ (A @ e + Lq @ xi[i]) - K @ (Lr @ eta[i])
-        s2 += np.outer(e, e)
-    return s2 / n
+# steady-state filter error e[n+1] = (I-KH)(A e[n] + w[n]) - K v[n+1],
+# over independent chains run side by side past a burn-in.
+def _error_chain_cov(A, IKH, K, Lq, Lr, rng, chains=1000, steps=1000,
+                     burn=100):
+    e = np.zeros((chains, A.shape[0]))
+    s2 = np.zeros(A.shape)
+    for i in range(burn + steps):
+        w = rng.standard_normal(e.shape) @ Lq.T
+        v = rng.standard_normal((chains, Lr.shape[0])) @ Lr.T
+        e = (e @ A.T + w) @ IKH.T - v @ K.T
+        if i >= burn:
+            s2 += e.T @ e
+    return s2 / (chains * steps)
 
 
 def test_cov_step_scalar_hand_case():
@@ -145,6 +140,102 @@ def test_solve_dare_nonconvergence_reports_residual():
     assert err.value.iterations == 200
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(0.1, 1.5))
+def test_solve_dare_matches_scipy_property(seed, m, radius):
+    # PD Q makes (A, Q^{1/2}) stabilizable; a stable A, or a square H
+    # (full rank almost surely) when A may be unstable, makes (H, A)
+    # detectable
+    rng = np.random.default_rng(seed)
+    k = m if radius >= 1.0 else int(rng.integers(1, m + 1))
+    problem = random_problem(rng, m=m, k=k, radius=radius)
+    state = solve_dare(problem)
+    X_ref = sla.solve_discrete_are(problem.A.T, problem.H.T, problem.Q,
+                                   problem.R)
+    assert np.linalg.norm(state.X.a - X_ref) <= 1e-8 * np.linalg.norm(X_ref)
+
+
+def test_solve_dare_small_noise_ratio_m100_matches_closed_form():
+    # the fixed-point map contracts at rate ~0.98 here, so stopping on
+    # its step size can land 5.5e-8 relative off; the residual stop holds
+    problem = LinearGaussianProblem.isotropic(100, 1e-4, 1.0)
+    state = solve_dare(problem)
+    expected = np.sqrt(100) * isotropic_steady_p(1e-4, 1.0)
+    assert state.eff_dim == pytest.approx(expected, rel=1e-8)
+    assert state.residual == dare_residual(problem, state.X)
+
+
+def test_solve_dare_unreachable_tol_stagnates_early():
+    # round-off floors the residual far above 1e-300: doubling stops
+    # changing X and the solver gives up at once instead of running on
+    problem = random_problem(np.random.default_rng(5), m=20)
+    with pytest.raises(DareConvergenceError, match="stagnated") as err:
+        solve_dare(problem, tol=1e-300)
+    assert 0.0 < err.value.residual < 1e-8
+    assert err.value.iterations < 30
+
+
+def test_solve_dare_overflow_is_not_convergence():
+    # doubling overflows on A = sqrt(2) I with no data, and the sweep
+    # X <- 2X + I reaches a sweep where ||X||_F has overflowed but the
+    # step ||X|| has not: that must not pass as converged
+    problem = LinearGaussianProblem(A=np.sqrt(2.0) * np.eye(2), Q=np.eye(2),
+                                    H=np.zeros((1, 2)), R=np.eye(1),
+                                    mu0=np.zeros(2), Sigma0=np.eye(2))
+    with pytest.raises(DareConvergenceError, match="diverged") as err:
+        solve_dare(problem, max_iter=2000)
+    assert err.value.iterations < 2000
+
+
+def test_solve_dare_singular_r_falls_back_to_sweep():
+    # R = 0 leaves G_0 = H'R^{-1}H undefined; the sweep finds the exact
+    # steady state of perfect observations, P = 0 and X = Q
+    eye = np.eye(2)
+    problem = LinearGaussianProblem(A=0.5 * eye, Q=eye, H=eye,
+                                    R=np.zeros((2, 2)), mu0=np.zeros(2),
+                                    Sigma0=eye)
+    state = solve_dare(problem)
+    np.testing.assert_allclose(state.X.a, eye, atol=1e-14)
+    assert state.eff_dim <= 1e-14
+    assert state.iterations == 2
+
+
+def test_solve_dare_unexcited_unstable_mode_follows_the_recursion():
+    # with Q = 0 both X = 0 and X = 3 solve x = 4x - 4x^2/(x + 1); the
+    # recursion from Sigma0 = 1 reaches the stabilizing X = 3, P = 3/4
+    problem = LinearGaussianProblem(A=np.array([[2.0]]), Q=np.zeros((1, 1)),
+                                    H=np.eye(1), R=np.eye(1), mu0=np.zeros(1),
+                                    Sigma0=np.eye(1))
+    state = solve_dare(problem)
+    assert state.X.a[0, 0] == pytest.approx(3.0, rel=1e-10)
+    assert state.P.a[0, 0] == pytest.approx(0.75, rel=1e-10)
+    # a stable excited mode beside it keeps its own steady state
+    problem = LinearGaussianProblem(A=np.diag([0.5, 2.0]), Q=np.diag([1.0, 0]),
+                                    H=np.eye(2), R=np.eye(2), mu0=np.zeros(2),
+                                    Sigma0=np.eye(2))
+    X_ref = sla.solve_discrete_are(problem.A.T, problem.H.T, problem.Q,
+                                   problem.R)
+    np.testing.assert_allclose(solve_dare(problem).X.a, X_ref, rtol=1e-10,
+                               atol=1e-12)
+
+
+def test_solve_dare_unexcited_marginal_mode_is_exact():
+    # A = I, Q = 0: the posterior shrinks to zero, which doubling from
+    # zero covariance meets at once
+    state = solve_dare(LinearGaussianProblem.isotropic(50, 0.0, 1.0))
+    assert state.eff_dim == 0.0
+    assert state.iterations == 0
+
+
+@pytest.mark.parametrize("tol,max_iter", [(0.0, 10), (-1.0, 10),
+                                          (float("nan"), 10),
+                                          (float("inf"), 10), (1e-10, 0)])
+def test_solve_dare_rejects_bad_options(tol, max_iter):
+    with pytest.raises(ValueError):
+        solve_dare(LinearGaussianProblem.isotropic(2, 1.0, 1.0), tol=tol,
+                   max_iter=max_iter)
+
+
 def test_isotropic_steady_p_values():
     assert isotropic_steady_p(1.0, 1.0) == pytest.approx(GOLDEN, abs=1e-15)
     assert isotropic_steady_p(0.0, 3.0) == 0.0
@@ -220,10 +311,7 @@ def test_effective_dimension_against_monte_carlo():
     IKH = np.eye(4) - state.K @ problem.H
     Lq = psd_factor(problem.Q)
     Lr = psd_factor(problem.R)
-    n = 1_000_000
-    xi = rng.standard_normal((n, 4))
-    eta = rng.standard_normal((n, 4))
-    S = _error_chain_cov(problem.A, IKH, state.K, Lq, Lr, xi, eta)
+    S = _error_chain_cov(problem.A, IKH, state.K, Lq, Lr, rng)
     assert np.linalg.norm(S) == pytest.approx(state.eff_dim, rel=0.02)
 
 

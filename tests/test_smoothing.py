@@ -7,11 +7,11 @@ from effdim.balance import MapKind
 from effdim.filters import simulate
 from effdim.kalman import kalman_cov_step
 from effdim.model import LinearGaussianProblem, frobenius
-from effdim.smoothing import (kalman_filter_means, optimal_smoother_sample,
+from effdim.smoothing import (optimal_smoother_sample,
                               sir_smoother_log_weight, smoother_condition,
                               strong_balance_map, strong_mean,
                               strong_precision, weak_mode, weak_precision)
-from util import random_problem, random_spd
+from util import kalman_filter_means, random_problem, random_spd
 
 
 # ---------------------------------------------------------------------------

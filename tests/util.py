@@ -36,3 +36,27 @@ def random_problem(rng, m=None, k=None, symmetric_a=False, radius=0.9):
     return LinearGaussianProblem(
         A=A, Q=random_spd(rng, m), H=H, R=random_spd(rng, k),
         mu0=rng.standard_normal(m), Sigma0=random_spd(rng, m))
+
+
+def kalman_filter_means(problem: LinearGaussianProblem,
+                        observations) -> np.ndarray:
+    """Kalman filter posterior means mu_0..mu_n (equivalence oracle).
+
+    The smoothing tests compare the final 4D-Var block against mu_n, and
+    the filter tests compare particle means against it.
+    """
+    observations = np.atleast_2d(np.asarray(observations, dtype=float))
+    mu = problem.mu0.copy()
+    P = problem.Sigma0.copy()
+    A, Q, H, R = problem.A, problem.Q, problem.H, problem.R
+    means = [mu.copy()]
+    eye = np.eye(problem.m)
+    for z in observations:
+        X = A @ P @ A.T + Q
+        S = H @ X @ H.T + R
+        K = np.linalg.solve(S, H @ X).T
+        mu = A @ mu + K @ (z - H @ (A @ mu))
+        P = (eye - K @ H) @ X
+        P = 0.5 * (P + P.T)
+        means.append(mu.copy())
+    return np.asarray(means)
