@@ -19,9 +19,10 @@ from .balance import (BalanceMap, MapKind, MaxDimCurve, build_map,
                       build_max_dim_curve, g_feasibility, g_optimal, g_sir,
                       g_strong, general_sufficient_conditions, max_dimension)
 from .filters import (CollapseReport, FilterKind, FilterRun,
-                      ParticleEnsemble, TrajectoryData, WeightCollapseError,
-                      collapse_stat, diagnostics, init_ensemble,
-                      optimal_step, resample, run_filter, simulate, sir_step)
+                      ParticleEnsemble, StepPlan, TrajectoryData,
+                      WeightCollapseError, collapse_stat, diagnostics,
+                      init_ensemble, optimal_step, resample, run_filter,
+                      simulate, sir_step, steady_collapse_stat, step_plan)
 from .smoothing import (StrongConstraintPosterior, WeakConstraintPosterior,
                         optimal_smoother_sample, sir_smoother_log_weight,
                         strong_balance_map, strong_precision, weak_mode,
@@ -42,9 +43,9 @@ __all__ = [
     "g_sir", "g_strong", "max_dimension", "build_map", "build_max_dim_curve",
     "general_sufficient_conditions",
     "FilterKind", "ParticleEnsemble", "CollapseReport", "TrajectoryData",
-    "FilterRun", "WeightCollapseError", "simulate", "init_ensemble",
-    "sir_step", "optimal_step", "resample", "diagnostics", "collapse_stat",
-    "run_filter",
+    "FilterRun", "StepPlan", "WeightCollapseError", "simulate",
+    "init_ensemble", "step_plan", "sir_step", "optimal_step", "resample",
+    "diagnostics", "collapse_stat", "steady_collapse_stat", "run_filter",
     "StrongConstraintPosterior", "WeakConstraintPosterior",
     "strong_precision", "strong_balance_map", "sir_smoother_log_weight",
     "weak_precision", "weak_mode", "optimal_smoother_sample",

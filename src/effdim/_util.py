@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
 
 def fmt17(x: float) -> str:
@@ -10,13 +10,18 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def max_threads() -> int:
-    """Parallelism cap: EFFDIM_THREADS if set and positive, else cpu count."""
-    raw = os.environ.get("EFFDIM_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return n
+def logsumexp(a) -> np.float64:
+    """log(sum(exp(a))), bit for bit as scipy.special.logsumexp computes it.
+
+    With c copies of the maximum a_max and s the sum of exp(a_i - a_max)
+    over the rest, it is log1p(s / c) + log(c) + a_max; a non-finite
+    result is replaced by the direct log(sum(exp(a))).
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a)
+        is_max = a == a_max
+        count = np.count_nonzero(is_max)
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max))
+        out = np.log1p(s / count if s else s) + np.log(count) + a_max
+        return out if np.isfinite(out) else np.log(np.sum(np.exp(a)))

@@ -34,14 +34,14 @@ monotone and can overshoot; the rigorous form is used.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (LinearGaussianProblem, SymMatrix, frobenius, sym)
+from .model import (PD_COND_LIMIT, LinearGaussianProblem, SymMatrix,
+                    frobenius, pd_inverse, sym)
 
 Q_REGULARIZATION = 1e-12  # scale of trace(Q)/m added to a singular Q
-PD_COND_LIMIT = 1e14
 
 
 class BoundInapplicableError(RuntimeError):
@@ -58,13 +58,6 @@ class DareBounds:
     eff_dim_upper: float
     eta: float
     q_regularized: bool = False
-
-
-def _pd_inverse(M: np.ndarray, what: str) -> np.ndarray:
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
-    if w[0] <= 0.0 or w[-1] / w[0] > PD_COND_LIMIT:
-        raise np.linalg.LinAlgError(what)
-    return (V / w) @ V.T
 
 
 def _sym_part_eigs(M: np.ndarray) -> np.ndarray:
@@ -86,8 +79,8 @@ def _regularized_q(problem: LinearGaussianProblem):
 def dare_lower_bound(problem: LinearGaussianProblem) -> SymMatrix:
     """Komaroff-type lower bound X_l = A (Q^{-1} + H'R^{-1}H)^{-1} A' + Q."""
     A, Q, H, R = problem.A, problem.Q, problem.H, problem.R
-    Q_inv = _pd_inverse(Q, "lower bound requires invertible Q")
-    R_inv = _pd_inverse(R, "R singular")
+    Q_inv = pd_inverse(Q, "lower bound requires invertible Q")
+    R_inv = pd_inverse(R, "R singular")
     inner = np.linalg.inv(Q_inv + H.T @ R_inv @ H)
     return SymMatrix(sym(A @ inner @ A.T + Q, rtol=np.inf))
 
@@ -95,7 +88,7 @@ def dare_lower_bound(problem: LinearGaussianProblem) -> SymMatrix:
 def dare_upper_bound(problem: LinearGaussianProblem) -> tuple[SymMatrix, float]:
     """Kwon-type upper bound; returns (X_u, eta)."""
     A, Q, H, R = problem.A, problem.Q, problem.H, problem.R
-    R_inv = _pd_inverse(R, "R singular")
+    R_inv = pd_inverse(R, "R singular")
     M = 0.5 * ((H.T @ R_inv @ H) + (H.T @ R_inv @ H).T)
     lam_AAt = np.linalg.eigvalsh(A @ A.T)[-1]
     lam_min_M = max(_sym_part_eigs(M)[0], 0.0)
@@ -117,7 +110,7 @@ def dare_upper_bound(problem: LinearGaussianProblem) -> tuple[SymMatrix, float]:
     eye = np.eye(problem.m)
     try:
         X_star = A @ np.linalg.inv(eye / eta + M) @ A.T + Q
-        X_star_inv = _pd_inverse(X_star, "upper bound inapplicable: "
+        X_star_inv = pd_inverse(X_star, "upper bound inapplicable: "
                                          "singular intermediate")
         X_u = A @ np.linalg.inv(X_star_inv + M) @ A.T + Q
     except np.linalg.LinAlgError as exc:
@@ -138,9 +131,7 @@ def p_upper_bound(problem: LinearGaussianProblem,
     if regularize_q:
         Q_reg, regularized = _regularized_q(problem)
         if regularized:
-            work = LinearGaussianProblem(A=problem.A, Q=Q_reg, H=problem.H,
-                                         R=problem.R, mu0=problem.mu0,
-                                         Sigma0=problem.Sigma0)
+            work = replace(problem, Q=Q_reg)
     X_l = dare_lower_bound(work)
     X_u, eta = dare_upper_bound(work)
     H, R = work.H, work.R

@@ -5,7 +5,6 @@ file (``--problem``) or inline isotropic parameters (``--m --q --r
 [--sigma0]``).  Stochastic commands require explicit ``--seeds`` (there
 is no wall-clock default), and every output file embeds the resolved
 configuration, so identical invocations produce byte-identical outputs.
-``EFFDIM_THREADS`` caps sweep parallelism.
 
 Exit status: 0 success, 2 input error, 3 numerical failure.
 """
@@ -14,14 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import balance, bounds, filters, kalman, smoothing
-from ._util import fmt17, max_threads
+from ._util import fmt17
 from .model import LinearGaussianProblem, load_problem
 
 COMMANDS = ("effdim", "bounds", "map", "maxdim", "filter", "smooth",
@@ -178,10 +175,9 @@ def _cmd_effdim(args) -> int:
     problem = _resolve_problem(args)
     state = kalman.solve_dare(problem, **dare)
     stats = kalman.spread_stats(state.P)
-    eq_residual = state.residual
     payload = {
         "steady_state": kalman.steady_state_to_dict(state),
-        "dare_equation_residual": eq_residual,
+        "dare_equation_residual": state.residual,
         "spread": {"mean_y": stats.mean_y, "var_y": stats.var_y,
                    "e_hat": stats.e_hat, "v_hat": stats.v_hat},
     }
@@ -193,11 +189,11 @@ def _cmd_effdim(args) -> int:
     summary = (f"eff_dim = {fmt17(state.eff_dim)}  "
                f"(iterations {state.iterations}, "
                f"residual {fmt17(state.residual)}, "
-               f"dare residual {fmt17(eq_residual)})")
+               f"dare residual {fmt17(state.residual)})")
     print(f"eff_dim = {fmt17(state.eff_dim)}")
     print(f"mean_y = {fmt17(stats.mean_y)}  var_y = {fmt17(stats.var_y)}  "
           f"e_hat = {fmt17(stats.e_hat)}  v_hat = {fmt17(stats.v_hat)}")
-    print(f"dare residual = {fmt17(eq_residual)}")
+    print(f"dare residual = {fmt17(state.residual)}")
     _emit_single(args, config, payload, lambda: [header, row], summary)
     return 0
 
@@ -275,11 +271,8 @@ def _cmd_maxdim(args) -> int:
 
 def _run_summary(run: filters.FilterRun, threshold: float) -> dict:
     max_weights = [rep.max_weight for rep in run.reports]
-    first = None
-    for rep in run.reports:
-        if rep.max_weight > threshold:
-            first = rep.step
-            break
+    first = next((rep.step for rep in run.reports
+                  if rep.max_weight > threshold), None)
     n_means = run.means.shape[0]
     errors = run.means - run.trajectory.truth[1:n_means + 1]
     mean_rmse = (float(np.sqrt(np.mean(errors ** 2)))
@@ -311,10 +304,11 @@ def _filter_csv_rows(run: filters.FilterRun) -> list[str]:
     return rows
 
 
-def _run_filter(args, problem, kind, seed) -> filters.FilterRun:
+def _run_filter(args, problem, kind, seed, plan) -> filters.FilterRun:
     try:
         return filters.run_filter(problem, kind, args.steps, args.particles,
-                                  seed, resample_every=args.resample_every)
+                                  seed, resample_every=args.resample_every,
+                                  plan=plan)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -324,7 +318,10 @@ def _cmd_filter(args) -> int:
     kind = _map_kind(args, ("sir", "optimal"))
     seeds = _require_seeds(args)
     config = _config_dict(args)
-    runs = [_run_filter(args, problem, kind, seed) for seed in seeds]
+    runs = []
+    for seed in seeds:  # the first run builds the plan every seed shares
+        runs.append(_run_filter(args, problem, kind, seed,
+                                runs[0].plan if runs else None))
     summaries = [_run_summary(run, args.collapse_threshold) for run in runs]
     fraction = float(np.mean([s["collapsed"] for s in summaries]))
     payload = {
@@ -359,42 +356,35 @@ def _sweep_cells(args, seeds):
             for m in dims]
 
 
+def _sweep_cell(args, kind, seeds, cell) -> dict:
+    """Every seed of one sweep cell, all on the first successful run's plan."""
+    problem = LinearGaussianProblem.isotropic(cell["m"], cell["q"], cell["r"],
+                                              sigma0=args.sigma0)
+    summaries = []
+    plan = None
+    for seed in seeds:
+        try:
+            run = _run_filter(args, problem, kind, seed, plan)
+        except (kalman.DareConvergenceError, np.linalg.LinAlgError) as exc:
+            summaries.append({"seed": seed, "error": str(exc)})
+            continue
+        plan = run.plan
+        summaries.append(_run_summary(run, args.collapse_threshold))
+    ok = [s for s in summaries if "error" not in s]
+    fraction = (float(np.mean([s["collapsed"] for s in ok]))
+                if ok else float("nan"))
+    sigma = (plan.sigma_frob if plan is not None
+             else filters.steady_collapse_stat(problem, kind))
+    return {**cell, "collapse_fraction": fraction, "sigma_frob": sigma,
+            "runs": summaries}
+
+
 def _cmd_collapse_sweep(args) -> int:
     kind = _map_kind(args, ("sir", "optimal"))
     seeds = _require_seeds(args)
     config = _config_dict(args)
-    cells = _sweep_cells(args, seeds)
-
-    def run_cell(cell):
-        problem = LinearGaussianProblem.isotropic(cell["m"], cell["q"],
-                                                  cell["r"],
-                                                  sigma0=args.sigma0)
-        summaries = []
-        for seed in seeds:
-            try:
-                run = _run_filter(args, problem, kind, seed)
-            except (kalman.DareConvergenceError,
-                    np.linalg.LinAlgError) as exc:
-                summaries.append({"seed": seed, "error": str(exc)})
-                continue
-            summaries.append(_run_summary(run, args.collapse_threshold))
-        ok = [s for s in summaries if "error" not in s]
-        fraction = (float(np.mean([s["collapsed"] for s in ok]))
-                    if ok else float("nan"))
-        try:
-            steady = kalman.solve_dare(problem)
-            sigma = filters.collapse_stat(problem, steady.P, kind)
-        except (kalman.DareConvergenceError, np.linalg.LinAlgError):
-            sigma = float("nan")
-        return {**cell, "collapse_fraction": fraction, "sigma_frob": sigma,
-                "runs": summaries}
-
-    workers = max(1, min(max_threads(), len(cells)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(cell) for cell in cells]
+    results = [_sweep_cell(args, kind, seeds, cell)
+               for cell in _sweep_cells(args, seeds)]
 
     header = "eps,m,q,r,collapse_fraction,sigma_frob"
     rows = [",".join([fmt17(c["eps"]), str(c["m"]), fmt17(c["q"]),

@@ -34,12 +34,11 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
+from ._util import logsumexp
 from .kalman import DareConvergenceError, solve_dare
-from .model import (LinearGaussianProblem, as_matrix, psd_factor, validate)
-
-PD_COND_LIMIT = 1e14
+from .model import (LinearGaussianProblem, as_matrix, pd_inverse, psd_factor,
+                    validate)
 
 _TAG_SIM = 0
 _TAG_INIT = 1
@@ -64,13 +63,6 @@ def _rng(seed, *key) -> np.random.Generator:
                                spawn_key=tuple(int(k) for k in key)))
 
 
-def _pd_inverse(M: np.ndarray, what: str) -> np.ndarray:
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
-    if w[0] <= 0.0 or w[-1] / w[0] > PD_COND_LIMIT:
-        raise np.linalg.LinAlgError(what)
-    return (V / w) @ V.T
-
-
 @dataclass(frozen=True)
 class ParticleEnsemble:
     """Particle positions plus log-weights at one time step."""
@@ -83,10 +75,6 @@ class ParticleEnsemble:
     @property
     def n_particles(self) -> int:
         return self.positions.shape[0]
-
-    @property
-    def state_dim(self) -> int:
-        return self.positions.shape[1]
 
     def normalize(self) -> "ParticleEnsemble":
         """Shift log-weights so the weights sum to one (log-sum-exp)."""
@@ -127,10 +115,6 @@ class TrajectoryData:
     truth: np.ndarray         # (n_steps + 1, m); truth[0] is x^0
     observations: np.ndarray  # (n_steps, k); observations[i] is z^{i+1}
     seed: int
-
-    @property
-    def n_steps(self) -> int:
-        return self.observations.shape[0]
 
 
 def simulate(problem: LinearGaussianProblem, n_steps: int,
@@ -173,22 +157,85 @@ def init_ensemble(problem: LinearGaussianProblem, N: int,
                             normalized=True)
 
 
+@dataclass(frozen=True)
+class StepPlan:
+    """What every step of one filter kind on one problem reuses.
+
+    ``L_T`` is L' for the move noise L L' (Q, or the optimal conditional
+    covariance); ``mean_T`` is (Sigma_o Q^{-1} A)'.  A PSD-only Q leaves
+    the optimal filter in innovation form, with ``G_T`` = (Q H' S^{-1})'.
+    """
+
+    kind: FilterKind
+    sigma_frob: float  # steady-state collapse statistic, NaN if none
+    L_T: np.ndarray
+    R_inv: np.ndarray | None = None
+    S_inv: np.ndarray | None = None
+    HA_T: np.ndarray | None = None
+    Sigma_o: np.ndarray | None = None
+    mean_T: np.ndarray | None = None
+    G_T: np.ndarray | None = None
+
+
+def steady_collapse_stat(problem: LinearGaussianProblem, kind) -> float:
+    """:func:`collapse_stat` at the DARE's steady state; NaN if none exists."""
+    try:
+        return collapse_stat(problem, solve_dare(problem).P, kind)
+    except (DareConvergenceError, np.linalg.LinAlgError):
+        return float("nan")
+
+
+def step_plan(problem: LinearGaussianProblem, kind,
+              sigma_frob: float | None = None) -> StepPlan:
+    """Factor a validated problem once for a ``kind`` filter's steps.
+
+    A missing factor raises LinAlgError.  ``sigma_frob=None`` solves the
+    DARE for :func:`steady_collapse_stat`; a given value is carried.
+    """
+    kind = FilterKind(kind)
+    if sigma_frob is None:
+        sigma_frob = steady_collapse_stat(problem, kind)
+    A, Q, H, R = problem.A, problem.Q, problem.H, problem.R
+    if kind is FilterKind.SIR:
+        return StepPlan(kind, sigma_frob, R_inv=pd_inverse(R, "R singular"),
+                        L_T=psd_factor(Q).T)
+    S_inv = pd_inverse(H @ Q @ H.T + R, "singular HQH'+R")
+    HA_T = (H @ A).T
+    try:
+        Q_inv = pd_inverse(Q, "singular Q")
+    except np.linalg.LinAlgError:
+        G = Q @ H.T @ S_inv
+        cov = Q - G @ H @ Q
+        return StepPlan(kind, sigma_frob, S_inv=S_inv, HA_T=HA_T, G_T=G.T,
+                        L_T=psd_factor(0.5 * (cov + cov.T)).T)
+    R_inv = pd_inverse(R, "R singular")
+    Sigma_o = np.linalg.inv(Q_inv + H.T @ R_inv @ H)
+    Sigma_o = 0.5 * (Sigma_o + Sigma_o.T)
+    return StepPlan(kind, sigma_frob, S_inv=S_inv, HA_T=HA_T, R_inv=R_inv,
+                    Sigma_o=Sigma_o, mean_T=(Sigma_o @ Q_inv @ A).T,
+                    L_T=psd_factor(Sigma_o).T)
+
+
+def _log_likelihood(x, z, obs_T, W_inv):
+    """Innovations z - x obs_T and log-weights -0.5 innov' W_inv innov."""
+    innov = z - x @ obs_T
+    return innov, -0.5 * np.einsum("ij,ij->i", innov, innov @ W_inv)
+
+
 def sir_step(problem: LinearGaussianProblem, ensemble: ParticleEnsemble,
-             z, seed) -> ParticleEnsemble:
+             z, seed, plan: StepPlan | None = None) -> ParticleEnsemble:
     """Propagate through the model, weight by the observation likelihood.
 
     The log-weight increment is -0.5 (z - Hx')' R^{-1} (z - Hx') per
     particle (common normalization constant dropped); the returned
-    ensemble is unnormalized.
+    ensemble is unnormalized.  Without a ``plan`` one is factored here.
     """
     rng = _rng(seed)
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    R_inv = _pd_inverse(problem.R, "R singular")
-    Lq = psd_factor(problem.Q)
-    noise = rng.standard_normal(ensemble.positions.shape) @ Lq.T
+    plan = plan or step_plan(problem, FilterKind.SIR, float("nan"))
+    noise = rng.standard_normal(ensemble.positions.shape) @ plan.L_T
     positions = ensemble.positions @ problem.A.T + noise
-    innov = z - positions @ problem.H.T
-    incr = -0.5 * np.einsum("ij,ij->i", innov, innov @ R_inv)
+    _, incr = _log_likelihood(positions, z, problem.H.T, plan.R_inv)
     return ParticleEnsemble(step=ensemble.step + 1, positions=positions,
                             log_weights=ensemble.log_weights + incr,
                             normalized=False)
@@ -201,45 +248,31 @@ def optimal_log_weight_increment(problem: LinearGaussianProblem,
     -0.5 (z - H A x)' (H Q H' + R)^{-1} (z - H A x), constant dropped.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    S = problem.H @ problem.Q @ problem.H.T + problem.R
-    S_inv = _pd_inverse(S, "singular HQH'+R")
-    innov = z - positions @ (problem.H @ problem.A).T
-    return -0.5 * np.einsum("ij,ij->i", innov, innov @ S_inv)
+    plan = step_plan(problem, FilterKind.OPTIMAL, float("nan"))
+    return _log_likelihood(positions, z, plan.HA_T, plan.S_inv)[1]
 
 
 def optimal_step(problem: LinearGaussianProblem, ensemble: ParticleEnsemble,
-                 z, seed) -> ParticleEnsemble:
+                 z, seed, plan: StepPlan | None = None) -> ParticleEnsemble:
     """Weight by N(z; HAx, HQH'+R), move with the exact conditional draw.
 
     For positive-definite Q the conditional is N(mu_j, Sigma_o) with
     Sigma_o = (Q^{-1} + H'R^{-1}H)^{-1}; a merely PSD Q falls back to the
     algebraically equivalent innovation form
     mu_j = A x_j + Q H' S^{-1} (z - H A x_j), cov Q - Q H' S^{-1} H Q,
-    which needs no Q^{-1} (partial-noise models).
+    which needs no Q^{-1} (partial-noise models).  Without a ``plan``
+    one is factored here.
     """
     rng = _rng(seed)
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    A, Q, H, R = problem.A, problem.Q, problem.H, problem.R
-    incr = optimal_log_weight_increment(problem, ensemble.positions, z)
-    wq = np.linalg.eigvalsh(0.5 * (Q + Q.T))
-    q_is_pd = wq[0] > 0.0 and wq[-1] / wq[0] <= PD_COND_LIMIT
-    if q_is_pd:
-        Q_inv = _pd_inverse(Q, "singular Q")
-        R_inv = _pd_inverse(R, "R singular")
-        Sigma_o = np.linalg.inv(Q_inv + H.T @ R_inv @ H)
-        Sigma_o = 0.5 * (Sigma_o + Sigma_o.T)
-        mean = (ensemble.positions @ (Sigma_o @ Q_inv @ A).T
-                + Sigma_o @ (H.T @ (R_inv @ z)))
-        L = psd_factor(Sigma_o)
+    plan = plan or step_plan(problem, FilterKind.OPTIMAL, float("nan"))
+    x = ensemble.positions
+    innov, incr = _log_likelihood(x, z, plan.HA_T, plan.S_inv)
+    if plan.G_T is None:
+        mean = x @ plan.mean_T + plan.Sigma_o @ (problem.H.T @ (plan.R_inv @ z))
     else:
-        S = H @ Q @ H.T + R
-        S_inv = _pd_inverse(S, "singular HQH'+R")
-        G = Q @ H.T @ S_inv
-        innov = z - ensemble.positions @ (H @ A).T
-        mean = ensemble.positions @ A.T + innov @ G.T
-        cov = Q - G @ H @ Q
-        L = psd_factor(0.5 * (cov + cov.T))
-    positions = mean + rng.standard_normal(mean.shape) @ L.T
+        mean = x @ problem.A.T + innov @ plan.G_T
+    positions = mean + rng.standard_normal(mean.shape) @ plan.L_T
     return ParticleEnsemble(step=ensemble.step + 1, positions=positions,
                             log_weights=ensemble.log_weights + incr,
                             normalized=False)
@@ -298,12 +331,9 @@ def collapse_stat(problem: LinearGaussianProblem, P, kind) -> float:
     A, Q, H, R = problem.A, problem.Q, problem.H, problem.R
     APA = A @ Pa @ A.T
     if kind is FilterKind.OPTIMAL:
-        S = H @ Q @ H.T + R
-        S_inv = _pd_inverse(S, "singular HQH'+R")
-        Sigma = H @ APA @ H.T @ S_inv
+        Sigma = H @ APA @ H.T @ pd_inverse(H @ Q @ H.T + R, "singular HQH'+R")
     else:
-        R_inv = _pd_inverse(R, "R singular")
-        Sigma = H @ (Q + APA) @ H.T @ R_inv
+        Sigma = H @ (Q + APA) @ H.T @ pd_inverse(R, "R singular")
     return float(np.linalg.norm(Sigma))
 
 
@@ -318,29 +348,31 @@ class FilterRun:
     reports: list[CollapseReport]
     means: np.ndarray  # (n_reported_steps, m), weighted mean before resampling
     trajectory: TrajectoryData
-    sigma_frob: float
+    plan: StepPlan  # reusable for further seeds on the same problem
     degenerate: bool = False
+    sigma_frob = property(lambda self: self.plan.sigma_frob)
 
 
 def run_filter(problem: LinearGaussianProblem, kind, n_steps: int, N: int,
-               seed: int, resample_every: int = 1) -> FilterRun:
+               seed: int, resample_every: int = 1,
+               plan: StepPlan | None = None) -> FilterRun:
     """Full seeded filtering run over a freshly simulated trajectory.
 
-    A total-weight underflow does not raise: the run stops with a final
-    report flagged ``degenerate``.
+    The steps share ``plan``; without one, a plan is built once the
+    problem has passed validation.  A total-weight underflow does not
+    raise: the run stops with a final report flagged ``degenerate``.
     """
     kind = FilterKind(kind)
     if N < 2:
         raise ValueError("N must be >= 2")
     if resample_every < 1:
         raise ValueError("resample_every must be >= 1")
+    if plan is not None and plan.kind is not kind:
+        raise ValueError(f"plan is for the {plan.kind.value} filter")
     trajectory = simulate(problem, n_steps, seed)
     ensemble = init_ensemble(problem, N, seed)
-    try:
-        steady = solve_dare(problem)
-        sigma_frob = collapse_stat(problem, steady.P, kind)
-    except (DareConvergenceError, np.linalg.LinAlgError):
-        sigma_frob = float("nan")
+    plan = plan or step_plan(problem, kind)
+    sigma_frob = plan.sigma_frob
     step_fn = sir_step if kind is FilterKind.SIR else optimal_step
     reports: list[CollapseReport] = []
     means = np.empty((n_steps, problem.m))
@@ -350,7 +382,7 @@ def run_filter(problem: LinearGaussianProblem, kind, n_steps: int, N: int,
         z = trajectory.observations[n]
         step_seed = np.random.SeedSequence(entropy=int(seed),
                                            spawn_key=(_TAG_STEP, n))
-        ensemble = step_fn(problem, ensemble, z, step_seed)
+        ensemble = step_fn(problem, ensemble, z, step_seed, plan=plan)
         try:
             norm = ensemble.normalize()
         except WeightCollapseError:
@@ -373,7 +405,7 @@ def run_filter(problem: LinearGaussianProblem, kind, n_steps: int, N: int,
     return FilterRun(kind=kind, seed=int(seed), n_particles=N,
                      resample_every=resample_every, reports=reports,
                      means=means[:n_done], trajectory=trajectory,
-                     sigma_frob=sigma_frob, degenerate=degenerate)
+                     plan=plan, degenerate=degenerate)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (LinearGaussianProblem, SymMatrix, as_matrix, frobenius,
-                    sym)
+                    pd_inverse, sym)
 
 DARE_TOL = 1e-10
 DARE_MAX_ITER = 100_000
-INNOVATION_COND_LIMIT = 1e14
 # X counts as unchanged by a doubling that moves it less than this, relative
 _STALL_RTOL = 4.0 * np.finfo(float).eps
 
@@ -83,21 +82,13 @@ class SpreadStats:
     v_hat: float
 
 
-def _innovation_inverse(S: np.ndarray):
-    """Inverse of the innovation covariance via symmetric factorization."""
-    w, V = np.linalg.eigh(0.5 * (S + S.T))
-    if w[0] <= 0.0 or w[-1] / w[0] > INNOVATION_COND_LIMIT:
-        raise np.linalg.LinAlgError("innovation covariance singular")
-    return (V / w) @ V.T
-
-
 def kalman_cov_step(problem: LinearGaussianProblem, P_n) -> SymMatrix:
     """One covariance update P[n] -> P[n+1]; the result is symmetrized."""
     P = as_matrix(P_n)
     A, Q, H, R = problem.A, problem.Q, problem.H, problem.R
     X = A @ P @ A.T + Q
     S = H @ X @ H.T + R
-    S_inv = _innovation_inverse(S)
+    S_inv = pd_inverse(S, "innovation covariance singular")
     HX = H @ X
     P_next = X - HX.T @ S_inv @ HX
     return SymMatrix(sym(P_next, rtol=np.inf))

@@ -23,6 +23,7 @@ import numpy as np
 SYM_RTOL = 1e-12        # relative asymmetry accepted before rejection
 PSD_TOL_SCALE = 1e-10   # Loewner slack: tol = PSD_TOL_SCALE * (1 + ||D - C||_F)
 PSD_FACTOR_RTOL = 1e-10 # eigenvalue clip threshold for PSD square roots
+PD_COND_LIMIT = 1e14    # largest condition number pd_inverse accepts
 
 
 def as_matrix(M) -> np.ndarray:
@@ -67,10 +68,6 @@ class SymMatrix:
     @classmethod
     def from_array(cls, M, rtol: float = SYM_RTOL) -> "SymMatrix":
         return cls(sym(as_matrix(M), rtol))
-
-    @property
-    def order(self) -> int:
-        return self.a.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.a)
@@ -141,6 +138,19 @@ def psd_factor(M, rtol: float = PSD_FACTOR_RTOL) -> np.ndarray:
     if w[0] < -rtol * (1.0 + max(w[-1], 0.0)):
         raise np.linalg.LinAlgError("matrix is not positive semi-definite within tolerance")
     return V * np.sqrt(np.clip(w, 0.0, None))
+
+
+def pd_inverse(M, what: str) -> np.ndarray:
+    """Inverse of symmetric positive-definite M via its eigendecomposition.
+
+    Raises LinAlgError(what) when M is not positive definite or its
+    condition number exceeds PD_COND_LIMIT.
+    """
+    Ma = as_matrix(M)
+    w, V = np.linalg.eigh(0.5 * (Ma + Ma.T))
+    if w[0] <= 0.0 or w[-1] / w[0] > PD_COND_LIMIT:
+        raise np.linalg.LinAlgError(what)
+    return (V / w) @ V.T
 
 
 @dataclass(frozen=True)

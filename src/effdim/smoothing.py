@@ -24,20 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .balance import ConditionCheck, MapKind, BalanceMap, build_map
-from .model import LinearGaussianProblem, SymMatrix, frobenius, sym
+from .model import LinearGaussianProblem, SymMatrix, frobenius, pd_inverse, sym
 
 WEAK_DENSE_LIMIT = 2000  # largest (n+1)*m inverted densely for frob_cov
-PD_COND_LIMIT = 1e14
-
-
-def _pd_inverse(M: np.ndarray, what: str) -> np.ndarray:
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
-    if w[0] <= 0.0 or w[-1] / w[0] > PD_COND_LIMIT:
-        raise np.linalg.LinAlgError(what)
-    return (V / w) @ V.T
 
 
 @dataclass(frozen=True)
@@ -71,10 +62,6 @@ class WeakConstraintPosterior:
     def n_data(self) -> int:
         return self.diag_blocks.shape[0] - 1
 
-    @property
-    def state_dim(self) -> int:
-        return self.diag_blocks.shape[1]
-
     def dense(self) -> np.ndarray:
         return _dense_tridiag(self.diag_blocks, self.off_block)
 
@@ -100,8 +87,8 @@ def strong_precision(problem: LinearGaussianProblem,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    S0_inv = _pd_inverse(problem.Sigma0, "singular Sigma0")
-    R_inv = _pd_inverse(problem.R, "R singular")
+    S0_inv = pd_inverse(problem.Sigma0, "singular Sigma0")
+    R_inv = pd_inverse(problem.R, "R singular")
     M = problem.H.T @ R_inv @ problem.H
     precision = S0_inv.copy()
     B = np.eye(problem.m)
@@ -124,8 +111,8 @@ def strong_mean(problem: LinearGaussianProblem, observations,
     n = observations.shape[0]
     if posterior is None:
         posterior = strong_precision(problem, n)
-    S0_inv = _pd_inverse(problem.Sigma0, "singular Sigma0")
-    R_inv = _pd_inverse(problem.R, "R singular")
+    S0_inv = pd_inverse(problem.Sigma0, "singular Sigma0")
+    R_inv = pd_inverse(problem.R, "R singular")
     rhs = S0_inv @ problem.mu0
     B = np.eye(problem.m)
     for j in range(n):
@@ -154,7 +141,7 @@ def sir_smoother_log_weight(problem: LinearGaussianProblem, x0,
         raise ValueError(f"x0 must have length {problem.m}")
     if observations.shape[1] != problem.k:
         raise ValueError(f"observations must have {problem.k} columns")
-    R_inv = _pd_inverse(problem.R, "R singular")
+    R_inv = pd_inverse(problem.R, "R singular")
     phi = 0.0
     x = x0
     for z in observations:
@@ -178,9 +165,9 @@ def smoother_condition(problem: LinearGaussianProblem) -> ConditionCheck:
 def _weak_blocks(problem: LinearGaussianProblem, n: int):
     if n < 1:
         raise ValueError("weak-constraint window needs n >= 1")
-    Q_inv = _pd_inverse(problem.Q, "singular Q")
-    S0_inv = _pd_inverse(problem.Sigma0, "singular Sigma0")
-    R_inv = _pd_inverse(problem.R, "R singular")
+    Q_inv = pd_inverse(problem.Q, "singular Q")
+    S0_inv = pd_inverse(problem.Sigma0, "singular Sigma0")
+    R_inv = pd_inverse(problem.R, "R singular")
     A, H = problem.A, problem.H
     M = H.T @ R_inv @ H
     AtQiA = A.T @ Q_inv @ A
@@ -275,20 +262,19 @@ def weak_mode(problem: LinearGaussianProblem, observations) -> np.ndarray:
 
 
 def _block_cholesky(diag: np.ndarray, off: np.ndarray):
-    """Block-bidiagonal Cholesky of a block-tridiagonal SPD matrix.
+    """Block-bidiagonal Cholesky factor L of a block-tridiagonal SPD matrix.
 
-    Returns (L_diag, L_sub) with L_diag[i] lower triangular and
-    L_sub[i] the block (i+1, i) of L.
+    Returns (L_inv, L_sub): the inverses of L's lower triangular diagonal
+    blocks, and its sub-diagonal blocks L_sub[i] = off L_inv[i]'.
     """
     n1, m, _ = diag.shape
-    L_diag = np.empty_like(diag)
-    L_sub = np.empty((n1 - 1, m, m)) if n1 > 1 else np.empty((0, m, m))
-    L_diag[0] = np.linalg.cholesky(diag[0])
+    L_inv = np.empty_like(diag)
+    L_sub = np.empty((n1 - 1, m, m))
+    L_inv[0] = np.linalg.inv(np.linalg.cholesky(diag[0]))
     for i in range(1, n1):
-        E = solve_triangular(L_diag[i - 1], off.T, lower=True).T
-        L_sub[i - 1] = E
-        L_diag[i] = np.linalg.cholesky(diag[i] - E @ E.T)
-    return L_diag, L_sub
+        E = L_sub[i - 1] = off @ L_inv[i - 1].T
+        L_inv[i] = np.linalg.inv(np.linalg.cholesky(diag[i] - E @ E.T))
+    return L_inv, L_sub
 
 
 def optimal_smoother_sample(problem: LinearGaussianProblem, observations,
@@ -309,26 +295,20 @@ def optimal_smoother_sample(problem: LinearGaussianProblem, observations,
         mean = strong_mean(problem, observations, posterior)
         L = np.linalg.cholesky(posterior.precision.a)
         xi = rng.standard_normal((N, problem.m))
-        noise = solve_triangular(L.T, xi.T, lower=False).T
-        samples = mean + noise
+        samples = mean + xi @ np.linalg.inv(L)  # rows y with L' y' = xi'
     elif constraint == "weak":
         diag, off, _, S0_inv, R_inv = _weak_blocks(problem, n)
         rhs = _weak_rhs(problem, observations, S0_inv, R_inv)
         mode = _block_thomas_solve(diag, off, rhs).reshape(-1)
-        L_diag, L_sub = _block_cholesky(diag, off)
-        m = problem.m
-        xi = rng.standard_normal((N, n + 1, m))
+        L_inv, L_sub = _block_cholesky(diag, off)
+        xi = rng.standard_normal((N, n + 1, problem.m))
         noise = np.empty_like(xi)
         # backward substitution on L' y = xi, blockwise across all samples
-        noise[:, n] = solve_triangular(L_diag[n].T, xi[:, n].T,
-                                       lower=False).T
+        noise[:, n] = xi[:, n] @ L_inv[n]
         for i in range(n - 1, -1, -1):
-            resid = xi[:, i] - noise[:, i + 1] @ L_sub[i]
-            noise[:, i] = solve_triangular(L_diag[i].T, resid.T,
-                                           lower=False).T
+            noise[:, i] = (xi[:, i] - noise[:, i + 1] @ L_sub[i]) @ L_inv[i]
         samples = mode + noise.reshape(N, -1)
     else:
         raise ValueError("constraint must be 'weak' or 'strong'")
-    weights = np.full(N, 1.0 / N)
-    return samples, weights
+    return samples, np.full(N, 1.0 / N)
 

@@ -400,3 +400,14 @@ def test_bad_dare_flags_exit_2(command, flag, tmp_path, capsys):
                    "--out", str(out)) == 2
     assert "--dare-" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_import_loads_no_scipy():
+    # effdim runs on numpy's BLAS alone; a second BLAS pool (scipy's)
+    # competes with numpy's for the same cores
+    code = ("import sys, effdim, effdim.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

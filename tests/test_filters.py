@@ -1,15 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import spearmanr
 
+from effdim._util import logsumexp
 from effdim.filters import (FilterKind, ParticleEnsemble, WeightCollapseError,
                             collapse_stat, diagnostics, init_ensemble,
                             optimal_log_weight_increment, optimal_step,
                             resample, run_filter, simulate, sir_step,
-                            trajectory_from_json, trajectory_to_json)
+                            step_plan, trajectory_from_json,
+                            trajectory_to_json)
 from effdim.kalman import isotropic_steady_p, solve_dare
-from effdim.model import LinearGaussianProblem
-from util import kalman_filter_means
+from effdim.model import (PD_COND_LIMIT, LinearGaussianProblem, pd_inverse,
+                          psd_factor)
+from util import kalman_filter_means, random_problem
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -482,3 +490,139 @@ def test_run_filter_seed_reproducibility():
     b = run_filter(problem, "optimal", 10, 128, seed=9)
     np.testing.assert_array_equal(a.means, b.means)
     assert [r.ess for r in a.reports] == [r.ess for r in b.reports]
+
+
+# ---------------------------------------------------------------------------
+# log-sum-exp against scipy's
+
+
+_LOG_WEIGHT = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.floats(-50.0, 50.0),
+    st.sampled_from([-np.inf, 0.0, -745.0, 709.0, 1e300, -1e300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LOG_WEIGHT, min_size=1, max_size=40),
+       st.lists(st.integers(0, 39), max_size=5))
+def test_logsumexp_equals_scipy_bit_for_bit(values, tie_at):
+    a = np.array(values)
+    for i in tie_at:  # copy the maximum elsewhere: tied maxima
+        a[i % a.size] = a.max()
+    ours = np.float64(logsumexp(a))
+    ref = np.float64(scipy_logsumexp(a))
+    assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("a", [
+    [3.0], [-np.inf], [2.0, 2.0, 2.0], [1e300, -1e300, 0.0],
+    [-np.inf, 0.5, -np.inf, 0.5], [-745.0, -745.0, -1e300],
+], ids=["single", "single-minus-inf", "all-tied", "spread-1e300",
+        "tied-with-minus-inf", "underflow"])
+def test_logsumexp_edge_cases_equal_scipy(a):
+    ours = np.float64(logsumexp(np.array(a)))
+    assert ours.tobytes() == np.float64(scipy_logsumexp(a)).tobytes()
+
+
+def test_normalize_all_minus_inf_raises_weight_collapse():
+    ens = ParticleEnsemble(step=0, positions=np.zeros((4, 2)),
+                           log_weights=np.full(4, -np.inf))
+    assert logsumexp(ens.log_weights) == -np.inf
+    with pytest.raises(WeightCollapseError, match="measure zero"):
+        ens.normalize()
+
+
+# ---------------------------------------------------------------------------
+# step plans
+
+
+def _general_problem(q_pd: bool) -> LinearGaussianProblem:
+    """m = 4, k = 2 with a PD Q (precision form) or rank-2 Q (innovation)."""
+    rng = np.random.default_rng(29)
+    problem = random_problem(rng, m=4, k=2)
+    if q_pd:
+        return problem
+    B = rng.standard_normal((4, 2))
+    return replace(problem, Q=B @ B.T)
+
+
+def _factored_per_step(problem, kind, x, z, seed):
+    """(positions, log-weight increments) with every factor made afresh,
+    in the same association as the planned step."""
+    A, Q, H, R = problem.A, problem.Q, problem.H, problem.R
+    rng = np.random.default_rng(seed)
+    if kind == "sir":
+        x = x @ A.T + rng.standard_normal(x.shape) @ psd_factor(Q).T
+        innov = z - x @ H.T
+        return x, -0.5 * np.einsum("ij,ij->i", innov,
+                                   innov @ pd_inverse(R, "R"))
+    S_inv = pd_inverse(H @ Q @ H.T + R, "S")
+    innov = z - x @ (H @ A).T
+    incr = -0.5 * np.einsum("ij,ij->i", innov, innov @ S_inv)
+    wq = np.linalg.eigvalsh(0.5 * (Q + Q.T))
+    if wq[0] > 0.0 and wq[-1] / wq[0] <= PD_COND_LIMIT:
+        Q_inv, R_inv = pd_inverse(Q, "Q"), pd_inverse(R, "R")
+        Sigma_o = np.linalg.inv(Q_inv + H.T @ R_inv @ H)
+        Sigma_o = 0.5 * (Sigma_o + Sigma_o.T)
+        mean = x @ (Sigma_o @ Q_inv @ A).T + Sigma_o @ (H.T @ (R_inv @ z))
+        L = psd_factor(Sigma_o)
+    else:
+        G = Q @ H.T @ S_inv
+        mean = x @ A.T + innov @ G.T
+        cov = Q - G @ H @ Q
+        L = psd_factor(0.5 * (cov + cov.T))
+    return mean + rng.standard_normal(mean.shape) @ L.T, incr
+
+
+@pytest.mark.parametrize("q_pd", [True, False], ids=["pd-q", "psd-q"])
+@pytest.mark.parametrize("kind", ["sir", "optimal"])
+def test_step_with_plan_is_bit_identical(kind, q_pd):
+    problem = _general_problem(q_pd)
+    plan = step_plan(problem, kind)
+    assert plan.kind is FilterKind(kind)
+    if kind == "optimal":
+        assert (plan.G_T is None) == q_pd
+    step = sir_step if kind == "sir" else optimal_step
+    traj = simulate(problem, 3, seed=8)
+    ens = init_ensemble(problem, 300, seed=8)
+    for n in range(3):
+        z = traj.observations[n]
+        with_plan = step(problem, ens, z, 100 + n, plan=plan)
+        without = step(problem, ens, z, 100 + n)
+        positions, incr = _factored_per_step(problem, kind, ens.positions, z,
+                                             100 + n)
+        for out in (with_plan, without):
+            np.testing.assert_array_equal(out.positions, positions)
+            np.testing.assert_array_equal(out.log_weights,
+                                          ens.log_weights + incr)
+        ens = with_plan.normalize()
+
+
+def test_step_plan_sigma_frob_is_the_steady_collapse_stat():
+    problem = _general_problem(True)
+    for kind in ("sir", "optimal"):
+        want = collapse_stat(problem, solve_dare(problem).P, kind)
+        assert step_plan(problem, kind).sigma_frob == want
+        assert np.isnan(step_plan(problem, kind, float("nan")).sigma_frob)
+
+
+@pytest.mark.parametrize("q_pd", [True, False], ids=["pd-q", "psd-q"])
+@pytest.mark.parametrize("kind", ["sir", "optimal"])
+def test_run_filter_with_given_plan_equals_run_without(kind, q_pd):
+    problem = _general_problem(q_pd)
+    plan = step_plan(problem, kind)
+    for seed in (3, 4):
+        a = run_filter(problem, kind, 12, 80, seed, resample_every=2)
+        b = run_filter(problem, kind, 12, 80, seed, resample_every=2,
+                       plan=plan)
+        assert b.plan is plan
+        assert a.reports == b.reports
+        assert a.sigma_frob == b.sigma_frob == plan.sigma_frob
+        np.testing.assert_array_equal(a.means, b.means)
+
+
+def test_run_filter_rejects_plan_of_other_kind():
+    problem = LinearGaussianProblem.isotropic(2, 1.0, 1.0)
+    with pytest.raises(ValueError, match="sir filter"):
+        run_filter(problem, "optimal", 3, 10, seed=0,
+                   plan=step_plan(problem, "sir"))

@@ -385,3 +385,36 @@ def test_optimal_smoother_rejects_unknown_constraint():
     with pytest.raises(ValueError):
         optimal_smoother_sample(problem, np.zeros((1, 1)), 10, seed=0,
                                 constraint="medium")
+
+
+def _dense_oracle_noise(precision, xi):
+    """Rows y with L' y' = xi' for L = cholesky(precision), dense."""
+    L = np.linalg.cholesky(precision)
+    return np.linalg.solve(L.T, xi.T).T
+
+
+def test_optimal_smoother_weak_draw_matches_dense_oracle():
+    rng = np.random.default_rng(83)
+    problem = random_problem(rng, m=3, k=2)
+    n, N, seed = 4, 64, 29
+    observations = simulate(problem, n, seed=5).observations
+    samples, _ = optimal_smoother_sample(problem, observations, N, seed)
+    xi = np.random.default_rng(seed).standard_normal((N, n + 1, 3))
+    noise = _dense_oracle_noise(weak_precision(problem, n).dense(),
+                                xi.reshape(N, -1))
+    drawn = samples - weak_mode(problem, observations)
+    assert np.linalg.norm(drawn - noise) <= 1e-10 * np.linalg.norm(noise)
+
+
+def test_optimal_smoother_strong_draw_matches_dense_oracle():
+    rng = np.random.default_rng(89)
+    problem = random_problem(rng, m=3, k=2)
+    n, N, seed = 4, 64, 31
+    observations = simulate(problem, n, seed=7).observations
+    samples, _ = optimal_smoother_sample(problem, observations, N, seed,
+                                         constraint="strong")
+    xi = np.random.default_rng(seed).standard_normal((N, 3))
+    posterior = strong_precision(problem, n)
+    noise = _dense_oracle_noise(posterior.precision.a, xi)
+    drawn = samples - strong_mean(problem, observations, posterior)
+    assert np.linalg.norm(drawn - noise) <= 1e-10 * np.linalg.norm(noise)
