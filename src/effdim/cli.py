@@ -177,7 +177,6 @@ def _cmd_effdim(args) -> int:
     stats = kalman.spread_stats(state.P)
     payload = {
         "steady_state": kalman.steady_state_to_dict(state),
-        "dare_equation_residual": state.residual,
         "spread": {"mean_y": stats.mean_y, "var_y": stats.var_y,
                    "e_hat": stats.e_hat, "v_hat": stats.v_hat},
     }
@@ -188,8 +187,7 @@ def _cmd_effdim(args) -> int:
                     stats.v_hat)) + f",{state.iterations},{fmt17(state.residual)}"
     summary = (f"eff_dim = {fmt17(state.eff_dim)}  "
                f"(iterations {state.iterations}, "
-               f"residual {fmt17(state.residual)}, "
-               f"dare residual {fmt17(state.residual)})")
+               f"residual {fmt17(state.residual)})")
     print(f"eff_dim = {fmt17(state.eff_dim)}")
     print(f"mean_y = {fmt17(stats.mean_y)}  var_y = {fmt17(stats.var_y)}  "
           f"e_hat = {fmt17(stats.e_hat)}  v_hat = {fmt17(stats.v_hat)}")
@@ -349,6 +347,8 @@ def _sweep_cells(args, seeds):
                 for eps in grid]
     if args.q is None or args.r is None:
         raise InputError("m sweep needs --q and --r")
+    if not (np.isfinite(args.r) and args.r > 0):
+        raise InputError("--r must be positive and finite")
     dims = _parse_int_list(args.dims, "--dims")
     if min(dims) < 1:
         raise InputError("--dims must be >= 1")
@@ -433,7 +433,6 @@ def _cmd_smooth(args) -> int:
         "trajectory_source": traj_source,
         "n_data": n,
         "frob_cov": posterior.frob_cov,
-        "frob_cov_is_lower_bound": posterior.frob_cov_is_lower_bound,
         "smoother_condition": {"lhs": condition.lhs, "rhs": condition.rhs,
                                "holds": condition.holds},
         "balance_verdicts": balance.conditions_to_dict(conditions),
@@ -443,8 +442,7 @@ def _cmd_smooth(args) -> int:
     rows = [",".join([str(i)] + [fmt17(v) for v in mode[i]])
             for i in range(n + 1)]
     print(f"weak 4D-Var mode over {n} data sets: frob_cov = "
-          f"{fmt17(posterior.frob_cov)}"
-          + (" (lower bound)" if posterior.frob_cov_is_lower_bound else ""))
+          f"{fmt17(posterior.frob_cov)}")
     print(f"smoother condition: lhs {fmt17(condition.lhs)} <= rhs "
           f"{fmt17(condition.rhs)}: {condition.holds}")
     _emit_pair(args, config, payload, header, rows)

@@ -12,8 +12,12 @@ whose precision is block tridiagonal with diagonal blocks
     Sigma0^{-1} + A'Q^{-1}A,   Q^{-1} + A'Q^{-1}A + H'R^{-1}H,   Q^{-1} + H'R^{-1}H
 
 (first, interior, last) and off-diagonal blocks -A'Q^{-1} / -Q^{-1}A.
-The 4D-Var estimate is the mode of this Gaussian, computed here by a
-direct block-tridiagonal solve (exact in the linear case, mode = mean).
+Both the 4D-Var estimate and the smoothing answer ||Sigma||_F start from
+the forward Schur complements of this precision.  The mode (= mean in the
+linear case) follows by block elimination.  ||Sigma||_F is exact at
+O(n m^3) cost without a dense inverse, by the block recursion for
+inverses of block-tridiagonal matrices (Meurant, SIAM J. Matrix Anal.
+Appl. 13, 1992) with the Rauch-Tung-Striebel smoother gains.
 The optimal particle smoother draws exact samples from the posterior
 through a block Cholesky factor of the precision, so its importance
 weights are uniform by construction.
@@ -27,8 +31,6 @@ import numpy as np
 
 from .balance import ConditionCheck, MapKind, BalanceMap, build_map
 from .model import LinearGaussianProblem, SymMatrix, frobenius, pd_inverse, sym
-
-WEAK_DENSE_LIMIT = 2000  # largest (n+1)*m inverted densely for frob_cov
 
 
 @dataclass(frozen=True)
@@ -46,35 +48,18 @@ class WeakConstraintPosterior:
     """Block-tridiagonal posterior precision over the trajectory x^{0:n}.
 
     ``diag_blocks[i]`` is block (i, i); ``off_block`` is the constant
-    sub-diagonal block (i+1, i) = -Q^{-1} A.  ``frob_cov`` comes from the
-    dense inverse when (n+1)*m <= WEAK_DENSE_LIMIT; beyond that only the
-    diagonal blocks of the inverse enter and the value is a lower bound,
-    flagged by ``frob_cov_is_lower_bound``.
+    sub-diagonal block (i+1, i) = -Q^{-1} A.  ``frob_cov`` is the exact
+    Frobenius norm of the trajectory covariance, from the block recursion
+    of Meurant (1992) with the Rauch-Tung-Striebel gains.
     """
 
     diag_blocks: np.ndarray  # (n+1, m, m)
     off_block: np.ndarray    # (m, m), block (i+1, i)
-    mode: np.ndarray | None
     frob_cov: float
-    frob_cov_is_lower_bound: bool = False
 
     @property
     def n_data(self) -> int:
         return self.diag_blocks.shape[0] - 1
-
-    def dense(self) -> np.ndarray:
-        return _dense_tridiag(self.diag_blocks, self.off_block)
-
-
-def _dense_tridiag(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    n1, m, _ = diag.shape
-    out = np.zeros((n1 * m, n1 * m))
-    for i in range(n1):
-        out[i * m:(i + 1) * m, i * m:(i + 1) * m] = diag[i]
-    for i in range(n1 - 1):
-        out[(i + 1) * m:(i + 2) * m, i * m:(i + 1) * m] = off
-        out[i * m:(i + 1) * m, (i + 1) * m:(i + 2) * m] = off.T
-    return out
 
 
 def strong_precision(problem: LinearGaussianProblem,
@@ -181,43 +166,44 @@ def _weak_blocks(problem: LinearGaussianProblem, n: int):
     return diag, off, Q_inv, S0_inv, R_inv
 
 
-def _tridiag_marginal_covs(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Diagonal blocks of the inverse of a block-tridiagonal SPD matrix.
+def _forward_schur(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Forward Schur complements of a block-tridiagonal SPD matrix.
 
-    Forward/backward Schur sweeps; block i of the inverse is
-    (S_i + T_i - D_i)^{-1}.
+    S_0 = D_0 and S_i = D_i - off S_{i-1}^{-1} off' for diagonal blocks D_i.
     """
-    n1, m, _ = diag.shape
     S = np.empty_like(diag)
-    T = np.empty_like(diag)
     S[0] = diag[0]
-    for i in range(1, n1):
+    for i in range(1, diag.shape[0]):
         S[i] = diag[i] - off @ np.linalg.solve(S[i - 1], off.T)
-    T[n1 - 1] = diag[n1 - 1]
-    for i in range(n1 - 2, -1, -1):
-        T[i] = diag[i] - off.T @ np.linalg.solve(T[i + 1], off)
-    covs = np.empty_like(diag)
-    for i in range(n1):
-        covs[i] = np.linalg.inv(S[i] + T[i] - diag[i])
-    return covs
+    return S
 
 
 def weak_precision(problem: LinearGaussianProblem,
                    n: int) -> WeakConstraintPosterior:
-    """Assemble the block-tridiagonal trajectory precision for n data sets."""
+    """Assemble the block-tridiagonal trajectory precision for n data sets.
+
+    ``frob_cov`` is exact, in O(n m^3).  With the gains C_i = -S_i^{-1} off',
+    the diagonal blocks of the covariance run backward, Sigma_nn = S_n^{-1}
+    and Sigma_ii = S_i^{-1} + C_i Sigma_{i+1,i+1} C_i'.  The blocks above
+    the diagonal in column i are Sigma_ji = C_j ... C_{i-1} Sigma_ii, so
+    their squared norms sum to tr(Sigma_ii W_i Sigma_ii) with W_0 = 0 and
+    W_i = C_{i-1}' (I + W_{i-1}) C_{i-1}.
+    """
     diag, off, _, _, _ = _weak_blocks(problem, n)
-    total = (n + 1) * problem.m
-    if total <= WEAK_DENSE_LIMIT:
-        cov = np.linalg.inv(_dense_tridiag(diag, off))
-        frob_cov = float(np.linalg.norm(cov))
-        lower_bound = False
-    else:
-        covs = _tridiag_marginal_covs(diag, off)
-        frob_cov = float(np.sqrt(np.sum(covs ** 2)))
-        lower_bound = True
-    return WeakConstraintPosterior(diag_blocks=diag, off_block=off, mode=None,
-                                   frob_cov=frob_cov,
-                                   frob_cov_is_lower_bound=lower_bound)
+    S_inv = np.linalg.inv(_forward_schur(diag, off))
+    C = -S_inv[:-1] @ off.T
+    sigma = np.empty_like(S_inv)
+    sigma[-1] = S_inv[-1]
+    for i in range(n - 1, -1, -1):
+        sigma[i] = S_inv[i] + C[i] @ sigma[i + 1] @ C[i].T
+    W = np.zeros_like(S_inv)
+    eye = np.eye(problem.m)
+    for i in range(1, n + 1):
+        W[i] = C[i - 1].T @ (eye + W[i - 1]) @ C[i - 1]
+    upper = np.einsum("nij,nji->", W, sigma @ sigma)
+    frob_cov = float(np.sqrt(np.sum(sigma ** 2) + 2.0 * upper))
+    return WeakConstraintPosterior(diag_blocks=diag, off_block=off,
+                                   frob_cov=frob_cov)
 
 
 def _weak_rhs(problem: LinearGaussianProblem, observations: np.ndarray,
@@ -235,11 +221,9 @@ def _block_thomas_solve(diag: np.ndarray, off: np.ndarray,
                         rhs: np.ndarray) -> np.ndarray:
     """Solve the block-tridiagonal system by forward elimination."""
     n1 = diag.shape[0]
-    S = np.empty_like(diag)
+    S = _forward_schur(diag, off)
     c = rhs.copy()
-    S[0] = diag[0]
     for i in range(1, n1):
-        S[i] = diag[i] - off @ np.linalg.solve(S[i - 1], off.T)
         c[i] = c[i] - off @ np.linalg.solve(S[i - 1], c[i - 1])
     x = np.empty_like(rhs)
     x[n1 - 1] = np.linalg.solve(S[n1 - 1], c[n1 - 1])

@@ -22,7 +22,7 @@ from effdim.model import LinearGaussianProblem, PsdVerdict, psd_compare
 from effdim.smoothing import (optimal_smoother_sample, strong_precision,
                               weak_mode, weak_precision)
 from test_smoothing import conditional_trajectory_gaussian
-from util import kalman_filter_means, random_problem
+from util import dense_precision, kalman_filter_means, random_problem
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 OK_ORDER = (PsdVerdict.LESS_OR_EQUAL, PsdVerdict.EQUAL)
@@ -204,7 +204,7 @@ def test_criterion_10_weak_constraint_oracle():
             problem = random_problem(rng, m=m, k=m)
             traj = simulate(problem, n, seed=int(rng.integers(1 << 20)))
             post = weak_precision(problem, n)
-            cov = np.linalg.inv(post.dense())
+            cov = np.linalg.inv(dense_precision(post))
             _, cov_ref = conditional_trajectory_gaussian(problem,
                                                          traj.observations)
             assert np.linalg.norm(cov - cov_ref) <= 1e-8

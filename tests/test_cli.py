@@ -27,8 +27,12 @@ def test_effdim_isotropic(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["steady_state"]["eff_dim"] == pytest.approx(10 * GOLDEN,
                                                            abs=1e-5)
+    assert doc["steady_state"]["residual"] >= 0.0
+    assert "dare_equation_residual" not in doc  # the residual appears once
     assert doc["config"]["seeds"] is None
-    assert "eff_dim" in capsys.readouterr().out
+    out_text = capsys.readouterr().out
+    assert "eff_dim" in out_text
+    assert out_text.splitlines()[-1].count("residual") == 1
 
 
 def test_effdim_zero_q(tmp_path):
@@ -203,6 +207,9 @@ def test_smooth_command_with_trajectory_file(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "smooth.json").read_text())
     assert doc["n_data"] == 1
+    # the covariance is inv([[2,-1],[-1,2]]) = [[2,1],[1,2]] / 3
+    assert doc["frob_cov"] == pytest.approx(np.sqrt(10.0) / 3.0, rel=1e-12)
+    assert "frob_cov_is_lower_bound" not in doc
     assert "holds" in doc["smoother_condition"]
     lines = (tmp_path / "smooth.csv").read_text().splitlines()
     assert lines[1] == "step,x0"
@@ -378,8 +385,13 @@ _ISO = ["--m", "2", "--q", "1", "--r", "1", "--seeds", "1"]
     ["--command", "collapse-sweep", "--kind", "sir", *_ISO,
      "--grid-points", "2", "--particles", "1"],
     ["--command", "smooth", *_ISO, "--steps", "0"],
+    ["--command", "collapse-sweep", "--kind", "sir", "--sweep", "m",
+     "--q", "1", "--r", "0", "--seeds", "1"],
+    ["--command", "collapse-sweep", "--kind", "sir", "--m", "2", "--r", "0",
+     "--seeds", "1", "--grid-points", "2"],
 ], ids=["filter-particles-0", "filter-steps-negative",
-        "filter-resample-every-0", "sweep-particles-1", "smooth-steps-0"])
+        "filter-resample-every-0", "sweep-particles-1", "smooth-steps-0",
+        "sweep-m-r-0", "sweep-eps-r-0"])
 def test_bad_run_input_exits_2(argv, tmp_path, capsys):
     stem = tmp_path / "run"
     assert run_cli(*argv, "--out", str(stem)) == 2

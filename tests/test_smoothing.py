@@ -11,7 +11,8 @@ from effdim.smoothing import (optimal_smoother_sample,
                               sir_smoother_log_weight, smoother_condition,
                               strong_balance_map, strong_mean,
                               strong_precision, weak_mode, weak_precision)
-from util import kalman_filter_means, random_problem, random_spd
+from util import (dense_precision, kalman_filter_means, random_problem,
+                  random_spd)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +209,8 @@ def test_smoother_condition_flip_aligns_with_collapse():
 def test_weak_precision_scalar_hand_case():
     problem = LinearGaussianProblem.isotropic(1, 1.0, 1.0, sigma0=1.0)
     post = weak_precision(problem, 1)
-    np.testing.assert_allclose(post.dense(), [[2.0, -1.0], [-1.0, 2.0]],
-                               atol=1e-14)
+    np.testing.assert_allclose(dense_precision(post),
+                               [[2.0, -1.0], [-1.0, 2.0]], atol=1e-14)
     assert post.frob_cov == pytest.approx(
         np.linalg.norm(np.linalg.inv([[2.0, -1.0], [-1.0, 2.0]])))
 
@@ -218,7 +219,7 @@ def test_weak_precision_block_sparsity():
     rng = np.random.default_rng(2)
     problem = random_problem(rng, m=2, k=2)
     post = weak_precision(problem, 4)
-    dense = post.dense()
+    dense = dense_precision(post)
     m = 2
     for i in range(5):
         for j in range(5):
@@ -232,7 +233,7 @@ def test_weak_precision_matches_conditioning_oracle():
     for _ in range(8):
         problem = random_problem(rng, m=2, k=2)
         post = weak_precision(problem, 4)
-        cov = np.linalg.inv(post.dense())
+        cov = np.linalg.inv(dense_precision(post))
         traj = simulate(problem, 4, seed=int(rng.integers(1 << 20)))
         _, cov_ref = conditional_trajectory_gaussian(problem,
                                                      traj.observations)
@@ -245,7 +246,7 @@ def test_weak_precision_marginal_matches_kalman():
         problem = random_problem(rng, m=2, k=2)
         n = 5
         post = weak_precision(problem, n)
-        cov = np.linalg.inv(post.dense())
+        cov = np.linalg.inv(dense_precision(post))
         m = problem.m
         P = problem.Sigma0
         for _ in range(n):
@@ -254,29 +255,20 @@ def test_weak_precision_marginal_matches_kalman():
         assert np.linalg.norm(last - P) <= 1e-8
 
 
-def test_weak_precision_selected_inversion_agrees_with_dense():
-    # force the selected-inversion path by shrinking the dense limit
-    import effdim.smoothing as smoothing_mod
-
-    rng = np.random.default_rng(41)
-    problem = random_problem(rng, m=2, k=2)
-    full = weak_precision(problem, 5)
-    assert not full.frob_cov_is_lower_bound
-    old = smoothing_mod.WEAK_DENSE_LIMIT
-    try:
-        smoothing_mod.WEAK_DENSE_LIMIT = 1
-        partial = weak_precision(problem, 5)
-    finally:
-        smoothing_mod.WEAK_DENSE_LIMIT = old
-    assert partial.frob_cov_is_lower_bound
-    assert partial.frob_cov <= full.frob_cov + 1e-12
-    # the diagonal-block part must match the dense inverse exactly
-    cov = np.linalg.inv(full.dense())
-    m = 2
-    diag_norm2 = sum(
-        np.linalg.norm(cov[i * m:(i + 1) * m, i * m:(i + 1) * m]) ** 2
-        for i in range(6))
-    assert partial.frob_cov == pytest.approx(np.sqrt(diag_norm2), abs=1e-10)
+@pytest.mark.parametrize("m,n,isotropic", [
+    (1, 1, False), (2, 5, False), (3, 4, False), (5, 9, False),
+    (8, 3, False), (20, 12, True),
+    (3, 700, False),  # (n+1)m = 2103: a long window past 2000 unknowns
+])
+def test_weak_precision_frob_cov_matches_dense_inverse(m, n, isotropic):
+    if isotropic:
+        problem = LinearGaussianProblem.isotropic(m, 0.5, 2.0, sigma0=3.0)
+    else:
+        rng = np.random.default_rng(41 + 100 * m + n)
+        problem = random_problem(rng, m=m, k=max(1, m - 1))
+    post = weak_precision(problem, n)
+    exact = np.linalg.norm(np.linalg.inv(dense_precision(post)))
+    assert post.frob_cov == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def test_weak_precision_requires_pd_q():
@@ -329,7 +321,7 @@ def test_strong_is_schur_complement_of_weak_at_vanishing_q():
                                    H=problem.H, R=problem.R,
                                    mu0=problem.mu0, Sigma0=problem.Sigma0)
     n = 3
-    dense = weak_precision(tiny_q, n).dense()
+    dense = dense_precision(weak_precision(tiny_q, n))
     m = 2
     P00 = dense[:m, :m]
     P0r = dense[:m, m:]
@@ -400,7 +392,7 @@ def test_optimal_smoother_weak_draw_matches_dense_oracle():
     observations = simulate(problem, n, seed=5).observations
     samples, _ = optimal_smoother_sample(problem, observations, N, seed)
     xi = np.random.default_rng(seed).standard_normal((N, n + 1, 3))
-    noise = _dense_oracle_noise(weak_precision(problem, n).dense(),
+    noise = _dense_oracle_noise(dense_precision(weak_precision(problem, n)),
                                 xi.reshape(N, -1))
     drawn = samples - weak_mode(problem, observations)
     assert np.linalg.norm(drawn - noise) <= 1e-10 * np.linalg.norm(noise)

@@ -60,3 +60,20 @@ def kalman_filter_means(problem: LinearGaussianProblem,
         P = 0.5 * (P + P.T)
         means.append(mu.copy())
     return np.asarray(means)
+
+
+def dense_precision(posterior) -> np.ndarray:
+    """The dense (n+1)m x (n+1)m precision of a WeakConstraintPosterior.
+
+    The oracle for the blockwise weak-constraint computations: tests
+    invert or factor it directly.
+    """
+    diag, off = posterior.diag_blocks, posterior.off_block
+    n1, m, _ = diag.shape
+    out = np.zeros((n1 * m, n1 * m))
+    for i in range(n1):
+        out[i * m:(i + 1) * m, i * m:(i + 1) * m] = diag[i]
+    for i in range(n1 - 1):
+        out[(i + 1) * m:(i + 2) * m, i * m:(i + 1) * m] = off
+        out[i * m:(i + 1) * m, (i + 1) * m:(i + 2) * m] = off.T
+    return out
