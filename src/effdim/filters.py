@@ -25,6 +25,11 @@ Noise streams derive from (seed, stage tag, step); the row index of each
 vectorized draw is the particle index, so results do not depend on
 scheduling.  Resampling is systematic (lowest variance of the standard
 schemes).
+
+When every matrix a computation uses is diagonal, it runs on the
+matrices' 1-D diagonals elementwise (see :func:`effdim.model.storage`),
+and the collapse statistic of a diagonal problem comes from the closed
+form of each component's scalar DARE instead of SDA.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ import numpy as np
 
 from ._util import logsumexp
 from .kalman import DareConvergenceError, solve_dare
-from .model import (LinearGaussianProblem, as_matrix, pd_inverse, psd_factor,
-                    validate)
+from .model import (LinearGaussianProblem, frobenius, inverse, mul,
+                    pd_inverse, psd_factor, storage, validate)
 
 _TAG_SIM = 0
 _TAG_INIT = 1
@@ -126,20 +131,22 @@ def simulate(problem: LinearGaussianProblem, n_steps: int,
     if report:
         raise ValueError("invalid problem: " + "; ".join(report))
     rng = _rng(seed, _TAG_SIM)
-    L0 = psd_factor(problem.Sigma0)
-    Lq = psd_factor(problem.Q)
-    Lr = psd_factor(problem.R)
+    A, Q, H, R, Sigma0 = storage(problem.A, problem.Q, problem.H, problem.R,
+                                 problem.Sigma0)
+    L0_T = psd_factor(Sigma0).T
+    Lq_T = psd_factor(Q).T
+    Lr_T = psd_factor(R).T
     m, k = problem.m, problem.k
     truth = np.empty((n_steps + 1, m))
     observations = np.empty((n_steps, k))
-    x = problem.mu0 + L0 @ rng.standard_normal(m)
+    x = problem.mu0 + mul(rng.standard_normal(m), L0_T)
     truth[0] = x
     w = rng.standard_normal((n_steps, m))
     v = rng.standard_normal((n_steps, k))
     for n in range(n_steps):
-        x = problem.A @ x + Lq @ w[n]
+        x = mul(x, A.T) + mul(w[n], Lq_T)
         truth[n + 1] = x
-        observations[n] = problem.H @ x + Lr @ v[n]
+        observations[n] = mul(x, H.T) + mul(v[n], Lr_T)
     return TrajectoryData(truth=truth, observations=observations,
                           seed=int(seed))
 
@@ -150,8 +157,9 @@ def init_ensemble(problem: LinearGaussianProblem, N: int,
     if N < 1:
         raise ValueError("N must be >= 1")
     rng = _rng(seed, _TAG_INIT)
-    L0 = psd_factor(problem.Sigma0)
-    positions = problem.mu0 + rng.standard_normal((N, problem.m)) @ L0.T
+    (Sigma0,) = storage(problem.Sigma0)
+    positions = problem.mu0 + mul(rng.standard_normal((N, problem.m)),
+                                  psd_factor(Sigma0).T)
     return ParticleEnsemble(step=0, positions=positions,
                             log_weights=np.full(N, -np.log(N)),
                             normalized=True)
@@ -161,13 +169,17 @@ def init_ensemble(problem: LinearGaussianProblem, N: int,
 class StepPlan:
     """What every step of one filter kind on one problem reuses.
 
-    ``L_T`` is L' for the move noise L L' (Q, or the optimal conditional
-    covariance); ``mean_T`` is (Sigma_o Q^{-1} A)'.  A PSD-only Q leaves
-    the optimal filter in innovation form, with ``G_T`` = (Q H' S^{-1})'.
+    ``A_T`` and ``H_T`` are A' and H'.  ``L_T`` is L' for the move noise
+    L L' (Q, or the optimal conditional covariance); ``mean_T`` is
+    (Sigma_o Q^{-1} A)'.  A PSD-only Q leaves the optimal filter in
+    innovation form, with ``G_T`` = (Q H' S^{-1})'.  When A, Q, H and R
+    are all diagonal, every matrix is stored as its 1-D diagonal.
     """
 
     kind: FilterKind
     sigma_frob: float  # steady-state collapse statistic, NaN if none
+    A_T: np.ndarray
+    H_T: np.ndarray
     L_T: np.ndarray
     R_inv: np.ndarray | None = None
     S_inv: np.ndarray | None = None
@@ -177,9 +189,34 @@ class StepPlan:
     G_T: np.ndarray | None = None
 
 
+def _steady_posterior(A, Q, H, R) -> np.ndarray:
+    """Steady posterior variances of independent scalar components.
+
+    Each component's prior x solves h^2 x^2 + (r(1 - a^2) - q h^2) x - q r
+    = 0, whose positive root is taken without cancellation; the
+    posterior is x r / (h^2 x + r).  Needs q > 0 and h != 0.
+    """
+    h2 = H * H
+    b = R * (1.0 - A * A) - Q * h2
+    disc = np.hypot(b, 2.0 * np.abs(H) * np.sqrt(Q) * np.sqrt(R))
+    x = np.where(b > 0.0, 2.0 * Q * R / (b + disc), (disc - b) / (2.0 * h2))
+    return x * R / (h2 * x + R)
+
+
 def steady_collapse_stat(problem: LinearGaussianProblem, kind) -> float:
-    """:func:`collapse_stat` at the DARE's steady state; NaN if none exists."""
+    """:func:`collapse_stat` at the steady state; NaN if none exists.
+
+    A diagonal problem (k = m) with q > 0 and h != 0 in every component
+    takes its steady state from the per-component closed form; any other
+    problem solves the DARE by SDA.
+    """
+    A, Q, H, R = storage(problem.A, problem.Q, problem.H, problem.R)
     try:
+        if A.ndim == 1 and np.all(Q > 0.0) and np.all(H != 0.0):
+            with np.errstate(all="ignore"):
+                P = _steady_posterior(A, Q, H, R)
+            if np.all(np.isfinite(P)):
+                return collapse_stat(problem, P, kind)
         return collapse_stat(problem, solve_dare(problem).P, kind)
     except (DareConvergenceError, np.linalg.LinAlgError):
         return float("nan")
@@ -189,37 +226,51 @@ def step_plan(problem: LinearGaussianProblem, kind,
               sigma_frob: float | None = None) -> StepPlan:
     """Factor a validated problem once for a ``kind`` filter's steps.
 
-    A missing factor raises LinAlgError.  ``sigma_frob=None`` solves the
-    DARE for :func:`steady_collapse_stat`; a given value is carried.
+    A missing factor raises LinAlgError.  ``sigma_frob=None`` computes
+    :func:`steady_collapse_stat`; a given value is carried.
     """
     kind = FilterKind(kind)
     if sigma_frob is None:
         sigma_frob = steady_collapse_stat(problem, kind)
-    A, Q, H, R = problem.A, problem.Q, problem.H, problem.R
+    A, Q, H, R = storage(problem.A, problem.Q, problem.H, problem.R)
+    common = dict(kind=kind, sigma_frob=sigma_frob, A_T=A.T, H_T=H.T)
     if kind is FilterKind.SIR:
-        return StepPlan(kind, sigma_frob, R_inv=pd_inverse(R, "R singular"),
+        return StepPlan(**common, R_inv=pd_inverse(R, "R singular"),
                         L_T=psd_factor(Q).T)
-    S_inv = pd_inverse(H @ Q @ H.T + R, "singular HQH'+R")
-    HA_T = (H @ A).T
+    S_inv = pd_inverse(mul(mul(H, Q), H.T) + R, "singular HQH'+R")
+    HA_T = mul(H, A).T
     try:
         Q_inv = pd_inverse(Q, "singular Q")
     except np.linalg.LinAlgError:
-        G = Q @ H.T @ S_inv
-        cov = Q - G @ H @ Q
-        return StepPlan(kind, sigma_frob, S_inv=S_inv, HA_T=HA_T, G_T=G.T,
+        G = mul(mul(Q, H.T), S_inv)
+        cov = Q - mul(mul(G, H), Q)
+        return StepPlan(**common, S_inv=S_inv, HA_T=HA_T, G_T=G.T,
                         L_T=psd_factor(0.5 * (cov + cov.T)).T)
     R_inv = pd_inverse(R, "R singular")
-    Sigma_o = np.linalg.inv(Q_inv + H.T @ R_inv @ H)
+    Sigma_o = inverse(Q_inv + mul(mul(H.T, R_inv), H))
     Sigma_o = 0.5 * (Sigma_o + Sigma_o.T)
-    return StepPlan(kind, sigma_frob, S_inv=S_inv, HA_T=HA_T, R_inv=R_inv,
-                    Sigma_o=Sigma_o, mean_T=(Sigma_o @ Q_inv @ A).T,
+    return StepPlan(**common, S_inv=S_inv, HA_T=HA_T, R_inv=R_inv,
+                    Sigma_o=Sigma_o, mean_T=mul(mul(Sigma_o, Q_inv), A).T,
                     L_T=psd_factor(Sigma_o).T)
 
 
-def _log_likelihood(x, z, obs_T, W_inv):
-    """Innovations z - x obs_T and log-weights -0.5 innov' W_inv innov."""
-    innov = z - x @ obs_T
-    return innov, -0.5 * np.einsum("ij,ij->i", innov, innov @ W_inv)
+def _spare(buffer: np.ndarray, shape) -> np.ndarray | None:
+    """``buffer`` if it has ``shape``, for reuse as an output, else None.
+
+    A step reuses its spent (N, m) arrays: on this scale a fresh array
+    costs about as much as the arithmetic that fills it.
+    """
+    return buffer if buffer.shape == shape else None
+
+
+def _log_likelihood(x, z, obs_T, W_inv, out=None):
+    """Innovations z - x obs_T and log-weights -0.5 innov' W_inv innov.
+
+    The innovations go to ``out`` when given.
+    """
+    innov = mul(x, obs_T, out=out)
+    np.subtract(z, innov, out=innov)
+    return innov, -0.5 * np.einsum("ij,ij->i", innov, mul(innov, W_inv))
 
 
 def sir_step(problem: LinearGaussianProblem, ensemble: ParticleEnsemble,
@@ -233,23 +284,15 @@ def sir_step(problem: LinearGaussianProblem, ensemble: ParticleEnsemble,
     rng = _rng(seed)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     plan = plan or step_plan(problem, FilterKind.SIR, float("nan"))
-    noise = rng.standard_normal(ensemble.positions.shape) @ plan.L_T
-    positions = ensemble.positions @ problem.A.T + noise
-    _, incr = _log_likelihood(positions, z, problem.H.T, plan.R_inv)
+    noise = rng.standard_normal(ensemble.positions.shape)
+    mul(noise, plan.L_T, out=noise)
+    positions = mul(ensemble.positions, plan.A_T)
+    positions += noise
+    _, incr = _log_likelihood(positions, z, plan.H_T, plan.R_inv,
+                              out=_spare(noise, (noise.shape[0], z.size)))
     return ParticleEnsemble(step=ensemble.step + 1, positions=positions,
                             log_weights=ensemble.log_weights + incr,
                             normalized=False)
-
-
-def optimal_log_weight_increment(problem: LinearGaussianProblem,
-                                 positions: np.ndarray, z) -> np.ndarray:
-    """Optimal-filter log-weight increments: a function of x^n only.
-
-    -0.5 (z - H A x)' (H Q H' + R)^{-1} (z - H A x), constant dropped.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    plan = step_plan(problem, FilterKind.OPTIMAL, float("nan"))
-    return _log_likelihood(positions, z, plan.HA_T, plan.S_inv)[1]
 
 
 def optimal_step(problem: LinearGaussianProblem, ensemble: ParticleEnsemble,
@@ -269,10 +312,16 @@ def optimal_step(problem: LinearGaussianProblem, ensemble: ParticleEnsemble,
     x = ensemble.positions
     innov, incr = _log_likelihood(x, z, plan.HA_T, plan.S_inv)
     if plan.G_T is None:
-        mean = x @ plan.mean_T + plan.Sigma_o @ (problem.H.T @ (plan.R_inv @ z))
+        # Sigma_o (H' (R^{-1} z)) as a row vector, in that association
+        data = mul(mul(mul(z, plan.R_inv.T), plan.H_T.T), plan.Sigma_o.T)
+        positions = mul(x, plan.mean_T)
+        positions += data
     else:
-        mean = x @ problem.A.T + innov @ plan.G_T
-    positions = mean + rng.standard_normal(mean.shape) @ plan.L_T
+        positions = mul(x, plan.A_T)
+        positions += mul(innov, plan.G_T, out=_spare(innov, positions.shape))
+    noise = rng.standard_normal(positions.shape,
+                                out=_spare(innov, positions.shape))
+    positions += mul(noise, plan.L_T, out=noise)
     return ParticleEnsemble(step=ensemble.step + 1, positions=positions,
                             log_weights=ensemble.log_weights + incr,
                             normalized=False)
@@ -299,25 +348,31 @@ def resample(ensemble: ParticleEnsemble, seed) -> ParticleEnsemble:
                             normalized=True)
 
 
+def _report(weights: np.ndarray, log_weights: np.ndarray, kind,
+            sigma_frob: float, step: int) -> CollapseReport:
+    """ESS and max weight of normalized ``weights``; variance of the raw
+    ``log_weights``."""
+    ess = 1.0 / float(np.sum(weights ** 2))
+    max_weight = float(np.max(weights))
+    finite = np.isfinite(log_weights)
+    if np.count_nonzero(finite) >= 2:
+        var_log_w = float(np.var(log_weights[finite], ddof=1))
+    else:
+        var_log_w = float("inf")
+    return CollapseReport(ess=ess, max_weight=max_weight,
+                          var_log_w=var_log_w, sigma_frob=float(sigma_frob),
+                          kind=FilterKind(kind) if kind is not None else None,
+                          step=step)
+
+
 def diagnostics(ensemble: ParticleEnsemble, kind=None,
                 sigma_frob: float = float("nan"),
                 step: int | None = None) -> CollapseReport:
     """ESS, max normalized weight, and variance of the raw log-weights."""
     if ensemble.n_particles < 2:
         raise ValueError("diagnostics need at least 2 particles")
-    w = ensemble.weights()
-    ess = 1.0 / float(np.sum(w ** 2))
-    max_weight = float(np.max(w))
-    lw = ensemble.log_weights
-    finite = np.isfinite(lw)
-    if np.count_nonzero(finite) >= 2:
-        var_log_w = float(np.var(lw[finite], ddof=1))
-    else:
-        var_log_w = float("inf")
-    return CollapseReport(ess=ess, max_weight=max_weight,
-                          var_log_w=var_log_w, sigma_frob=float(sigma_frob),
-                          kind=FilterKind(kind) if kind is not None else None,
-                          step=ensemble.step if step is None else step)
+    return _report(ensemble.weights(), ensemble.log_weights, kind,
+                   sigma_frob, ensemble.step if step is None else step)
 
 
 def collapse_stat(problem: LinearGaussianProblem, P, kind) -> float:
@@ -327,14 +382,14 @@ def collapse_stat(problem: LinearGaussianProblem, P, kind) -> float:
     recursion.
     """
     kind = FilterKind(kind)
-    Pa = as_matrix(P)
-    A, Q, H, R = problem.A, problem.Q, problem.H, problem.R
-    APA = A @ Pa @ A.T
+    A, Q, H, R, P = storage(problem.A, problem.Q, problem.H, problem.R, P)
+    APA = mul(mul(A, P), A.T)
     if kind is FilterKind.OPTIMAL:
-        Sigma = H @ APA @ H.T @ pd_inverse(H @ Q @ H.T + R, "singular HQH'+R")
+        S_inv = pd_inverse(mul(mul(H, Q), H.T) + R, "singular HQH'+R")
+        Sigma = mul(mul(mul(H, APA), H.T), S_inv)
     else:
-        Sigma = H @ (Q + APA) @ H.T @ pd_inverse(R, "R singular")
-    return float(np.linalg.norm(Sigma))
+        Sigma = mul(mul(mul(H, Q + APA), H.T), pd_inverse(R, "R singular"))
+    return frobenius(Sigma)
 
 
 @dataclass(frozen=True)
@@ -392,10 +447,11 @@ def run_filter(problem: LinearGaussianProblem, kind, n_steps: int, N: int,
                 degenerate=True))
             degenerate = True
             break
-        means[n] = norm.weights() @ norm.positions
+        weights = norm.weights()
+        means[n] = weights @ norm.positions
         n_done = n + 1
-        reports.append(diagnostics(ensemble, kind=kind,
-                                   sigma_frob=sigma_frob, step=n + 1))
+        reports.append(_report(weights, ensemble.log_weights, kind,
+                               sigma_frob, n + 1))
         if (n + 1) % resample_every == 0:
             resample_seed = np.random.SeedSequence(
                 entropy=int(seed), spawn_key=(_TAG_RESAMPLE, n))
@@ -412,15 +468,6 @@ def run_filter(problem: LinearGaussianProblem, kind, n_steps: int, N: int,
 # TrajectoryData JSON interchange.
 
 _TRAJECTORY_KEYS = ("truth", "observations", "seed")
-
-
-def trajectory_to_json(trajectory: TrajectoryData, indent: int = 2) -> str:
-    doc = {
-        "truth": trajectory.truth.tolist(),
-        "observations": trajectory.observations.tolist(),
-        "seed": trajectory.seed,
-    }
-    return json.dumps(doc, indent=indent)
 
 
 def trajectory_from_json(text: str) -> TrajectoryData:

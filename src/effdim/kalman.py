@@ -16,7 +16,6 @@ posterior samples concentrate (see :func:`spread_stats`).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +94,11 @@ def kalman_cov_step(problem: LinearGaussianProblem, P_n) -> SymMatrix:
 
 
 def _converged(residual: float, norm_x: float, tol: float) -> bool:
-    """Residual test that an overflowed norm never passes."""
-    return np.isfinite(norm_x) and residual <= tol * (1.0 + norm_x)
+    """Residual test relative to ||X||_F (X = 0 passes at residual 0).
+
+    An overflowed norm never passes.
+    """
+    return np.isfinite(norm_x) and residual <= tol * norm_x
 
 
 def _doubling(problem: LinearGaussianProblem, X0, tol: float,
@@ -192,7 +194,7 @@ def solve_dare(problem: LinearGaussianProblem, tol: float = DARE_TOL,
 
     SDA (Chu, Fan & Lin, LAA 2005) follows the Kalman recursion from the
     posterior covariance ``start`` (default Sigma0) in steps of 2^k and
-    stops once ``dare_residual(problem, X) <= tol * (1 + ||X||_F)``; K
+    stops once ``dare_residual(problem, X) <= tol * ||X||_F``; K
     and P follow from X.  On stabilizable/detectable problems it
     converges quadratically and the limit does not depend on ``start``.
     A non-finite iterate or a singular solve falls back to the
@@ -278,7 +280,3 @@ def steady_state_to_dict(state: SteadyState) -> dict:
         "iterations": state.iterations,
         "residual": state.residual,
     }
-
-
-def steady_state_to_json(state: SteadyState, indent: int = 2) -> str:
-    return json.dumps(steady_state_to_dict(state), indent=indent)

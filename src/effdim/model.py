@@ -8,6 +8,16 @@ The model is the pair of recursions
 with Gaussian initial condition x[0] ~ N(mu0, Sigma0).  This module holds
 the problem container, a thin symmetric-matrix wrapper, the Loewner-order
 comparison used throughout, and JSON round-tripping.
+
+A matrix is stored in one of two forms: dense (2-D), or, when it is
+exactly diagonal, as its 1-D diagonal.  :func:`storage` picks the
+diagonal form when every matrix a computation uses is diagonal, and the
+product, inverse, solve and factor helpers below accept either form, so
+each computation is written once and runs in O(m) per vector on
+diagonal problems.  The diagonal form repeats the dense form's
+arithmetic bit for bit wherever LAPACK's result on a diagonal matrix is
+itself exact; the exception is an eigendecomposition, which sorts the
+eigenvalues (see :func:`psd_factor`).
 """
 
 from __future__ import annotations
@@ -24,6 +34,9 @@ SYM_RTOL = 1e-12        # relative asymmetry accepted before rejection
 PSD_TOL_SCALE = 1e-10   # Loewner slack: tol = PSD_TOL_SCALE * (1 + ||D - C||_F)
 PSD_FACTOR_RTOL = 1e-10 # eigenvalue clip threshold for PSD square roots
 PD_COND_LIMIT = 1e14    # largest condition number pd_inverse accepts
+# entries beyond this overflow the symmetrization (M + M')/2
+_SYM_MAX = np.finfo(float).max / 2.0
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 
 def as_matrix(M) -> np.ndarray:
@@ -52,6 +65,9 @@ def sym(M, rtol: float = SYM_RTOL) -> np.ndarray:
 
 
 def _is_symmetric(M: np.ndarray, rtol: float = SYM_RTOL) -> bool:
+    d = diagonal(M)
+    if d is not None:  # M - M' is zero, or NaN where d is not finite
+        return bool(np.isfinite(d).all())
     return np.linalg.norm(M - M.T) <= rtol * (1.0 + np.linalg.norm(M))
 
 
@@ -121,8 +137,113 @@ def psd_compare(C, D, tol_scale: float = PSD_TOL_SCALE) -> PsdOrder:
 
 
 def frobenius(M) -> float:
-    """Frobenius norm (sum of squared entries, square-rooted)."""
-    return float(np.linalg.norm(as_matrix(M)))
+    """Frobenius norm (sum of squared entries, square-rooted).
+
+    The arithmetic of ``np.linalg.norm``: a 1-D diagonal and its dense
+    matrix give the same value, since the zeros add nothing.
+    """
+    x = as_matrix(M).ravel(order="K")
+    return float(np.sqrt(x.dot(x)))
+
+
+def diagonal(M) -> np.ndarray | None:
+    """The 1-D diagonal of M, or None when M is not diagonal.
+
+    A square M is diagonal when no entry off its diagonal is nonzero (NaN
+    counts as nonzero).  A 1-D M is a diagonal already and comes back as
+    it is.
+    """
+    Ma = as_matrix(M)
+    if Ma.ndim == 1:
+        return Ma
+    if Ma.ndim != 2 or Ma.shape[0] != Ma.shape[1]:
+        return None
+    d = Ma.diagonal()
+    if np.count_nonzero(Ma) != np.count_nonzero(d):
+        return None
+    return d.copy()
+
+
+def storage(*matrices) -> tuple:
+    """The matrices as 1-D diagonals when every one is diagonal, else dense.
+
+    Computations pick their storage form here, from the structure of
+    their input alone.
+    """
+    diagonals = []
+    for M in matrices:
+        d = diagonal(M)
+        if d is None:
+            return tuple(as_matrix(M) for M in matrices)
+        diagonals.append(d)
+    return tuple(diagonals)
+
+
+def mul(x, M, out=None) -> np.ndarray:
+    """x @ M, where a 1-D M stands for the diagonal matrix diag(M).
+
+    x is a vector, a stack of row vectors, or a matrix in M's form;
+    ``out``, which may be x itself, receives the product.  The
+    elementwise product keeps the matmul's bits: matmul sums into +0.0,
+    so a zero product is +0.0, never -0.0; and a row of x holding inf or
+    NaN gets the matmul's row, where inf * 0 spreads NaN.
+    """
+    if M.ndim != 1:
+        return np.matmul(x, M, out=out)
+    fix = None
+    if not np.isfinite(x).all():
+        rows = np.atleast_2d(x)
+        bad = ~np.isfinite(rows).all(axis=-1)
+        fix = bad, rows[bad] @ np.diag(M)
+    out = np.multiply(x, M, out=out)
+    out += 0.0
+    if fix is not None:
+        np.atleast_2d(out)[fix[0]] = fix[1]
+    return out
+
+
+def inverse(M) -> np.ndarray:
+    """M^{-1} by LU; a diagonal M (1-D) is inverted elementwise."""
+    if M.ndim == 1:
+        return 1.0 / M
+    return np.linalg.inv(M)
+
+
+def solve(M, B, matrix: bool = False) -> np.ndarray:
+    """M^{-1} B by LU, for a vector B or, with ``matrix``, a matrix B.
+
+    B is in M's storage form, so for a diagonal M a diagonal matrix B and
+    a vector B are both 1-D, and ``matrix`` tells them apart.  A diagonal
+    M repeats LU's arithmetic on diag(M): one right-hand side is divided
+    by the pivots, two or more are multiplied by their reciprocals.
+    """
+    if M.ndim != 1:
+        return np.linalg.solve(M, B)
+    if matrix and M.size > 1:
+        return B * (1.0 / M)
+    return B / M
+
+
+def cholesky(M) -> np.ndarray:
+    """Lower Cholesky factor; sqrt of a diagonal M (1-D).
+
+    Raises LinAlgError when M is not positive definite.
+    """
+    if M.ndim != 1:
+        return np.linalg.cholesky(M)
+    if not np.all(M > 0.0):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    return np.sqrt(M)
+
+
+def _spectrum(M: np.ndarray):
+    """(eigenvalues, eigenvectors) of symmetric M; (M, None) for a 1-D M.
+
+    The eigenvalues of a diagonal M are its entries, unsorted.
+    """
+    if M.ndim == 1:
+        return M, None
+    return np.linalg.eigh(0.5 * (M + M.T))
 
 
 def psd_factor(M, rtol: float = PSD_FACTOR_RTOL) -> np.ndarray:
@@ -130,27 +251,32 @@ def psd_factor(M, rtol: float = PSD_FACTOR_RTOL) -> np.ndarray:
 
     Built from the eigendecomposition so that singular (rank-deficient)
     covariances factor cleanly; eigenvalues below -rtol*(1+lambda_max)
-    mean M is not PSD and raise LinAlgError.
+    mean M is not PSD and raise LinAlgError.  A diagonal M (1-D) gets
+    the 1-D factor sqrt(M).  For a dense diagonal M, ``eigh`` orders the
+    columns of L by ascending eigenvalue, so L is a permuted diagonal;
+    both factors give noise of the same distribution, and they agree
+    bit for bit when the entries are equal.
     """
-    Ma = as_matrix(M)
-    Ms = 0.5 * (Ma + Ma.T)
-    w, V = np.linalg.eigh(Ms)
-    if w[0] < -rtol * (1.0 + max(w[-1], 0.0)):
+    w, V = _spectrum(as_matrix(M))
+    if w.min() < -rtol * (1.0 + max(w.max(), 0.0)):
         raise np.linalg.LinAlgError("matrix is not positive semi-definite within tolerance")
-    return V * np.sqrt(np.clip(w, 0.0, None))
+    root = np.sqrt(np.clip(w, 0.0, None))
+    return root if V is None else V * root
 
 
 def pd_inverse(M, what: str) -> np.ndarray:
     """Inverse of symmetric positive-definite M via its eigendecomposition.
 
-    Raises LinAlgError(what) when M is not positive definite or its
-    condition number exceeds PD_COND_LIMIT.
+    Raises LinAlgError(what) when M is not positive definite, has a
+    subnormal eigenvalue (whose reciprocal overflows), or its condition
+    number exceeds PD_COND_LIMIT.  A diagonal M (1-D) is inverted
+    elementwise, to the same bits as (V / w) @ V'.
     """
-    Ma = as_matrix(M)
-    w, V = np.linalg.eigh(0.5 * (Ma + Ma.T))
-    if w[0] <= 0.0 or w[-1] / w[0] > PD_COND_LIMIT:
+    w, V = _spectrum(as_matrix(M))
+    lo, hi = w.min(), w.max()
+    if not (lo >= _TINY and hi / lo <= PD_COND_LIMIT):
         raise np.linalg.LinAlgError(what)
-    return (V / w) @ V.T
+    return 1.0 / w if V is None else (V / w) @ V.T
 
 
 @dataclass(frozen=True)
@@ -217,12 +343,17 @@ class LinearGaussianProblem:
 
 def _psd_report(name: str, M: np.ndarray, strict: bool,
                 tol_scale: float) -> list[str]:
-    w = np.linalg.eigvalsh(0.5 * (M + M.T))
-    tol = tol_scale * (1.0 + max(abs(w[0]), abs(w[-1])))
+    if np.max(np.abs(M)) > _SYM_MAX:
+        return [f"{name} has entries too large to symmetrize without "
+                "overflow"]
+    d = diagonal(M)
+    w = d if d is not None else np.linalg.eigvalsh(0.5 * (M + M.T))
+    lo, hi = w.min(), w.max()
+    tol = tol_scale * (1.0 + max(abs(lo), abs(hi)))
     if strict:
-        if w[0] <= tol:
+        if lo <= tol:
             return [f"{name} not positive definite"]
-    elif w[0] < -tol:
+    elif lo < -tol:
         return [f"{name} not positive semi-definite"]
     return []
 
@@ -231,7 +362,8 @@ def validate(problem: LinearGaussianProblem, rtol: float = SYM_RTOL,
              tol_scale: float = PSD_TOL_SCALE) -> list[str]:
     """Check every type invariant; return one message per violated check.
 
-    An empty list means the problem is well posed.
+    An empty list means the problem is well posed.  A diagonal Q, R or
+    Sigma0 is checked from its entries, without an eigendecomposition.
     """
     report: list[str] = []
     for name in ("A", "Q", "H", "R", "mu0", "Sigma0"):

@@ -21,6 +21,10 @@ Appl. 13, 1992) with the Rauch-Tung-Striebel smoother gains.
 The optimal particle smoother draws exact samples from the posterior
 through a block Cholesky factor of the precision, so its importance
 weights are uniform by construction.
+
+When A, Q, H, R and Sigma0 are all diagonal, so is every block, and the
+weak-constraint computations store each block as its 1-D diagonal and
+run in O(n m) (see :func:`effdim.model.storage`).
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balance import ConditionCheck, MapKind, BalanceMap, build_map
-from .model import LinearGaussianProblem, SymMatrix, frobenius, pd_inverse, sym
+from .model import (LinearGaussianProblem, SymMatrix, cholesky, frobenius,
+                    inverse, mul, pd_inverse, solve, storage, sym)
 
 
 @dataclass(frozen=True)
@@ -50,11 +55,12 @@ class WeakConstraintPosterior:
     ``diag_blocks[i]`` is block (i, i); ``off_block`` is the constant
     sub-diagonal block (i+1, i) = -Q^{-1} A.  ``frob_cov`` is the exact
     Frobenius norm of the trajectory covariance, from the block recursion
-    of Meurant (1992) with the Rauch-Tung-Striebel gains.
+    of Meurant (1992) with the Rauch-Tung-Striebel gains.  For a diagonal
+    problem every block is stored as its 1-D diagonal.
     """
 
-    diag_blocks: np.ndarray  # (n+1, m, m)
-    off_block: np.ndarray    # (m, m), block (i+1, i)
+    diag_blocks: np.ndarray  # (n+1, m, m), or (n+1, m) diagonals
+    off_block: np.ndarray    # (m, m) or (m,), block (i+1, i)
     frob_cov: float
 
     @property
@@ -150,20 +156,19 @@ def smoother_condition(problem: LinearGaussianProblem) -> ConditionCheck:
 def _weak_blocks(problem: LinearGaussianProblem, n: int):
     if n < 1:
         raise ValueError("weak-constraint window needs n >= 1")
-    Q_inv = pd_inverse(problem.Q, "singular Q")
-    S0_inv = pd_inverse(problem.Sigma0, "singular Sigma0")
-    R_inv = pd_inverse(problem.R, "R singular")
-    A, H = problem.A, problem.H
-    M = H.T @ R_inv @ H
-    AtQiA = A.T @ Q_inv @ A
-    m = problem.m
-    diag = np.empty((n + 1, m, m))
+    A, Q, H, R, Sigma0 = storage(problem.A, problem.Q, problem.H, problem.R,
+                                 problem.Sigma0)
+    Q_inv = pd_inverse(Q, "singular Q")
+    S0_inv = pd_inverse(Sigma0, "singular Sigma0")
+    R_inv = pd_inverse(R, "R singular")
+    M = mul(mul(H.T, R_inv), H)
+    AtQiA = mul(mul(A.T, Q_inv), A)
+    diag = np.empty((n + 1,) + Q_inv.shape)
     diag[0] = S0_inv + AtQiA
-    for i in range(1, n):
-        diag[i] = Q_inv + AtQiA + M
+    diag[1:n] = Q_inv + AtQiA + M
     diag[n] = Q_inv + M
-    off = -Q_inv @ A  # block (i+1, i); its transpose sits at (i, i+1)
-    return diag, off, Q_inv, S0_inv, R_inv
+    off = mul(-Q_inv, A)  # block (i+1, i); its transpose sits at (i, i+1)
+    return diag, off, H, S0_inv, R_inv
 
 
 def _forward_schur(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -174,7 +179,7 @@ def _forward_schur(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     S = np.empty_like(diag)
     S[0] = diag[0]
     for i in range(1, diag.shape[0]):
-        S[i] = diag[i] - off @ np.linalg.solve(S[i - 1], off.T)
+        S[i] = diag[i] - mul(off, solve(S[i - 1], off.T, matrix=True))
     return S
 
 
@@ -187,33 +192,37 @@ def weak_precision(problem: LinearGaussianProblem,
     and Sigma_ii = S_i^{-1} + C_i Sigma_{i+1,i+1} C_i'.  The blocks above
     the diagonal in column i are Sigma_ji = C_j ... C_{i-1} Sigma_ii, so
     their squared norms sum to tr(Sigma_ii W_i Sigma_ii) with W_0 = 0 and
-    W_i = C_{i-1}' (I + W_{i-1}) C_{i-1}.
+    W_i = C_{i-1}' (I + W_{i-1}) C_{i-1}.  Diagonal blocks take O(n m).
     """
     diag, off, _, _, _ = _weak_blocks(problem, n)
-    S_inv = np.linalg.inv(_forward_schur(diag, off))
-    C = -S_inv[:-1] @ off.T
+    S_inv = np.array([inverse(S) for S in _forward_schur(diag, off)])
+    C = mul(-S_inv[:-1], off.T)
     sigma = np.empty_like(S_inv)
     sigma[-1] = S_inv[-1]
     for i in range(n - 1, -1, -1):
-        sigma[i] = S_inv[i] + C[i] @ sigma[i + 1] @ C[i].T
+        sigma[i] = S_inv[i] + mul(mul(C[i], sigma[i + 1]), C[i].T)
     W = np.zeros_like(S_inv)
-    eye = np.eye(problem.m)
+    eye = np.ones(problem.m) if off.ndim == 1 else np.eye(problem.m)
     for i in range(1, n + 1):
-        W[i] = C[i - 1].T @ (eye + W[i - 1]) @ C[i - 1]
-    upper = np.einsum("nij,nji->", W, sigma @ sigma)
+        W[i] = mul(mul(C[i - 1].T, eye + W[i - 1]), C[i - 1])
+    if off.ndim == 1:  # tr(W_i Sigma_ii^2) of diagonal blocks
+        upper = np.sum(W * sigma * sigma)
+    else:
+        upper = np.einsum("nij,nji->", W, sigma @ sigma)
     frob_cov = float(np.sqrt(np.sum(sigma ** 2) + 2.0 * upper))
     return WeakConstraintPosterior(diag_blocks=diag, off_block=off,
                                    frob_cov=frob_cov)
 
 
 def _weak_rhs(problem: LinearGaussianProblem, observations: np.ndarray,
-              S0_inv: np.ndarray, R_inv: np.ndarray) -> np.ndarray:
+              H: np.ndarray, S0_inv: np.ndarray,
+              R_inv: np.ndarray) -> np.ndarray:
     n = observations.shape[0]
     m = problem.m
     rhs = np.zeros((n + 1, m))
-    rhs[0] = S0_inv @ problem.mu0
+    rhs[0] = mul(problem.mu0, S0_inv.T)
     for j in range(1, n + 1):
-        rhs[j] = problem.H.T @ (R_inv @ observations[j - 1])
+        rhs[j] = mul(mul(observations[j - 1], R_inv.T), H)
     return rhs
 
 
@@ -224,11 +233,11 @@ def _block_thomas_solve(diag: np.ndarray, off: np.ndarray,
     S = _forward_schur(diag, off)
     c = rhs.copy()
     for i in range(1, n1):
-        c[i] = c[i] - off @ np.linalg.solve(S[i - 1], c[i - 1])
+        c[i] = c[i] - mul(solve(S[i - 1], c[i - 1]), off.T)
     x = np.empty_like(rhs)
-    x[n1 - 1] = np.linalg.solve(S[n1 - 1], c[n1 - 1])
+    x[n1 - 1] = solve(S[n1 - 1], c[n1 - 1])
     for i in range(n1 - 2, -1, -1):
-        x[i] = np.linalg.solve(S[i], c[i] - off.T @ x[i + 1])
+        x[i] = solve(S[i], c[i] - mul(x[i + 1], off))
     return x
 
 
@@ -239,8 +248,8 @@ def weak_mode(problem: LinearGaussianProblem, observations) -> np.ndarray:
     """
     observations = np.atleast_2d(np.asarray(observations, dtype=float))
     n = observations.shape[0]
-    diag, off, _, S0_inv, R_inv = _weak_blocks(problem, n)
-    rhs = _weak_rhs(problem, observations, S0_inv, R_inv)
+    diag, off, H, S0_inv, R_inv = _weak_blocks(problem, n)
+    rhs = _weak_rhs(problem, observations, H, S0_inv, R_inv)
     x = _block_thomas_solve(diag, off, rhs)
     return x.reshape(-1)
 
@@ -251,13 +260,13 @@ def _block_cholesky(diag: np.ndarray, off: np.ndarray):
     Returns (L_inv, L_sub): the inverses of L's lower triangular diagonal
     blocks, and its sub-diagonal blocks L_sub[i] = off L_inv[i]'.
     """
-    n1, m, _ = diag.shape
+    n1 = diag.shape[0]
     L_inv = np.empty_like(diag)
-    L_sub = np.empty((n1 - 1, m, m))
-    L_inv[0] = np.linalg.inv(np.linalg.cholesky(diag[0]))
+    L_sub = np.empty((n1 - 1,) + off.shape)
+    L_inv[0] = inverse(cholesky(diag[0]))
     for i in range(1, n1):
-        E = L_sub[i - 1] = off @ L_inv[i - 1].T
-        L_inv[i] = np.linalg.inv(np.linalg.cholesky(diag[i] - E @ E.T))
+        E = L_sub[i - 1] = mul(off, L_inv[i - 1].T)
+        L_inv[i] = inverse(cholesky(diag[i] - mul(E, E.T)))
     return L_inv, L_sub
 
 
@@ -281,18 +290,20 @@ def optimal_smoother_sample(problem: LinearGaussianProblem, observations,
         xi = rng.standard_normal((N, problem.m))
         samples = mean + xi @ np.linalg.inv(L)  # rows y with L' y' = xi'
     elif constraint == "weak":
-        diag, off, _, S0_inv, R_inv = _weak_blocks(problem, n)
-        rhs = _weak_rhs(problem, observations, S0_inv, R_inv)
+        diag, off, H, S0_inv, R_inv = _weak_blocks(problem, n)
+        rhs = _weak_rhs(problem, observations, H, S0_inv, R_inv)
         mode = _block_thomas_solve(diag, off, rhs).reshape(-1)
         L_inv, L_sub = _block_cholesky(diag, off)
         xi = rng.standard_normal((N, n + 1, problem.m))
-        noise = np.empty_like(xi)
-        # backward substitution on L' y = xi, blockwise across all samples
-        noise[:, n] = xi[:, n] @ L_inv[n]
+        # backward substitution on L' y = xi, blockwise across all samples,
+        # in place: block i + 1 of xi already holds y when block i needs it
+        xi[:, n] = mul(xi[:, n], L_inv[n])
         for i in range(n - 1, -1, -1):
-            noise[:, i] = (xi[:, i] - noise[:, i + 1] @ L_sub[i]) @ L_inv[i]
-        samples = mode + noise.reshape(N, -1)
+            y = mul(xi[:, i + 1], L_sub[i])
+            np.subtract(xi[:, i], y, out=y)
+            xi[:, i] = mul(y, L_inv[i], out=y)
+        samples = xi.reshape(N, -1)
+        samples += mode
     else:
         raise ValueError("constraint must be 'weak' or 'strong'")
     return samples, np.full(N, 1.0 / N)
-

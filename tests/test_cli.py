@@ -10,7 +10,8 @@ from effdim import balance
 from effdim.balance import g_feasibility, g_optimal, g_sir
 from effdim.cli import main
 from effdim.model import LinearGaussianProblem, save_problem
-from effdim.filters import simulate, trajectory_to_json
+from effdim.filters import simulate
+from util import trajectory_to_json
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -375,6 +376,18 @@ def test_collapse_sweep_m_axis_bad_dims_exits_2(dims, tmp_path, capsys):
 
 
 _ISO = ["--m", "2", "--q", "1", "--r", "1", "--seeds", "1"]
+
+
+@pytest.mark.parametrize("dims", ["1", "5,10,100"])
+def test_collapse_sweep_overflowing_noise_exits_2(dims, tmp_path, capsys):
+    stem = tmp_path / "sweep"
+    assert run_cli("--command", "collapse-sweep", "--kind", "sir",
+                   "--sweep", "m", "--dims", dims, "--q", "1e308",
+                   "--r", "1e308", "--seeds", "1", "--particles", "10",
+                   "--steps", "2", "--out", str(stem)) == 2
+    err = capsys.readouterr().err
+    assert "Q has entries too large to symmetrize without overflow" in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,14 +10,13 @@ from scipy.stats import spearmanr
 from effdim._util import logsumexp
 from effdim.filters import (FilterKind, ParticleEnsemble, WeightCollapseError,
                             collapse_stat, diagnostics, init_ensemble,
-                            optimal_log_weight_increment, optimal_step,
-                            resample, run_filter, simulate, sir_step,
-                            step_plan, trajectory_from_json,
-                            trajectory_to_json)
+                            optimal_step, resample, run_filter, simulate,
+                            sir_step, step_plan, trajectory_from_json)
 from effdim.kalman import isotropic_steady_p, solve_dare
 from effdim.model import (PD_COND_LIMIT, LinearGaussianProblem, pd_inverse,
                           psd_factor)
-from util import kalman_filter_means, random_problem
+from util import (kalman_filter_means, optimal_log_weight_increment,
+                  random_problem, trajectory_to_json)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -326,6 +325,24 @@ def test_diagnostics_var_log_w_consistency():
                            log_weights=lw)
     rep = diagnostics(ens)
     assert rep.var_log_w == pytest.approx(sigma ** 2, rel=0.03)
+
+
+@pytest.mark.parametrize("resample_every", [1, 3])
+def test_run_filter_normalizes_once_per_step(monkeypatch, resample_every):
+    calls = []
+
+    def counting(a):
+        calls.append(1)
+        return logsumexp(a)
+
+    problem = LinearGaussianProblem.isotropic(3, 1.0, 0.5)
+    want = run_filter(problem, "optimal", 6, 50, seed=2,
+                      resample_every=resample_every)
+    monkeypatch.setattr("effdim.filters.logsumexp", counting)
+    run = run_filter(problem, "optimal", 6, 50, seed=2,
+                     resample_every=resample_every)
+    assert len(calls) == 6
+    assert run.reports == want.reports
 
 
 def test_diagnostics_needs_two_particles():

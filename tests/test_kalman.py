@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 
 from effdim.kalman import (DareConvergenceError, dare_residual,
                            effective_dimension, isotropic_steady_p,
-                           kalman_cov_step, solve_dare, spread_stats,
-                           steady_state_to_json)
+                           kalman_cov_step, solve_dare, spread_stats)
 from effdim.model import (LinearGaussianProblem, PsdVerdict, frobenius,
                           psd_compare, psd_factor)
-from util import random_problem, random_spd
+from util import random_problem, random_spd, steady_state_to_json
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0  # steady per-component P at q = r = 1
 
@@ -163,6 +162,22 @@ def test_solve_dare_small_noise_ratio_m100_matches_closed_form():
     expected = np.sqrt(100) * isotropic_steady_p(1e-4, 1.0)
     assert state.eff_dim == pytest.approx(expected, rel=1e-8)
     assert state.residual == dare_residual(problem, state.X)
+
+
+@pytest.mark.parametrize("q", [1e-8, 1e-12])
+def test_solve_dare_stop_is_relative_at_small_noise(q):
+    # tol * (1 + ||X||) would accept an X that is 2.8e-3 off at q = 1e-8
+    state = solve_dare(LinearGaussianProblem.isotropic(1, q, 1.0))
+    assert state.eff_dim == pytest.approx(isotropic_steady_p(q, 1.0),
+                                          rel=1e-8)
+
+
+def test_solve_dare_zero_solution_counts_as_converged():
+    problem = LinearGaussianProblem(A=np.array([[0.5]]), Q=np.zeros((1, 1)),
+                                    H=np.eye(1), R=np.eye(1),
+                                    mu0=np.zeros(1), Sigma0=np.zeros((1, 1)))
+    state = solve_dare(problem)
+    assert state.eff_dim == 0.0 and state.residual == 0.0
 
 
 def test_solve_dare_unreachable_tol_stagnates_early():

@@ -1,7 +1,14 @@
 """Shared helpers for the test suite."""
 
+import json
+from contextlib import contextmanager
+
 import numpy as np
 
+from effdim import model
+from effdim.filters import (FilterKind, TrajectoryData, _log_likelihood,
+                            step_plan)
+from effdim.kalman import SteadyState, steady_state_to_dict
 from effdim.model import LinearGaussianProblem
 
 
@@ -69,6 +76,8 @@ def dense_precision(posterior) -> np.ndarray:
     invert or factor it directly.
     """
     diag, off = posterior.diag_blocks, posterior.off_block
+    if off.ndim == 1:  # blocks stored as their diagonals
+        diag, off = np.array([np.diag(d) for d in diag]), np.diag(off)
     n1, m, _ = diag.shape
     out = np.zeros((n1 * m, n1 * m))
     for i in range(n1):
@@ -77,3 +86,43 @@ def dense_precision(posterior) -> np.ndarray:
         out[(i + 1) * m:(i + 2) * m, i * m:(i + 1) * m] = off
         out[i * m:(i + 1) * m, (i + 1) * m:(i + 2) * m] = off.T
     return out
+
+
+@contextmanager
+def dense_path():
+    """Run effdim with every matrix in dense storage.
+
+    ``model.storage`` asks ``model.diagonal`` for each matrix, so a
+    ``diagonal`` that finds none keeps every computation dense: the
+    reference the diagonal form is checked against.
+    """
+    original = model.diagonal
+    model.diagonal = lambda M: None
+    try:
+        yield
+    finally:
+        model.diagonal = original
+
+
+def optimal_log_weight_increment(problem: LinearGaussianProblem,
+                                 positions: np.ndarray, z) -> np.ndarray:
+    """Optimal-filter log-weight increments: a function of x^n only.
+
+    -0.5 (z - H A x)' (H Q H' + R)^{-1} (z - H A x), constant dropped.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    plan = step_plan(problem, FilterKind.OPTIMAL, float("nan"))
+    return _log_likelihood(positions, z, plan.HA_T, plan.S_inv)[1]
+
+
+def trajectory_to_json(trajectory: TrajectoryData, indent: int = 2) -> str:
+    doc = {
+        "truth": trajectory.truth.tolist(),
+        "observations": trajectory.observations.tolist(),
+        "seed": trajectory.seed,
+    }
+    return json.dumps(doc, indent=indent)
+
+
+def steady_state_to_json(state: SteadyState, indent: int = 2) -> str:
+    return json.dumps(steady_state_to_dict(state), indent=indent)
