@@ -120,7 +120,15 @@ def _dare_options(args) -> dict:
 def _require_seeds(args) -> list[int]:
     if args.seeds is None:
         raise InputError("--seeds is required (no wall-clock default)")
-    return _parse_int_list(args.seeds, "--seeds")
+    seeds = _parse_int_list(args.seeds, "--seeds")
+    if min(seeds) < 0:
+        raise InputError("--seeds must be non-negative integers")
+    return seeds
+
+
+def _check_collapse_threshold(args) -> None:
+    if not np.isfinite(args.collapse_threshold):
+        raise InputError("--collapse-threshold must be finite")
 
 
 def _csv_text(config: dict, header: str, rows: list[str]) -> str:
@@ -302,11 +310,10 @@ def _filter_csv_rows(run: filters.FilterRun) -> list[str]:
     return rows
 
 
-def _run_filter(args, problem, kind, seed, plan) -> filters.FilterRun:
+def _run_filters(args, problem, kind, seeds) -> list[filters.FilterRun]:
     try:
-        return filters.run_filter(problem, kind, args.steps, args.particles,
-                                  seed, resample_every=args.resample_every,
-                                  plan=plan)
+        return filters.run_filters(problem, kind, args.steps, args.particles,
+                                   seeds, resample_every=args.resample_every)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -315,11 +322,9 @@ def _cmd_filter(args) -> int:
     problem = _resolve_problem(args)
     kind = _map_kind(args, ("sir", "optimal"))
     seeds = _require_seeds(args)
+    _check_collapse_threshold(args)
     config = _config_dict(args)
-    runs = []
-    for seed in seeds:  # the first run builds the plan every seed shares
-        runs.append(_run_filter(args, problem, kind, seed,
-                                runs[0].plan if runs else None))
+    runs = _run_filters(args, problem, kind, seeds)
     summaries = [_run_summary(run, args.collapse_threshold) for run in runs]
     fraction = float(np.mean([s["collapsed"] for s in summaries]))
     payload = {
@@ -357,24 +362,20 @@ def _sweep_cells(args, seeds):
 
 
 def _sweep_cell(args, kind, seeds, cell) -> dict:
-    """Every seed of one sweep cell, all on the first successful run's plan."""
+    """Every seed of one sweep cell, run together on one plan."""
     problem = LinearGaussianProblem.isotropic(cell["m"], cell["q"], cell["r"],
                                               sigma0=args.sigma0)
-    summaries = []
-    plan = None
-    for seed in seeds:
-        try:
-            run = _run_filter(args, problem, kind, seed, plan)
-        except (kalman.DareConvergenceError, np.linalg.LinAlgError) as exc:
-            summaries.append({"seed": seed, "error": str(exc)})
-            continue
-        plan = run.plan
-        summaries.append(_run_summary(run, args.collapse_threshold))
-    ok = [s for s in summaries if "error" not in s]
-    fraction = (float(np.mean([s["collapsed"] for s in ok]))
-                if ok else float("nan"))
-    sigma = (plan.sigma_frob if plan is not None
-             else filters.steady_collapse_stat(problem, kind))
+    try:
+        runs = _run_filters(args, problem, kind, seeds)
+    except (kalman.DareConvergenceError, np.linalg.LinAlgError) as exc:
+        summaries = [{"seed": seed, "error": str(exc)} for seed in seeds]
+        fraction = float("nan")
+        sigma = filters.steady_collapse_stat(problem, kind)
+    else:
+        summaries = [_run_summary(run, args.collapse_threshold)
+                     for run in runs]
+        fraction = float(np.mean([s["collapsed"] for s in summaries]))
+        sigma = runs[0].sigma_frob
     return {**cell, "collapse_fraction": fraction, "sigma_frob": sigma,
             "runs": summaries}
 
@@ -382,6 +383,7 @@ def _sweep_cell(args, kind, seeds, cell) -> dict:
 def _cmd_collapse_sweep(args) -> int:
     kind = _map_kind(args, ("sir", "optimal"))
     seeds = _require_seeds(args)
+    _check_collapse_threshold(args)
     config = _config_dict(args)
     results = [_sweep_cell(args, kind, seeds, cell)
                for cell in _sweep_cells(args, seeds)]

@@ -26,6 +26,14 @@ vectorized draw is the particle index, so results do not depend on
 scheduling.  Resampling is systematic (lowest variance of the standard
 schemes).
 
+The seeds of one problem run together: :func:`run_filters` stacks the
+ensembles of S seeds on a leading axis, positions (S, N, m) and
+log-weights (S, N), and the steps, resampling and reports work on every
+row at once.  Each seed draws its noise from its own streams into its
+own row, products are stacked per row and reductions run along each
+row, so a seed's run is bit for bit the same whichever seeds share its
+batch; :func:`run_filter` is the one-seed case.
+
 When every matrix a computation uses is diagonal, it runs on the
 matrices' 1-D diagonals elementwise (see :func:`effdim.model.storage`),
 and the collapse statistic of a diagonal problem comes from the closed
@@ -50,6 +58,13 @@ _TAG_INIT = 1
 _TAG_STEP = 2
 _TAG_RESAMPLE = 3
 
+# Largest S * N * m of one batch of seeds.  A batch pays each step's
+# Python work once for all its seeds: timed on collapse-sweep cells, 8
+# seeds ran 20-40 % faster in batches, and two seeds of N m = 10^5 ran
+# no faster together than apart.  Batches beyond 2^16 elements saved no
+# more time and raised the peak memory.
+BATCH_ELEMENTS = 2 ** 16
+
 
 class FilterKind(str, enum.Enum):
     SIR = "sir"
@@ -68,32 +83,51 @@ def _rng(seed, *key) -> np.random.Generator:
                                spawn_key=tuple(int(k) for k in key)))
 
 
+def _generators(seed, positions: np.ndarray) -> list:
+    """The generator of each ensemble in ``positions``: ``seed`` for an
+    (N, m) ensemble, ``seed[s]`` for row s of an (S, N, m) batch."""
+    return [_rng(s) for s in (seed if positions.ndim == 3 else (seed,))]
+
+
+def _normals(generators, out: np.ndarray) -> np.ndarray:
+    """Standard normals into ``out``, row s from ``generators[s]``."""
+    rows = out.reshape(len(generators), -1)
+    for rng, row in zip(generators, rows, strict=True):
+        rng.standard_normal(out=row)
+    return out
+
+
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Particle positions plus log-weights at one time step."""
+    """Particle positions plus log-weights at one time step.
+
+    A batch of S ensembles of one problem stacks them on a leading axis;
+    every method works on each row.
+    """
 
     step: int
-    positions: np.ndarray   # (N, m)
-    log_weights: np.ndarray  # (N,)
+    positions: np.ndarray   # (N, m), or (S, N, m) for a batch
+    log_weights: np.ndarray  # (N,), or (S, N)
     normalized: bool = False
 
     @property
     def n_particles(self) -> int:
-        return self.positions.shape[0]
+        return self.positions.shape[-2]
 
     def normalize(self) -> "ParticleEnsemble":
         """Shift log-weights so the weights sum to one (log-sum-exp)."""
         total = logsumexp(self.log_weights)
-        if not np.isfinite(total):
+        if not np.all(np.isfinite(total)):
             raise WeightCollapseError("ensemble collapsed to measure zero")
-        return replace(self, log_weights=self.log_weights - total,
-                       normalized=True)
+        return replace(self, log_weights=self.log_weights
+                       - np.expand_dims(total, -1), normalized=True)
 
     def weights(self) -> np.ndarray:
         """Normalized weights, computed on demand."""
         if self.normalized:
             return np.exp(self.log_weights)
-        return np.exp(self.log_weights - logsumexp(self.log_weights))
+        return np.exp(self.log_weights
+                      - np.expand_dims(logsumexp(self.log_weights), -1))
 
 
 @dataclass(frozen=True)
@@ -122,33 +156,74 @@ class TrajectoryData:
     seed: int
 
 
+def _check(problem: LinearGaussianProblem) -> None:
+    report = validate(problem)
+    if report:
+        raise ValueError("invalid problem: " + "; ".join(report))
+
+
+def _model_factors(problem: LinearGaussianProblem) -> tuple:
+    """(A', H', L0', Lq', Lr') for :func:`simulate`, L L' factoring
+    Sigma0, Q and R, all in the storage form of the five matrices."""
+    A, Q, H, R, Sigma0 = storage(problem.A, problem.Q, problem.H, problem.R,
+                                 problem.Sigma0)
+    return (A.T, H.T, psd_factor(Sigma0).T, psd_factor(Q).T,
+            psd_factor(R).T)
+
+
+def _simulate(mu0: np.ndarray, factors: tuple, n_steps: int,
+              seeds) -> list[TrajectoryData]:
+    """One trajectory per seed, the seeds' states stacked as (S, 1, m).
+
+    Each seed draws x^0, then every model noise, then every data noise,
+    from its own stream; the (1, m) rows keep every product a
+    vector-matrix product, as for one seed alone.
+    """
+    A_T, H_T, L0_T, Lq_T, Lr_T = factors
+    S, m, k = len(seeds), mu0.size, Lr_T.shape[0]
+    x0 = np.empty((S, 1, m))
+    w = np.empty((S, n_steps, m))
+    v = np.empty((S, n_steps, k))
+    for s, seed in enumerate(seeds):
+        rng = _rng(seed, _TAG_SIM)
+        for out in (x0[s], w[s], v[s]):
+            rng.standard_normal(out=out)
+    truth = np.empty((S, n_steps + 1, m))
+    observations = np.empty((S, n_steps, k))
+    x = mu0 + mul(x0, L0_T)
+    truth[:, 0] = x[:, 0]
+    for n in range(n_steps):
+        x = mul(x, A_T) + mul(w[:, n, None], Lq_T)
+        truth[:, n + 1] = x[:, 0]
+        observations[:, n] = (mul(x, H_T) + mul(v[:, n, None], Lr_T))[:, 0]
+    return [TrajectoryData(truth=truth[s], observations=observations[s],
+                           seed=int(seed)) for s, seed in enumerate(seeds)]
+
+
 def simulate(problem: LinearGaussianProblem, n_steps: int,
              seed: int) -> TrajectoryData:
     """Draw x^0 ~ N(mu0, Sigma0) and run the model/data recursions."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    report = validate(problem)
-    if report:
-        raise ValueError("invalid problem: " + "; ".join(report))
-    rng = _rng(seed, _TAG_SIM)
-    A, Q, H, R, Sigma0 = storage(problem.A, problem.Q, problem.H, problem.R,
-                                 problem.Sigma0)
-    L0_T = psd_factor(Sigma0).T
-    Lq_T = psd_factor(Q).T
-    Lr_T = psd_factor(R).T
-    m, k = problem.m, problem.k
-    truth = np.empty((n_steps + 1, m))
-    observations = np.empty((n_steps, k))
-    x = problem.mu0 + mul(rng.standard_normal(m), L0_T)
-    truth[0] = x
-    w = rng.standard_normal((n_steps, m))
-    v = rng.standard_normal((n_steps, k))
-    for n in range(n_steps):
-        x = mul(x, A.T) + mul(w[n], Lq_T)
-        truth[n + 1] = x
-        observations[n] = mul(x, H.T) + mul(v[n], Lr_T)
-    return TrajectoryData(truth=truth, observations=observations,
-                          seed=int(seed))
+    _check(problem)
+    return _simulate(problem.mu0, _model_factors(problem), n_steps,
+                     [seed])[0]
+
+
+def _prior_factor(problem: LinearGaussianProblem) -> np.ndarray:
+    """L0' with L0 L0' = Sigma0, in Sigma0's own storage form."""
+    (Sigma0,) = storage(problem.Sigma0)
+    return psd_factor(Sigma0).T
+
+
+def _prior_positions(mu0: np.ndarray, prior_T: np.ndarray, N: int,
+                     seeds) -> np.ndarray:
+    """(S, N, m) draws from N(mu0, Sigma0), row s from seed s."""
+    noise = _normals([_rng(seed, _TAG_INIT) for seed in seeds],
+                     np.empty((len(seeds), N, mu0.size)))
+    positions = mul(noise, prior_T, out=noise)
+    positions += mu0
+    return positions
 
 
 def init_ensemble(problem: LinearGaussianProblem, N: int,
@@ -156,10 +231,8 @@ def init_ensemble(problem: LinearGaussianProblem, N: int,
     """N particles from the prior N(mu0, Sigma0) with uniform weights."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    rng = _rng(seed, _TAG_INIT)
-    (Sigma0,) = storage(problem.Sigma0)
-    positions = problem.mu0 + mul(rng.standard_normal((N, problem.m)),
-                                  psd_factor(Sigma0).T)
+    positions = _prior_positions(problem.mu0, _prior_factor(problem), N,
+                                 [seed])[0]
     return ParticleEnsemble(step=0, positions=positions,
                             log_weights=np.full(N, -np.log(N)),
                             normalized=True)
@@ -167,13 +240,16 @@ def init_ensemble(problem: LinearGaussianProblem, N: int,
 
 @dataclass(frozen=True)
 class StepPlan:
-    """What every step of one filter kind on one problem reuses.
+    """What every run of one filter kind on one problem reuses.
 
     ``A_T`` and ``H_T`` are A' and H'.  ``L_T`` is L' for the move noise
     L L' (Q, or the optimal conditional covariance); ``mean_T`` is
     (Sigma_o Q^{-1} A)'.  A PSD-only Q leaves the optimal filter in
     innovation form, with ``G_T`` = (Q H' S^{-1})'.  When A, Q, H and R
     are all diagonal, every matrix is stored as its 1-D diagonal.
+    ``prior_T`` factors Sigma0 for the initial ensemble, and ``model``
+    holds the factors the truth and data are simulated with (see
+    :func:`simulate`); each keeps the storage form its own matrices give.
     """
 
     kind: FilterKind
@@ -181,6 +257,8 @@ class StepPlan:
     A_T: np.ndarray
     H_T: np.ndarray
     L_T: np.ndarray
+    prior_T: np.ndarray
+    model: tuple  # (A', H', L0', Lq', Lr')
     R_inv: np.ndarray | None = None
     S_inv: np.ndarray | None = None
     HA_T: np.ndarray | None = None
@@ -224,16 +302,20 @@ def steady_collapse_stat(problem: LinearGaussianProblem, kind) -> float:
 
 def step_plan(problem: LinearGaussianProblem, kind,
               sigma_frob: float | None = None) -> StepPlan:
-    """Factor a validated problem once for a ``kind`` filter's steps.
+    """Factor a validated problem once for a ``kind`` filter's runs.
 
-    A missing factor raises LinAlgError.  ``sigma_frob=None`` computes
-    :func:`steady_collapse_stat`; a given value is carried.
+    A missing factor raises LinAlgError; Sigma0, Q and R are factored
+    first.  ``sigma_frob=None`` computes :func:`steady_collapse_stat`; a
+    given value is carried.
     """
     kind = FilterKind(kind)
+    model = _model_factors(problem)
+    prior_T = _prior_factor(problem)
     if sigma_frob is None:
         sigma_frob = steady_collapse_stat(problem, kind)
     A, Q, H, R = storage(problem.A, problem.Q, problem.H, problem.R)
-    common = dict(kind=kind, sigma_frob=sigma_frob, A_T=A.T, H_T=H.T)
+    common = dict(kind=kind, sigma_frob=sigma_frob, A_T=A.T, H_T=H.T,
+                  prior_T=prior_T, model=model)
     if kind is FilterKind.SIR:
         return StepPlan(**common, R_inv=pd_inverse(R, "R singular"),
                         L_T=psd_factor(Q).T)
@@ -254,115 +336,162 @@ def step_plan(problem: LinearGaussianProblem, kind,
                     L_T=psd_factor(Sigma_o).T)
 
 
-def _spare(buffer: np.ndarray, shape) -> np.ndarray | None:
-    """``buffer`` if it has ``shape``, for reuse as an output, else None.
+def _head(buffer: np.ndarray, k: int) -> np.ndarray:
+    """The leading elements of contiguous ``buffer`` as its shape with the
+    last axis cut to ``k`` entries: room for the (..., k) data vectors
+    of the (..., m) particles."""
+    shape = buffer.shape[:-1] + (k,)
+    return buffer.reshape(-1)[:int(np.prod(shape))].reshape(shape)
 
-    A step reuses its spent (N, m) arrays: on this scale a fresh array
-    costs about as much as the arithmetic that fills it.
+
+def _workspace(work, positions: np.ndarray, count: int) -> tuple:
+    """The first ``count`` arrays of ``work``, else fresh ones, shaped like
+    ``positions``.
+
+    Runs reuse one workspace: on this scale a fresh array costs about as
+    much as the arithmetic that fills it, mostly in page faults.
     """
-    return buffer if buffer.shape == shape else None
+    if work is None:
+        return tuple(np.empty(positions.shape) for _ in range(count))
+    return tuple(work[:count])
 
 
-def _log_likelihood(x, z, obs_T, W_inv, out=None):
-    """Innovations z - x obs_T and log-weights -0.5 innov' W_inv innov.
+def _log_likelihood(x, z, obs_T, W_inv, innov, work):
+    """Innovations z - x obs_T into ``innov``, and the log-weights
+    -0.5 innov' W_inv innov, with ``work`` as scratch.
 
-    The innovations go to ``out`` when given.
+    ``z`` is one row per ensemble of ``x``, shaped to broadcast against
+    its particles.
     """
-    innov = mul(x, obs_T, out=out)
+    mul(x, obs_T, out=innov)
     np.subtract(z, innov, out=innov)
-    return innov, -0.5 * np.einsum("ij,ij->i", innov, mul(innov, W_inv))
+    return -0.5 * np.einsum("...j,...j->...", innov,
+                            mul(innov, W_inv, out=work))
+
+
+def _observation_rows(z) -> np.ndarray:
+    """``z`` of one ensemble (k,) or a batch (S, k) as (1, k) rows that
+    broadcast against the particles."""
+    return np.atleast_1d(np.asarray(z, dtype=float))[..., None, :]
 
 
 def sir_step(problem: LinearGaussianProblem, ensemble: ParticleEnsemble,
-             z, seed, plan: StepPlan | None = None) -> ParticleEnsemble:
+             z, seed, plan: StepPlan | None = None,
+             work=None) -> ParticleEnsemble:
     """Propagate through the model, weight by the observation likelihood.
 
     The log-weight increment is -0.5 (z - Hx')' R^{-1} (z - Hx') per
     particle (common normalization constant dropped); the returned
-    ensemble is unnormalized.  Without a ``plan`` one is factored here.
+    ensemble is unnormalized.  A batch takes one row of ``z`` and one
+    seed per ensemble.  Without a ``plan`` one is factored here.
+    ``work``, three contiguous arrays shaped like the positions and apart
+    from them, holds the new positions and the scratch.
     """
-    rng = _rng(seed)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    z = _observation_rows(z)
     plan = plan or step_plan(problem, FilterKind.SIR, float("nan"))
-    noise = rng.standard_normal(ensemble.positions.shape)
-    mul(noise, plan.L_T, out=noise)
-    positions = mul(ensemble.positions, plan.A_T)
+    x = ensemble.positions
+    positions, noise, scratch = _workspace(work, x, 3)
+    mul(_normals(_generators(seed, x), scratch), plan.L_T, out=noise)
+    mul(x, plan.A_T, out=positions)
     positions += noise
-    _, incr = _log_likelihood(positions, z, plan.H_T, plan.R_inv,
-                              out=_spare(noise, (noise.shape[0], z.size)))
+    k = z.shape[-1]
+    incr = _log_likelihood(positions, z, plan.H_T, plan.R_inv,
+                           _head(noise, k), _head(scratch, k))
     return ParticleEnsemble(step=ensemble.step + 1, positions=positions,
                             log_weights=ensemble.log_weights + incr,
                             normalized=False)
 
 
 def optimal_step(problem: LinearGaussianProblem, ensemble: ParticleEnsemble,
-                 z, seed, plan: StepPlan | None = None) -> ParticleEnsemble:
+                 z, seed, plan: StepPlan | None = None,
+                 work=None) -> ParticleEnsemble:
     """Weight by N(z; HAx, HQH'+R), move with the exact conditional draw.
 
     For positive-definite Q the conditional is N(mu_j, Sigma_o) with
     Sigma_o = (Q^{-1} + H'R^{-1}H)^{-1}; a merely PSD Q falls back to the
     algebraically equivalent innovation form
     mu_j = A x_j + Q H' S^{-1} (z - H A x_j), cov Q - Q H' S^{-1} H Q,
-    which needs no Q^{-1} (partial-noise models).  Without a ``plan``
-    one is factored here.
+    which needs no Q^{-1} (partial-noise models).  A batch takes one row
+    of ``z`` and one seed per ensemble.  Without a ``plan`` one is
+    factored here.  ``work``, contiguous arrays shaped like the positions
+    and apart from them, holds the new positions and the scratch in its
+    first two.
     """
-    rng = _rng(seed)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    z = _observation_rows(z)
     plan = plan or step_plan(problem, FilterKind.OPTIMAL, float("nan"))
     x = ensemble.positions
-    innov, incr = _log_likelihood(x, z, plan.HA_T, plan.S_inv)
+    noise, positions = _workspace(work, x, 2)
+    # the weights' scratch is the positions' buffer, which the move then
+    # overwrites while it is still in cache
+    innov = _head(noise, z.shape[-1])
+    incr = _log_likelihood(x, z, plan.HA_T, plan.S_inv, innov,
+                           _head(positions, z.shape[-1]))
     if plan.G_T is None:
         # Sigma_o (H' (R^{-1} z)) as a row vector, in that association
         data = mul(mul(mul(z, plan.R_inv.T), plan.H_T.T), plan.Sigma_o.T)
-        positions = mul(x, plan.mean_T)
+        mul(x, plan.mean_T, out=positions)
         positions += data
     else:
-        positions = mul(x, plan.A_T)
-        positions += mul(innov, plan.G_T, out=_spare(innov, positions.shape))
-    noise = rng.standard_normal(positions.shape,
-                                out=_spare(innov, positions.shape))
-    positions += mul(noise, plan.L_T, out=noise)
+        mul(x, plan.A_T, out=positions)
+        positions += mul(innov, plan.G_T, out=noise)
+    positions += mul(_normals(_generators(seed, x), noise), plan.L_T,
+                     out=noise)
     return ParticleEnsemble(step=ensemble.step + 1, positions=positions,
                             log_weights=ensemble.log_weights + incr,
                             normalized=False)
 
 
-def resample(ensemble: ParticleEnsemble, seed) -> ParticleEnsemble:
+def resample(ensemble: ParticleEnsemble, seed,
+             out: np.ndarray | None = None) -> ParticleEnsemble:
     """Systematic resampling; the result has uniform weights.
 
     Expected copy counts equal N * W_j up to the +-1 rounding inherent in
     systematic resampling.  Raises WeightCollapseError when the total
-    weight has underflowed to zero.
+    weight has underflowed to zero.  A batch takes one seed per
+    ensemble; the resampled positions go to ``out``, a contiguous array
+    shaped like them, when given.
     """
-    rng = _rng(seed)
     norm = ensemble if ensemble.normalized else ensemble.normalize()
-    w = np.exp(norm.log_weights)
-    cdf = np.cumsum(w)
-    N = norm.n_particles
-    points = (np.arange(N) + rng.random()) / N
+    positions = norm.positions
+    N, m = positions.shape[-2:]
+    cdf = np.cumsum(np.exp(norm.log_weights), axis=-1).reshape(-1, N)
+    offsets = np.array([[rng.random()]
+                        for rng in _generators(seed, positions)])
+    points = (np.arange(N) + offsets) / N
     # point p picks the first i with cdf[i] >= p; the clamp absorbs a
     # cdf top that round-off left just below the last point
-    idx = np.minimum(np.searchsorted(cdf, points, side="left"), N - 1)
-    return ParticleEnsemble(step=norm.step, positions=norm.positions[idx],
-                            log_weights=np.full(N, -np.log(N)),
+    idx = np.stack([np.searchsorted(row, p, side="left")
+                    for row, p in zip(cdf, points)])
+    np.minimum(idx, N - 1, out=idx)
+    idx += N * np.arange(len(idx))[:, None]  # rows of the flattened batch
+    out = np.empty(positions.shape) if out is None else out
+    # every index is in range; "clip" writes to ``out`` without buffering
+    np.take(positions.reshape(-1, m), idx.ravel(), axis=0,
+            out=out.reshape(-1, m), mode="clip")
+    return ParticleEnsemble(step=norm.step, positions=out,
+                            log_weights=np.full(norm.log_weights.shape,
+                                                -np.log(N)),
                             normalized=True)
 
 
-def _report(weights: np.ndarray, log_weights: np.ndarray, kind,
-            sigma_frob: float, step: int) -> CollapseReport:
-    """ESS and max weight of normalized ``weights``; variance of the raw
-    ``log_weights``."""
-    ess = 1.0 / float(np.sum(weights ** 2))
-    max_weight = float(np.max(weights))
+def _reports(weights: np.ndarray, log_weights: np.ndarray, kind,
+             sigma_frob: float, step: int) -> list[CollapseReport]:
+    """One report per row of (S, N) normalized ``weights``: ESS and max
+    weight, and the variance of the row's finite raw ``log_weights``."""
+    ess = 1.0 / np.sum(weights ** 2, axis=-1)
+    max_weight = np.max(weights, axis=-1)
     finite = np.isfinite(log_weights)
-    if np.count_nonzero(finite) >= 2:
-        var_log_w = float(np.var(log_weights[finite], ddof=1))
+    if finite.all():
+        var_log_w = np.var(log_weights, axis=-1, ddof=1)
     else:
-        var_log_w = float("inf")
-    return CollapseReport(ess=ess, max_weight=max_weight,
-                          var_log_w=var_log_w, sigma_frob=float(sigma_frob),
-                          kind=FilterKind(kind) if kind is not None else None,
-                          step=step)
+        var_log_w = np.array([
+            np.var(row[keep], ddof=1) if np.count_nonzero(keep) >= 2
+            else np.inf for row, keep in zip(log_weights, finite)])
+    kind = FilterKind(kind) if kind is not None else None
+    return [CollapseReport(ess=e, max_weight=w, var_log_w=v,
+                           sigma_frob=float(sigma_frob), kind=kind, step=step)
+            for e, w, v in zip(ess.tolist(), max_weight.tolist(),
+                               var_log_w.tolist())]
 
 
 def diagnostics(ensemble: ParticleEnsemble, kind=None,
@@ -371,8 +500,9 @@ def diagnostics(ensemble: ParticleEnsemble, kind=None,
     """ESS, max normalized weight, and variance of the raw log-weights."""
     if ensemble.n_particles < 2:
         raise ValueError("diagnostics need at least 2 particles")
-    return _report(ensemble.weights(), ensemble.log_weights, kind,
-                   sigma_frob, ensemble.step if step is None else step)
+    return _reports(ensemble.weights()[None], ensemble.log_weights[None],
+                    kind, sigma_frob,
+                    ensemble.step if step is None else step)[0]
 
 
 def collapse_stat(problem: LinearGaussianProblem, P, kind) -> float:
@@ -408,14 +538,18 @@ class FilterRun:
     sigma_frob = property(lambda self: self.plan.sigma_frob)
 
 
-def run_filter(problem: LinearGaussianProblem, kind, n_steps: int, N: int,
-               seed: int, resample_every: int = 1,
-               plan: StepPlan | None = None) -> FilterRun:
-    """Full seeded filtering run over a freshly simulated trajectory.
+def run_filters(problem: LinearGaussianProblem, kind, n_steps: int, N: int,
+                seeds, resample_every: int = 1,
+                plan: StepPlan | None = None) -> list[FilterRun]:
+    """One seeded filtering run per seed, each over its own simulated
+    trajectory, in the order of ``seeds``.
 
-    The steps share ``plan``; without one, a plan is built once the
-    problem has passed validation.  A total-weight underflow does not
-    raise: the run stops with a final report flagged ``degenerate``.
+    The problem is validated once, and every run shares ``plan``; without
+    one, a plan is built once the problem has passed validation.  Seeds
+    run together in batches of at most BATCH_ELEMENTS / (N m) seeds (at
+    least one), and each run is bit for bit the run its seed makes alone.
+    A total-weight underflow does not raise: that seed's run stops with a
+    final report flagged ``degenerate``, and the others run on.
     """
     kind = FilterKind(kind)
     if N < 2:
@@ -424,44 +558,100 @@ def run_filter(problem: LinearGaussianProblem, kind, n_steps: int, N: int,
         raise ValueError("resample_every must be >= 1")
     if plan is not None and plan.kind is not kind:
         raise ValueError(f"plan is for the {plan.kind.value} filter")
-    trajectory = simulate(problem, n_steps, seed)
-    ensemble = init_ensemble(problem, N, seed)
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    _check(problem)
     plan = plan or step_plan(problem, kind)
-    sigma_frob = plan.sigma_frob
+    seeds = [int(seed) for seed in seeds]
+    size = max(1, BATCH_ELEMENTS // (N * problem.m))
+    return [run for i in range(0, len(seeds), size)
+            for run in _run_batch(problem, plan, n_steps, N,
+                                  seeds[i:i + size], resample_every)]
+
+
+def run_filter(problem: LinearGaussianProblem, kind, n_steps: int, N: int,
+               seed: int, resample_every: int = 1,
+               plan: StepPlan | None = None) -> FilterRun:
+    """Full seeded filtering run over a freshly simulated trajectory:
+    :func:`run_filters` for one seed."""
+    return run_filters(problem, kind, n_steps, N, [seed],
+                       resample_every=resample_every, plan=plan)[0]
+
+
+def _buffers(positions: np.ndarray) -> list:
+    """``positions`` and three spare arrays shaped like them."""
+    return [positions] + [np.empty(positions.shape) for _ in range(3)]
+
+
+def _free(buffers: list, positions: np.ndarray) -> list:
+    """The buffers that do not hold ``positions``."""
+    return [b for b in buffers if b is not positions]
+
+
+def _run_batch(problem: LinearGaussianProblem, plan: StepPlan, n_steps: int,
+               N: int, seeds: list[int],
+               resample_every: int) -> list[FilterRun]:
+    """The runs of ``seeds`` as one batch of ensembles.
+
+    ``live`` maps the batch's rows to seeds; a seed whose total weight
+    underflows leaves it.  The batch keeps four (S, N, m) buffers, one of
+    which holds the positions; the steps and resampling work in the
+    others.
+    """
+    kind = plan.kind
     step_fn = sir_step if kind is FilterKind.SIR else optimal_step
-    reports: list[CollapseReport] = []
-    means = np.empty((n_steps, problem.m))
-    degenerate = False
-    n_done = 0
+    trajectories = _simulate(problem.mu0, plan.model, n_steps, seeds)
+    observations = np.stack([t.observations for t in trajectories])
+    ensemble = ParticleEnsemble(
+        step=0, positions=_prior_positions(problem.mu0, plan.prior_T, N,
+                                           seeds),
+        log_weights=np.full((len(seeds), N), -np.log(N)), normalized=True)
+    buffers = _buffers(ensemble.positions)
+    reports: list[list[CollapseReport]] = [[] for _ in seeds]
+    means = np.empty((len(seeds), n_steps, problem.m))
+    live = np.arange(len(seeds))
     for n in range(n_steps):
-        z = trajectory.observations[n]
-        step_seed = np.random.SeedSequence(entropy=int(seed),
-                                           spawn_key=(_TAG_STEP, n))
-        ensemble = step_fn(problem, ensemble, z, step_seed, plan=plan)
-        try:
-            norm = ensemble.normalize()
-        except WeightCollapseError:
-            reports.append(CollapseReport(
-                ess=1.0, max_weight=1.0, var_log_w=float("inf"),
-                sigma_frob=sigma_frob, kind=kind, step=n + 1,
-                degenerate=True))
-            degenerate = True
-            break
-        weights = norm.weights()
-        means[n] = weights @ norm.positions
-        n_done = n + 1
-        reports.append(_report(weights, ensemble.log_weights, kind,
-                               sigma_frob, n + 1))
+        ensemble = step_fn(
+            problem, ensemble, observations[live, n],
+            [_rng(seeds[i], _TAG_STEP, n) for i in live], plan=plan,
+            work=_free(buffers, ensemble.positions))
+        totals = logsumexp(ensemble.log_weights)
+        dead = ~np.isfinite(totals)
+        if dead.any():
+            for i in live[dead]:
+                reports[i].append(CollapseReport(
+                    ess=1.0, max_weight=1.0, var_log_w=float("inf"),
+                    sigma_frob=plan.sigma_frob, kind=kind, step=n + 1,
+                    degenerate=True))
+            keep = ~dead
+            live, totals = live[keep], totals[keep]
+            if not live.size:
+                break
+            ensemble = replace(ensemble, positions=ensemble.positions[keep],
+                               log_weights=ensemble.log_weights[keep])
+            buffers = _buffers(ensemble.positions)
+        norm = replace(ensemble, normalized=True,
+                       log_weights=ensemble.log_weights - totals[:, None])
+        weights = np.exp(norm.log_weights)
+        means[live, n] = np.matmul(weights[:, None], norm.positions)[:, 0]
+        for i, report in zip(live, _reports(weights, ensemble.log_weights,
+                                            kind, plan.sigma_frob, n + 1)):
+            reports[i].append(report)
         if (n + 1) % resample_every == 0:
-            resample_seed = np.random.SeedSequence(
-                entropy=int(seed), spawn_key=(_TAG_RESAMPLE, n))
-            ensemble = resample(norm, resample_seed)
+            ensemble = resample(
+                norm, [_rng(seeds[i], _TAG_RESAMPLE, n) for i in live],
+                out=_free(buffers, norm.positions)[0])
         else:
             ensemble = norm
-    return FilterRun(kind=kind, seed=int(seed), n_particles=N,
-                     resample_every=resample_every, reports=reports,
-                     means=means[:n_done], trajectory=trajectory,
-                     plan=plan, degenerate=degenerate)
+    runs = []
+    for s, seed in enumerate(seeds):
+        degenerate = reports[s][-1].degenerate
+        runs.append(FilterRun(
+            kind=kind, seed=seed, n_particles=N,
+            resample_every=resample_every, reports=reports[s],
+            means=means[s, :len(reports[s]) - degenerate],
+            trajectory=trajectories[s], plan=plan, degenerate=degenerate))
+    return runs
 
 
 # ---------------------------------------------------------------------------

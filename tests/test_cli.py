@@ -2,16 +2,17 @@ import json
 import subprocess
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from effdim import balance
+from effdim import balance, model
 from effdim.balance import g_feasibility, g_optimal, g_sir
 from effdim.cli import main
 from effdim.model import LinearGaussianProblem, save_problem
 from effdim.filters import simulate
-from util import trajectory_to_json
+from util import random_problem, trajectory_to_json
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -402,14 +403,95 @@ def test_collapse_sweep_overflowing_noise_exits_2(dims, tmp_path, capsys):
      "--q", "1", "--r", "0", "--seeds", "1"],
     ["--command", "collapse-sweep", "--kind", "sir", "--m", "2", "--r", "0",
      "--seeds", "1", "--grid-points", "2"],
+    ["--command", "filter", "--kind", "sir", "--m", "2", "--q", "1",
+     "--r", "1", "--seeds", "-1"],
+    ["--command", "collapse-sweep", "--kind", "sir", "--m", "2",
+     "--grid-points", "2", "--seeds", "2,-1"],
 ], ids=["filter-particles-0", "filter-steps-negative",
         "filter-resample-every-0", "sweep-particles-1", "smooth-steps-0",
-        "sweep-m-r-0", "sweep-eps-r-0"])
+        "sweep-m-r-0", "sweep-eps-r-0", "filter-seed-negative",
+        "sweep-seed-negative"])
 def test_bad_run_input_exits_2(argv, tmp_path, capsys):
     stem = tmp_path / "run"
     assert run_cli(*argv, "--out", str(stem)) == 2
     assert "input error" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def _filter_argv(seeds="1"):
+    return ["--command", "filter", "--kind", "sir", "--m", "2", "--q", "1",
+            "--r", "1", "--particles", "10", "--steps", "2", "--seeds", seeds]
+
+
+def _sweep_argv(seeds="1"):
+    return ["--command", "collapse-sweep", "--kind", "optimal", "--m", "2",
+            "--grid-points", "2", "--particles", "10", "--steps", "2",
+            "--seeds", seeds]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_filter_argv("1,-2"), "--seeds must be non-negative integers"),
+    (_sweep_argv("-3"), "--seeds must be non-negative integers"),
+    (_filter_argv() + ["--collapse-threshold", "nan"],
+     "--collapse-threshold must be finite"),
+    (_filter_argv() + ["--collapse-threshold=-inf"],
+     "--collapse-threshold must be finite"),
+    (_sweep_argv() + ["--collapse-threshold", "nan"],
+     "--collapse-threshold must be finite"),
+], ids=["filter-seeds", "sweep-seeds", "filter-threshold-nan",
+        "filter-threshold-minus-inf", "sweep-threshold-nan"])
+def test_bad_seeds_and_threshold_name_their_flag(argv, message, tmp_path,
+                                                 capsys):
+    assert run_cli(*argv, "--out", str(tmp_path / "run")) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kind", ["sir", "optimal"])
+def test_filter_seeds_together_equal_single_seed_runs(kind, tmp_path):
+    common = ["--command", "filter", "--m", "3", "--q", "0.5", "--r", "1",
+              "--kind", kind, "--particles", "80", "--steps", "6",
+              "--resample-every", "3"]
+    rows = {}
+    for seeds in ("1,2,3", "1", "2", "3"):
+        stem = tmp_path / seeds.replace(",", "_")
+        assert run_cli(*common, "--seeds", seeds, "--out", str(stem)) == 0
+        rows[seeds] = (tmp_path / (stem.name + ".csv")).read_text() \
+            .splitlines()[2:]
+    assert len(rows["1,2,3"]) == 18
+    assert rows["1,2,3"] == rows["1"] + rows["2"] + rows["3"]
+
+
+def test_filter_validates_and_factors_once_per_problem(tmp_path,
+                                                       monkeypatch):
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items()
+               if name == "effdim" or name.startswith("effdim.")]
+    for fname in ("validate", "psd_factor"):
+        original = getattr(model, fname)
+
+        def counting(*args, _fn=original, _name=fname, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, fname, None) is original:
+                monkeypatch.setattr(module, fname, counting)
+    rng = np.random.default_rng(3)
+    problem = random_problem(rng, m=4, k=3)
+    path = tmp_path / "problem.json"
+    save_problem(problem, path)
+    counts = {}
+    for seeds in ("1", "1,2,3,4"):
+        calls.clear()
+        assert run_cli("--command", "filter", "--problem", str(path),
+                       "--kind", "optimal", "--particles", "30",
+                       "--steps", "3", "--seeds", seeds,
+                       "--out", str(tmp_path / "run")) == 0
+        counts[seeds] = dict(calls)
+    assert counts["1"]["validate"] == 1
+    assert counts["1"]["psd_factor"] >= 4  # Sigma0 twice, Q, R, Sigma_o
+    assert counts["1,2,3,4"] == counts["1"]
 
 
 @pytest.mark.parametrize("command", ["effdim", "bounds", "smooth"])

@@ -7,16 +7,18 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import spearmanr
 
+from effdim import filters
 from effdim._util import logsumexp
 from effdim.filters import (FilterKind, ParticleEnsemble, WeightCollapseError,
                             collapse_stat, diagnostics, init_ensemble,
-                            optimal_step, resample, run_filter, simulate,
-                            sir_step, step_plan, trajectory_from_json)
+                            optimal_step, resample, run_filter, run_filters,
+                            simulate, sir_step, step_plan,
+                            trajectory_from_json)
 from effdim.kalman import isotropic_steady_p, solve_dare
 from effdim.model import (PD_COND_LIMIT, LinearGaussianProblem, pd_inverse,
                           psd_factor)
 from util import (kalman_filter_means, optimal_log_weight_increment,
-                  random_problem, trajectory_to_json)
+                  random_problem, serial_run_filter, trajectory_to_json)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -643,3 +645,187 @@ def test_run_filter_rejects_plan_of_other_kind():
     with pytest.raises(ValueError, match="sir filter"):
         run_filter(problem, "optimal", 3, 10, seed=0,
                    plan=step_plan(problem, "sir"))
+
+
+# ---------------------------------------------------------------------------
+# seeds run as one batch
+
+
+def _diagonal_problem() -> LinearGaussianProblem:
+    return LinearGaussianProblem(
+        A=np.diag([0.9, -1.1, 0.5]), Q=np.diag([0.5, 2.0, 1.0]),
+        H=np.diag([1.0, 0.5, -2.0]), R=np.diag([0.3, 1.0, 4.0]),
+        mu0=np.array([0.1, -0.2, 0.3]), Sigma0=np.diag([1.0, 0.2, 3.0]))
+
+
+_BATCH_PROBLEMS = {
+    "isotropic": lambda: LinearGaussianProblem.isotropic(3, 0.7, 0.3,
+                                                         sigma0=0.45),
+    "diagonal": _diagonal_problem,
+    "dense-pd-q": lambda: _general_problem(True),
+    "dense-rank2-q": lambda: _general_problem(False),
+    # at m = k = 50 and N = 50, the product with R^{-1} or S^{-1} taken as
+    # one flattened (S N, k) gemm differs in its last bits from the
+    # stacked per-ensemble products
+    "dense-m50": lambda: random_problem(np.random.default_rng(50), m=50),
+}
+
+
+def _bits(reports) -> list:
+    """Every field of every report, floats as their bytes."""
+    return [(np.array([r.ess, r.max_weight, r.var_log_w,
+                       r.sigma_frob]).tobytes(), r.kind, r.step, r.degenerate)
+            for r in reports]
+
+
+def _assert_run_is_oracle(run, problem, kind, n_steps, N, resample_every):
+    reports, means, trajectory = serial_run_filter(
+        problem, kind, n_steps, N, run.seed, resample_every)
+    assert _bits(run.reports) == _bits(reports)
+    assert run.means.shape == means.shape
+    assert run.means.tobytes() == means.tobytes()
+    assert run.trajectory.truth.tobytes() == trajectory.truth.tobytes()
+    assert (run.trajectory.observations.tobytes()
+            == trajectory.observations.tobytes())
+    assert run.degenerate == bool(reports and reports[-1].degenerate)
+
+
+@pytest.mark.parametrize("resample_every", [1, 3])
+@pytest.mark.parametrize("name", sorted(_BATCH_PROBLEMS))
+@pytest.mark.parametrize("kind", ["sir", "optimal"])
+def test_run_filters_equals_serial_oracle(kind, name, resample_every):
+    problem = _BATCH_PROBLEMS[name]()
+    seeds = [5, 2, 9, 2]
+    runs = run_filters(problem, kind, 7, 60, seeds,
+                       resample_every=resample_every)
+    assert [run.seed for run in runs] == seeds
+    assert len({id(run.plan) for run in runs}) == 1
+    for run in runs:
+        _assert_run_is_oracle(run, problem, kind, 7, 60, resample_every)
+        assert len(run.reports) == 7 and not run.degenerate
+
+
+def _overflowing_problem(kind) -> LinearGaussianProblem:
+    """m = 1 with Sigma0 so wide that the first log-weights overflow for
+    some draws: with N = 2, seeds 1 and 7 of 1..8 go degenerate at the
+    first step and the other six run on."""
+    r = 2e-10
+    if kind == "sir":
+        q, sigma0 = 1.0, r * 1.7e308 / 1.5
+    else:
+        q, sigma0 = r, r * 1.7e308 / 0.75
+    return LinearGaussianProblem(A=[[1.0]], Q=[[q]], H=[[1.0]], R=[[r]],
+                                 mu0=[0.0], Sigma0=[[sigma0]])
+
+
+@pytest.mark.parametrize("kind", ["sir", "optimal"])
+def test_run_filters_degenerate_seed_leaves_the_batch(kind):
+    problem = _overflowing_problem(kind)
+    seeds = list(range(1, 9))
+    with np.errstate(over="ignore", invalid="ignore"):
+        runs = run_filters(problem, kind, 4, 2, seeds, resample_every=2)
+        assert [run.seed for run in runs if run.degenerate] == [1, 7]
+        for run in runs:
+            _assert_run_is_oracle(run, problem, kind, 4, 2, 2)
+            assert len(run.reports) == (1 if run.degenerate else 4)
+
+
+@pytest.mark.parametrize("batch", [1, 2 * 40 * 4, 10 ** 9],
+                         ids=["alone", "pairs", "one-batch"])
+def test_run_filters_results_do_not_depend_on_batching(monkeypatch, batch):
+    problem = _general_problem(True)  # m = 4
+    seeds = [3, 1, 4, 1, 5]
+    alone = [run_filter(problem, "optimal", 5, 40, seed, resample_every=2)
+             for seed in seeds]
+    monkeypatch.setattr(filters, "BATCH_ELEMENTS", batch)
+    together = run_filters(problem, "optimal", 5, 40, seeds,
+                           resample_every=2)
+    for a, b in zip(alone, together, strict=True):
+        assert a.seed == b.seed
+        assert _bits(a.reports) == _bits(b.reports)
+        assert a.means.tobytes() == b.means.tobytes()
+
+
+def test_batch_size_keeps_large_ensembles_alone():
+    # N m = 10^5 (the paper's m = 100, N = 1000) runs one seed at a time;
+    # eight seeds of a small sweep cell run together
+    assert 2 * 1000 * 100 > filters.BATCH_ELEMENTS >= 8 * 200 * 20
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_PROBLEMS))
+@pytest.mark.parametrize("kind", ["sir", "optimal"])
+def test_batched_step_equals_each_ensemble_alone(kind, name):
+    problem = _BATCH_PROBLEMS[name]()
+    plan = step_plan(problem, kind)
+    step = sir_step if kind == "sir" else optimal_step
+    seeds = [11, 12, 13]
+    alone = [init_ensemble(problem, 50, seed) for seed in seeds]
+    alone = [replace(e, log_weights=np.linspace(-1.0, 0.5, 50) * i)
+             for i, e in enumerate(alone)]
+    z = np.stack([simulate(problem, 1, seed).observations[0]
+                  for seed in seeds])
+    batch = ParticleEnsemble(
+        step=0, positions=np.stack([e.positions for e in alone]),
+        log_weights=np.stack([e.log_weights for e in alone]))
+    work = np.empty((3,) + batch.positions.shape)
+    for out in (step(problem, batch, z, seeds, plan=plan),
+                step(problem, batch, z, seeds, plan=plan, work=work)):
+        for s, ens in enumerate(alone):
+            want = step(problem, ens, z[s], seeds[s], plan=plan)
+            assert out.positions[s].tobytes() == want.positions.tobytes()
+            assert out.log_weights[s].tobytes() == want.log_weights.tobytes()
+    assert out.positions.base is work or out.positions is work[0]
+
+
+def test_batched_reductions_equal_their_1d_forms():
+    rng = np.random.default_rng(17)
+    N = 257
+    lw = rng.normal(0.0, 30.0, size=(5, N))
+    lw[1, ::3] = -np.inf  # zero weights: var_log_w over the finite ones
+    lw[2] = -np.inf
+    lw[2, 5] = 0.0  # one finite log-weight: var_log_w is inf
+    lw[3] = 7.0  # tied maxima
+    positions = rng.standard_normal((5, N, 3))
+    batch = ParticleEnsemble(step=4, positions=positions, log_weights=lw)
+    norm = batch.normalize()
+    reports = filters._reports(norm.weights(), lw, "sir", 1.5, 4)
+    seeds = [np.random.SeedSequence(entropy=9, spawn_key=(3, s))
+             for s in range(5)]
+    resampled = resample(norm, seeds)
+    for s in range(5):
+        assert (np.float64(logsumexp(lw)[s]).tobytes()
+                == np.float64(scipy_logsumexp(lw[s])).tobytes())
+        single = ParticleEnsemble(step=4, positions=positions[s],
+                                  log_weights=lw[s]).normalize()
+        assert norm.log_weights[s].tobytes() == single.log_weights.tobytes()
+        w = np.exp(single.log_weights)
+        finite = np.isfinite(lw[s])
+        want = (1.0 / float(np.sum(w ** 2)), float(np.max(w)),
+                float(np.var(lw[s][finite], ddof=1))
+                if np.count_nonzero(finite) >= 2 else np.inf)
+        got = (reports[s].ess, reports[s].max_weight, reports[s].var_log_w)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert (resampled.positions[s].tobytes()
+                == resample(single, seeds[s]).positions.tobytes())
+    assert reports[2].var_log_w == np.inf
+    # the rows of a batch reduce alone: a row beyond double range
+    # next to ordinary ones
+    wide = np.array([[1e300, -1e300, 0.0], [0.5, -np.inf, 0.5],
+                     [-np.inf, -np.inf, -np.inf]])
+    for row, total in zip(wide, logsumexp(wide)):
+        assert (np.float64(total).tobytes()
+                == np.float64(scipy_logsumexp(row)).tobytes())
+    with pytest.raises(WeightCollapseError, match="measure zero"):
+        ParticleEnsemble(step=0, positions=np.zeros((3, 3, 1)),
+                         log_weights=wide).normalize()
+
+
+def test_resample_into_out_buffer():
+    rng = np.random.default_rng(4)
+    ens = ParticleEnsemble(step=0, positions=rng.standard_normal((2, 30, 2)),
+                           log_weights=rng.standard_normal((2, 30))
+                           ).normalize()
+    out = np.empty_like(ens.positions)
+    got = resample(ens, [1, 2], out=out)
+    assert got.positions is out
+    np.testing.assert_array_equal(out, resample(ens, [1, 2]).positions)

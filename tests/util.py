@@ -6,8 +6,10 @@ from contextlib import contextmanager
 import numpy as np
 
 from effdim import model
-from effdim.filters import (FilterKind, TrajectoryData, _log_likelihood,
-                            step_plan)
+from effdim.filters import (_TAG_RESAMPLE, _TAG_STEP, CollapseReport,
+                            FilterKind, TrajectoryData, WeightCollapseError,
+                            _log_likelihood, init_ensemble, optimal_step,
+                            resample, simulate, sir_step, step_plan)
 from effdim.kalman import SteadyState, steady_state_to_dict
 from effdim.model import LinearGaussianProblem
 
@@ -112,7 +114,9 @@ def optimal_log_weight_increment(problem: LinearGaussianProblem,
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     plan = step_plan(problem, FilterKind.OPTIMAL, float("nan"))
-    return _log_likelihood(positions, z, plan.HA_T, plan.S_inv)[1]
+    innov = np.empty(positions.shape[:-1] + z.shape)
+    return _log_likelihood(positions, z, plan.HA_T, plan.S_inv, innov,
+                           np.empty_like(innov))
 
 
 def trajectory_to_json(trajectory: TrajectoryData, indent: int = 2) -> str:
@@ -126,3 +130,48 @@ def trajectory_to_json(trajectory: TrajectoryData, indent: int = 2) -> str:
 
 def steady_state_to_json(state: SteadyState, indent: int = 2) -> str:
     return json.dumps(steady_state_to_dict(state), indent=indent)
+
+
+def serial_run_filter(problem: LinearGaussianProblem, kind, n_steps: int,
+                      N: int, seed: int, resample_every: int = 1):
+    """One seed's filter run, step by step on its own (N, m) ensemble:
+    the oracle for the batched ``filters.run_filters``.
+
+    Built from the public simulate, init_ensemble, step_plan, steps,
+    normalize and resample alone, with each report's reductions in their
+    1-D form.  Returns (reports, means, trajectory).
+    """
+    kind = FilterKind(kind)
+    trajectory = simulate(problem, n_steps, seed)
+    ensemble = init_ensemble(problem, N, seed)
+    plan = step_plan(problem, kind)
+    step = sir_step if kind is FilterKind.SIR else optimal_step
+    reports, means = [], []
+    for n in range(n_steps):
+        ensemble = step(problem, ensemble, trajectory.observations[n],
+                        np.random.SeedSequence(entropy=seed,
+                                               spawn_key=(_TAG_STEP, n)),
+                        plan=plan)
+        try:
+            norm = ensemble.normalize()
+        except WeightCollapseError:
+            reports.append(CollapseReport(
+                ess=1.0, max_weight=1.0, var_log_w=float("inf"),
+                sigma_frob=plan.sigma_frob, kind=kind, step=n + 1,
+                degenerate=True))
+            break
+        weights = np.exp(norm.log_weights)
+        means.append(weights @ norm.positions)
+        finite = np.isfinite(ensemble.log_weights)
+        var_log_w = (float(np.var(ensemble.log_weights[finite], ddof=1))
+                     if np.count_nonzero(finite) >= 2 else float("inf"))
+        reports.append(CollapseReport(
+            ess=1.0 / float(np.sum(weights ** 2)),
+            max_weight=float(np.max(weights)), var_log_w=var_log_w,
+            sigma_frob=float(plan.sigma_frob), kind=kind, step=n + 1))
+        if (n + 1) % resample_every == 0:
+            ensemble = resample(norm, np.random.SeedSequence(
+                entropy=seed, spawn_key=(_TAG_RESAMPLE, n)))
+        else:
+            ensemble = norm
+    return reports, np.reshape(means, (-1, problem.m)), trajectory
