@@ -314,6 +314,8 @@ def _run_filters(args, problem, kind, seeds) -> list[filters.FilterRun]:
     try:
         return filters.run_filters(problem, kind, args.steps, args.particles,
                                    seeds, resample_every=args.resample_every)
+    except np.linalg.LinAlgError:
+        raise  # a numerical failure, not bad input
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 

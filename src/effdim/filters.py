@@ -32,7 +32,13 @@ log-weights (S, N), and the steps, resampling and reports work on every
 row at once.  Each seed draws its noise from its own streams into its
 own row, products are stacked per row and reductions run along each
 row, so a seed's run is bit for bit the same whichever seeds share its
-batch; :func:`run_filter` is the one-seed case.
+batch; :func:`run_filter` is the one-seed case.  When each batch holds
+one seed and the problem runs elementwise (below), the batches run on a
+thread per CPU; every other run takes its batches one after another.
+Dense plans already spread their products over BLAS's threads, and
+batches of several seeds are too small to gain from threads.  Since each
+batch draws from its own seeds' streams alone, the results do not depend
+on the thread count.
 
 When every matrix a computation uses is diagonal, it runs on the
 matrices' 1-D diagonals elementwise (see :func:`effdim.model.storage`),
@@ -42,8 +48,11 @@ form of each component's scalar DARE instead of SDA.
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -548,6 +557,11 @@ def run_filters(problem: LinearGaussianProblem, kind, n_steps: int, N: int,
     one, a plan is built once the problem has passed validation.  Seeds
     run together in batches of at most BATCH_ELEMENTS / (N m) seeds (at
     least one), and each run is bit for bit the run its seed makes alone.
+    When every batch holds one seed (N m > BATCH_ELEMENTS / 2) and the
+    plan is elementwise, the batches run on min(batches, CPUs) threads;
+    otherwise one after another.  The runs come back in seed order
+    either way, and an exception in one batch cancels those not yet
+    started and propagates.
     A total-weight underflow does not raise: that seed's run stops with a
     final report flagged ``degenerate``, and the others run on.
     """
@@ -564,9 +578,32 @@ def run_filters(problem: LinearGaussianProblem, kind, n_steps: int, N: int,
     plan = plan or step_plan(problem, kind)
     seeds = [int(seed) for seed in seeds]
     size = max(1, BATCH_ELEMENTS // (N * problem.m))
-    return [run for i in range(0, len(seeds), size)
-            for run in _run_batch(problem, plan, n_steps, N,
-                                  seeds[i:i + size], resample_every)]
+    batches = [seeds[i:i + size] for i in range(0, len(seeds), size)]
+    workers = min(len(batches), _cpu_count())
+    if size > 1 or plan.A_T.ndim != 1 or workers < 2:
+        return [run for batch in batches
+                for run in _run_batch(problem, plan, n_steps, N, batch,
+                                      resample_every)]
+    # each batch runs in a copy of the caller's context, so that its
+    # np.errstate holds in the workers too
+    contexts = [contextvars.copy_context() for _ in batches]
+    pool = ThreadPoolExecutor(workers)
+    try:
+        return [run for runs in pool.map(
+            lambda context, batch: context.run(
+                _run_batch, problem, plan, n_steps, N, batch,
+                resample_every), contexts, batches)
+            for run in runs]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # the platform has no affinity call
+        return os.cpu_count() or 1
 
 
 def run_filter(problem: LinearGaussianProblem, kind, n_steps: int, N: int,

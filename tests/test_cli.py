@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from effdim import balance, model
+from effdim import balance, filters, model
 from effdim.balance import g_feasibility, g_optimal, g_sir
 from effdim.cli import main
 from effdim.model import LinearGaussianProblem, save_problem
@@ -447,19 +447,62 @@ def test_bad_seeds_and_threshold_name_their_flag(argv, message, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("kind", ["sir", "optimal"])
-def test_filter_seeds_together_equal_single_seed_runs(kind, tmp_path):
-    common = ["--command", "filter", "--m", "3", "--q", "0.5", "--r", "1",
-              "--kind", kind, "--particles", "80", "--steps", "6",
-              "--resample-every", "3"]
+# m = 66 and N = 1000 put each seed in a batch of its own, and the
+# batches of the isotropic (diagonal) problem run on threads
+@pytest.mark.parametrize("kind,m,particles,steps", [
+    ("sir", 3, 80, 6), ("optimal", 3, 80, 6), ("sir", 66, 1000, 3),
+    ("optimal", 66, 1000, 3),
+], ids=["sir", "optimal", "sir-threaded", "optimal-threaded"])
+def test_filter_seeds_together_equal_single_seed_runs(kind, m, particles,
+                                                      steps, tmp_path):
+    common = ["--command", "filter", "--m", str(m), "--q", "0.5", "--r", "1",
+              "--kind", kind, "--particles", str(particles),
+              "--steps", str(steps), "--resample-every", "3"]
     rows = {}
     for seeds in ("1,2,3", "1", "2", "3"):
         stem = tmp_path / seeds.replace(",", "_")
         assert run_cli(*common, "--seeds", seeds, "--out", str(stem)) == 0
         rows[seeds] = (tmp_path / (stem.name + ".csv")).read_text() \
             .splitlines()[2:]
-    assert len(rows["1,2,3"]) == 18
+    assert len(rows["1,2,3"]) == 3 * steps
     assert rows["1,2,3"] == rows["1"] + rows["2"] + rows["3"]
+
+
+def test_filter_numerical_failure_exits_3(tmp_path, capsys):
+    # a valid problem whose HQH'+R is too ill-conditioned to invert
+    eye = np.eye(2)
+    path = tmp_path / "problem.json"
+    save_problem(LinearGaussianProblem(A=eye, Q=np.diag([1e20, 1.0]), H=eye,
+                                       R=eye, mu0=np.zeros(2), Sigma0=eye),
+                 path)
+    assert run_cli("--command", "filter", "--problem", str(path),
+                   "--kind", "optimal", "--particles", "10", "--steps", "2",
+                   "--seeds", "1", "--out", str(tmp_path / "run")) == 3
+    assert "numerical error: singular HQH'+R" in capsys.readouterr().err
+    assert not list(tmp_path.glob("run*"))
+
+
+def test_collapse_sweep_records_a_numerical_failure_per_cell(tmp_path,
+                                                             monkeypatch):
+    step_plan = filters.step_plan
+
+    def failing(problem, kind, sigma_frob=None):
+        if problem.m == 2:
+            raise np.linalg.LinAlgError("singular HQH'+R")
+        return step_plan(problem, kind, sigma_frob)
+
+    monkeypatch.setattr(filters, "step_plan", failing)
+    stem = tmp_path / "sweep"
+    assert run_cli("--command", "collapse-sweep", "--kind", "optimal",
+                   "--sweep", "m", "--dims", "1,2,3", "--q", "1",
+                   "--r", "1", "--particles", "10", "--steps", "2",
+                   "--seeds", "1,2", "--out", str(stem)) == 0
+    cells = json.loads((tmp_path / "sweep.json").read_text())["cells"]
+    assert cells[1]["runs"] == [{"seed": 1, "error": "singular HQH'+R"},
+                                {"seed": 2, "error": "singular HQH'+R"}]
+    for cell in (cells[0], cells[2]):
+        assert [run["seed"] for run in cell["runs"]] == [1, 2]
+        assert "error" not in cell["runs"][0]
 
 
 def test_filter_validates_and_factors_once_per_problem(tmp_path,

@@ -1,3 +1,7 @@
+import os
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -829,3 +833,121 @@ def test_resample_into_out_buffer():
     got = resample(ens, [1, 2], out=out)
     assert got.positions is out
     np.testing.assert_array_equal(out, resample(ens, [1, 2]).positions)
+
+
+# ---------------------------------------------------------------------------
+# one-seed batches of a diagonal problem run on a thread per CPU
+
+_WIDE_M, _WIDE_N = 66, 1000  # N m >= BATCH_ELEMENTS: a batch per seed
+
+
+def _wide_diagonal_problem(kind) -> LinearGaussianProblem:
+    """Diagonal, m = 66, with one prior variance so wide that at N = 1000
+    every particle's first log-weight overflows for some draws: seeds 1
+    and 4 of 1..5 go degenerate at the first step, and the other three
+    run on."""
+    r = 2e-10
+    if kind == "sir":
+        q, wide = 1.0, r * 1.7e308 / 1.5e-6
+    else:
+        q, wide = r, r * 1.7e308 / 0.75e-6
+    eye = np.eye(_WIDE_M)
+    return LinearGaussianProblem(
+        A=eye, Q=q * eye, H=eye, R=r * eye, mu0=np.zeros(_WIDE_M),
+        Sigma0=np.diag([wide] + [1.0] * (_WIDE_M - 1)))
+
+
+def _cpus(monkeypatch, count):
+    """Make this process see ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+def _counting_pools(monkeypatch) -> list:
+    """The worker count of each thread pool that filters creates from now
+    on."""
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            super().__init__(max_workers, *args, **kwargs)
+            pools.append(max_workers)
+
+    monkeypatch.setattr(filters, "ThreadPoolExecutor", CountingPool)
+    return pools
+
+
+@pytest.mark.parametrize("kind", ["sir", "optimal"])
+def test_threaded_runs_do_not_depend_on_the_thread_count(kind, monkeypatch):
+    problem = _wide_diagonal_problem(kind)
+    assert step_plan(problem, kind).A_T.ndim == 1
+    seeds = [1, 2, 3, 4, 5]
+    pools = _counting_pools(monkeypatch)
+    _cpus(monkeypatch, 2)
+    # the workers' warnings reach the caller, and so does its errstate
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        run_filters(problem, kind, 4, _WIDE_N, [1, 2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cpus in (2, 3, 1):
+            _cpus(monkeypatch, cpus)
+            runs = run_filters(problem, kind, 4, _WIDE_N, seeds,
+                               resample_every=2)
+            assert [run.seed for run in runs] == seeds
+            assert [run.seed for run in runs if run.degenerate] == [1, 4]
+            for run in runs:
+                _assert_run_is_oracle(run, problem, kind, 4, _WIDE_N, 2)
+    assert pools == [2, 2, 3]
+
+
+def test_only_diagonal_one_seed_batches_use_threads(monkeypatch):
+    pools = _counting_pools(monkeypatch)
+    threads = threading.active_count()
+
+    def pools_made(cpus, problem, kind, N, seeds,
+                   batch=filters.BATCH_ELEMENTS) -> int:
+        _cpus(monkeypatch, cpus)
+        monkeypatch.setattr(filters, "BATCH_ELEMENTS", batch)
+        before = len(pools)
+        run_filters(problem, kind, 2, N, seeds)
+        assert threading.active_count() == threads  # no worker left
+        return len(pools) - before
+
+    wide = LinearGaussianProblem.isotropic(_WIDE_M, 0.5, 1.0)
+    dense = random_problem(np.random.default_rng(66), m=_WIDE_M)
+    small = LinearGaussianProblem.isotropic(3, 0.5, 1.0)
+    for kind in ("sir", "optimal"):
+        assert pools_made(2, dense, kind, _WIDE_N, [1, 2]) == 0
+        assert pools_made(2, small, kind, 60, [1, 2, 3]) == 0
+        assert pools_made(2, small, kind, 60, [1, 2, 3, 4],
+                          batch=2 * 60 * 3) == 0  # two batches of two
+        assert pools_made(2, wide, kind, _WIDE_N, [1]) == 0
+        assert pools_made(1, wide, kind, _WIDE_N, [1, 2]) == 0
+        assert pools_made(2, wide, kind, _WIDE_N, [1, 2]) == 1
+    assert pools == [2, 2]
+    # without an affinity call, the CPU count is os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    run_filters(wide, "sir", 2, _WIDE_N, [1, 2, 3, 4])
+    assert pools == [2, 2, 3]
+
+
+def test_failing_batch_propagates_and_cancels_the_rest(monkeypatch):
+    _cpus(monkeypatch, 2)
+    threads = threading.active_count()
+    started = []
+    run_batch = filters._run_batch
+
+    def failing(problem, plan, n_steps, N, seeds, resample_every):
+        started.extend(seeds)
+        if seeds == [1]:
+            raise RuntimeError("batch of seed 1 failed")
+        time.sleep(0.05)
+        return run_batch(problem, plan, n_steps, N, seeds, resample_every)
+
+    monkeypatch.setattr(filters, "_run_batch", failing)
+    problem = LinearGaussianProblem.isotropic(_WIDE_M, 0.5, 1.0)
+    seeds = list(range(1, 11))
+    with pytest.raises(RuntimeError, match="seed 1 failed"):
+        run_filters(problem, "sir", 2, _WIDE_N, seeds)
+    assert 1 in started and len(started) < len(seeds)
+    assert threading.active_count() == threads
