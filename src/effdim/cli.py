@@ -427,8 +427,13 @@ def _cmd_smooth(args) -> int:
     observations = trajectory.observations
     n = observations.shape[0]
     posterior = smoothing.weak_precision(problem, n)
-    mode = smoothing.weak_mode(problem, observations).reshape(n + 1,
-                                                              problem.m)
+    try:
+        mode = smoothing.weak_mode(problem, observations)
+    except np.linalg.LinAlgError:
+        raise  # a numerical failure, not bad input
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    mode = mode.reshape(n + 1, problem.m)
     condition = smoothing.smoother_condition(problem)
     conditions = balance.general_sufficient_conditions(
         problem, constant=args.balance_constant, **dare)

@@ -12,9 +12,9 @@ comparison used throughout, and JSON round-tripping.
 A matrix is stored in one of two forms: dense (2-D), or, when it is
 exactly diagonal, as its 1-D diagonal.  :func:`storage` picks the
 diagonal form when every matrix a computation uses is diagonal, and the
-product, inverse, solve and factor helpers below accept either form, so
-each computation is written once and runs in O(m) per vector on
-diagonal problems.  The diagonal form repeats the dense form's
+product, inverse and factor helpers below accept either form, so each
+computation is written once and runs in O(m) per vector on diagonal
+problems.  The diagonal form repeats the dense form's
 arithmetic bit for bit wherever LAPACK's result on a diagonal matrix is
 itself exact; the exception is an eigendecomposition, which sorts the
 eigenvalues (see :func:`psd_factor`).
@@ -207,21 +207,6 @@ def inverse(M) -> np.ndarray:
     if M.ndim == 1:
         return 1.0 / M
     return np.linalg.inv(M)
-
-
-def solve(M, B, matrix: bool = False) -> np.ndarray:
-    """M^{-1} B by LU, for a vector B or, with ``matrix``, a matrix B.
-
-    B is in M's storage form, so for a diagonal M a diagonal matrix B and
-    a vector B are both 1-D, and ``matrix`` tells them apart.  A diagonal
-    M repeats LU's arithmetic on diag(M): one right-hand side is divided
-    by the pivots, two or more are multiplied by their reciprocals.
-    """
-    if M.ndim != 1:
-        return np.linalg.solve(M, B)
-    if matrix and M.size > 1:
-        return B * (1.0 / M)
-    return B / M
 
 
 def cholesky(M) -> np.ndarray:

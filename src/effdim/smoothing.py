@@ -12,15 +12,19 @@ whose precision is block tridiagonal with diagonal blocks
     Sigma0^{-1} + A'Q^{-1}A,   Q^{-1} + A'Q^{-1}A + H'R^{-1}H,   Q^{-1} + H'R^{-1}H
 
 (first, interior, last) and off-diagonal blocks -A'Q^{-1} / -Q^{-1}A.
-Both the 4D-Var estimate and the smoothing answer ||Sigma||_F start from
-the forward Schur complements of this precision.  The mode (= mean in the
-linear case) follows by block elimination.  ||Sigma||_F is exact at
-O(n m^3) cost without a dense inverse, by the block recursion for
-inverses of block-tridiagonal matrices (Meurant, SIAM J. Matrix Anal.
-Appl. 13, 1992) with the Rauch-Tung-Striebel smoother gains.
-The optimal particle smoother draws exact samples from the posterior
-through a block Cholesky factor of the precision, so its importance
-weights are uniform by construction.
+Every weak-constraint answer reads one factorization of this precision:
+its block-bidiagonal Cholesky factor L, whose diagonal blocks factor the
+forward Schur complements S_i (:func:`_block_cholesky`).
+
+- ||Sigma||_F is exact at O(n m^3) cost without a dense inverse: the
+  S_i^{-1} = L_i^{-T} L_i^{-1} feed the block recursion for inverses of
+  block-tridiagonal matrices (Meurant, SIAM J. Matrix Anal. Appl. 13,
+  1992) with the Rauch-Tung-Striebel smoother gains.
+- The 4D-Var mode (= mean in the linear case) is a forward substitution
+  through L and a back substitution through L'.
+- The optimal particle smoother back-substitutes standard normal noise
+  through L' and adds the mode, so it draws exact samples from the
+  posterior and its importance weights are uniform by construction.
 
 When A, Q, H, R and Sigma0 are all diagonal, so is every block, and the
 weak-constraint computations store each block as its 1-D diagonal and
@@ -35,7 +39,7 @@ import numpy as np
 
 from .balance import ConditionCheck, MapKind, BalanceMap, build_map
 from .model import (LinearGaussianProblem, SymMatrix, cholesky, frobenius,
-                    inverse, mul, pd_inverse, solve, storage, sym)
+                    inverse, mul, pd_inverse, storage, sym)
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,21 @@ class WeakConstraintPosterior:
         return self.diag_blocks.shape[0] - 1
 
 
+def _observations(problem: LinearGaussianProblem, observations) -> np.ndarray:
+    """The data z^1..z^n as a finite (n, k) float array.
+
+    One data set may come as a row of k numbers.  Raises ValueError for
+    any other shape, and for NaN or infinite entries.
+    """
+    z = np.atleast_2d(np.asarray(observations, dtype=float))
+    if z.ndim != 2 or z.shape[1] != problem.k:
+        raise ValueError(f"observations must be rows of {problem.k} numbers, "
+                         f"got shape {np.shape(observations)}")
+    if not np.isfinite(z).all():
+        raise ValueError("observations have non-finite entries")
+    return z
+
+
 def strong_precision(problem: LinearGaussianProblem,
                      n: int) -> StrongConstraintPosterior:
     """Assemble the strong-constraint posterior for n data sets.
@@ -98,7 +117,7 @@ def strong_precision(problem: LinearGaussianProblem,
 def strong_mean(problem: LinearGaussianProblem, observations,
                 posterior: StrongConstraintPosterior | None = None) -> np.ndarray:
     """Posterior mean of x^0 given observations under the strong constraint."""
-    observations = np.atleast_2d(np.asarray(observations, dtype=float))
+    observations = _observations(problem, observations)
     n = observations.shape[0]
     if posterior is None:
         posterior = strong_precision(problem, n)
@@ -127,11 +146,9 @@ def sir_smoother_log_weight(problem: LinearGaussianProblem, x0,
     phi = 0.5 sum_j (z^j - H A^j x0)' R^{-1} (z^j - H A^j x0).
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    observations = np.atleast_2d(np.asarray(observations, dtype=float))
     if x0.shape != (problem.m,):
         raise ValueError(f"x0 must have length {problem.m}")
-    if observations.shape[1] != problem.k:
-        raise ValueError(f"observations must have {problem.k} columns")
+    observations = _observations(problem, observations)
     R_inv = pd_inverse(problem.R, "R singular")
     phi = 0.0
     x = x0
@@ -171,23 +188,31 @@ def _weak_blocks(problem: LinearGaussianProblem, n: int):
     return diag, off, H, S0_inv, R_inv
 
 
-def _forward_schur(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Forward Schur complements of a block-tridiagonal SPD matrix.
+def _block_cholesky(diag: np.ndarray, off: np.ndarray):
+    """Block-bidiagonal Cholesky factor L of a block-tridiagonal SPD matrix.
 
-    S_0 = D_0 and S_i = D_i - off S_{i-1}^{-1} off' for diagonal blocks D_i.
+    The one block recursion of this module.  L's diagonal blocks L_i
+    factor the forward Schur complements S_0 = D_0 and
+    S_i = D_i - off S_{i-1}^{-1} off' = D_i - E E', where E = off L_{i-1}^{-T}
+    is L's sub-diagonal block.  Returns (L_inv, L_sub): the inverses
+    L_i^{-1}, and the sub-diagonal blocks L_sub[i] = off L_inv[i]'.
     """
-    S = np.empty_like(diag)
-    S[0] = diag[0]
-    for i in range(1, diag.shape[0]):
-        S[i] = diag[i] - mul(off, solve(S[i - 1], off.T, matrix=True))
-    return S
+    n1 = diag.shape[0]
+    L_inv = np.empty_like(diag)
+    L_sub = np.empty((n1 - 1,) + off.shape)
+    L_inv[0] = inverse(cholesky(diag[0]))
+    for i in range(1, n1):
+        E = L_sub[i - 1] = mul(off, L_inv[i - 1].T)
+        L_inv[i] = inverse(cholesky(diag[i] - mul(E, E.T)))
+    return L_inv, L_sub
 
 
 def weak_precision(problem: LinearGaussianProblem,
                    n: int) -> WeakConstraintPosterior:
     """Assemble the block-tridiagonal trajectory precision for n data sets.
 
-    ``frob_cov`` is exact, in O(n m^3).  With the gains C_i = -S_i^{-1} off',
+    ``frob_cov`` is exact, in O(n m^3), from the block Cholesky factor:
+    S_i^{-1} = L_i^{-T} L_i^{-1}.  With the gains C_i = -S_i^{-1} off',
     the diagonal blocks of the covariance run backward, Sigma_nn = S_n^{-1}
     and Sigma_ii = S_i^{-1} + C_i Sigma_{i+1,i+1} C_i'.  The blocks above
     the diagonal in column i are Sigma_ji = C_j ... C_{i-1} Sigma_ii, so
@@ -195,7 +220,8 @@ def weak_precision(problem: LinearGaussianProblem,
     W_i = C_{i-1}' (I + W_{i-1}) C_{i-1}.  Diagonal blocks take O(n m).
     """
     diag, off, _, _, _ = _weak_blocks(problem, n)
-    S_inv = np.array([inverse(S) for S in _forward_schur(diag, off)])
+    L_inv, _ = _block_cholesky(diag, off)
+    S_inv = np.array([mul(Li.T, Li) for Li in L_inv])
     C = mul(-S_inv[:-1], off.T)
     sigma = np.empty_like(S_inv)
     sigma[-1] = S_inv[-1]
@@ -214,31 +240,38 @@ def weak_precision(problem: LinearGaussianProblem,
                                    frob_cov=frob_cov)
 
 
-def _weak_rhs(problem: LinearGaussianProblem, observations: np.ndarray,
-              H: np.ndarray, S0_inv: np.ndarray,
-              R_inv: np.ndarray) -> np.ndarray:
+def _back_substitute(L_inv: np.ndarray, L_sub: np.ndarray,
+                     y: np.ndarray) -> np.ndarray:
+    """Solve L' x = y in place, for y of shape (..., n+1, m).
+
+    Runs blockwise from the last block back, across every leading index
+    at once: block i + 1 of y already holds x when block i needs it.
+    """
+    n = L_inv.shape[0] - 1
+    y[..., n, :] = mul(y[..., n, :], L_inv[n])
+    for i in range(n - 1, -1, -1):
+        t = mul(y[..., i + 1, :], L_sub[i])
+        np.subtract(y[..., i, :], t, out=t)
+        y[..., i, :] = mul(t, L_inv[i], out=t)
+    return y
+
+
+def _weak_solution(problem: LinearGaussianProblem, observations: np.ndarray):
+    """The block Cholesky factor of the weak precision, and the mode.
+
+    The mode solves L L' x = b for the stacked data term b, by forward
+    substitution L y = b and back substitution L' x = y.  Returns
+    (L_inv, L_sub, mode) with the mode of shape (n+1, m).
+    """
     n = observations.shape[0]
-    m = problem.m
-    rhs = np.zeros((n + 1, m))
-    rhs[0] = mul(problem.mu0, S0_inv.T)
-    for j in range(1, n + 1):
-        rhs[j] = mul(mul(observations[j - 1], R_inv.T), H)
-    return rhs
-
-
-def _block_thomas_solve(diag: np.ndarray, off: np.ndarray,
-                        rhs: np.ndarray) -> np.ndarray:
-    """Solve the block-tridiagonal system by forward elimination."""
-    n1 = diag.shape[0]
-    S = _forward_schur(diag, off)
-    c = rhs.copy()
-    for i in range(1, n1):
-        c[i] = c[i] - mul(solve(S[i - 1], c[i - 1]), off.T)
-    x = np.empty_like(rhs)
-    x[n1 - 1] = solve(S[n1 - 1], c[n1 - 1])
-    for i in range(n1 - 2, -1, -1):
-        x[i] = solve(S[i], c[i] - mul(x[i + 1], off))
-    return x
+    diag, off, H, S0_inv, R_inv = _weak_blocks(problem, n)
+    L_inv, L_sub = _block_cholesky(diag, off)
+    y = np.empty((n + 1, problem.m))
+    y[0] = mul(mul(problem.mu0, S0_inv.T), L_inv[0].T)
+    for i in range(1, n + 1):
+        b = mul(mul(observations[i - 1], R_inv.T), H)
+        y[i] = mul(b - mul(y[i - 1], L_sub[i - 1].T), L_inv[i].T)
+    return L_inv, L_sub, _back_substitute(L_inv, L_sub, y)
 
 
 def weak_mode(problem: LinearGaussianProblem, observations) -> np.ndarray:
@@ -246,28 +279,8 @@ def weak_mode(problem: LinearGaussianProblem, observations) -> np.ndarray:
 
     Returns the stacked vector (x^0, ..., x^n) of length (n+1)*m.
     """
-    observations = np.atleast_2d(np.asarray(observations, dtype=float))
-    n = observations.shape[0]
-    diag, off, H, S0_inv, R_inv = _weak_blocks(problem, n)
-    rhs = _weak_rhs(problem, observations, H, S0_inv, R_inv)
-    x = _block_thomas_solve(diag, off, rhs)
-    return x.reshape(-1)
-
-
-def _block_cholesky(diag: np.ndarray, off: np.ndarray):
-    """Block-bidiagonal Cholesky factor L of a block-tridiagonal SPD matrix.
-
-    Returns (L_inv, L_sub): the inverses of L's lower triangular diagonal
-    blocks, and its sub-diagonal blocks L_sub[i] = off L_inv[i]'.
-    """
-    n1 = diag.shape[0]
-    L_inv = np.empty_like(diag)
-    L_sub = np.empty((n1 - 1,) + off.shape)
-    L_inv[0] = inverse(cholesky(diag[0]))
-    for i in range(1, n1):
-        E = L_sub[i - 1] = mul(off, L_inv[i - 1].T)
-        L_inv[i] = inverse(cholesky(diag[i] - mul(E, E.T)))
-    return L_inv, L_sub
+    observations = _observations(problem, observations)
+    return _weak_solution(problem, observations)[2].reshape(-1)
 
 
 def optimal_smoother_sample(problem: LinearGaussianProblem, observations,
@@ -280,7 +293,7 @@ def optimal_smoother_sample(problem: LinearGaussianProblem, observations,
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    observations = np.atleast_2d(np.asarray(observations, dtype=float))
+    observations = _observations(problem, observations)
     n = observations.shape[0]
     rng = np.random.default_rng(seed)
     if constraint == "strong":
@@ -290,20 +303,10 @@ def optimal_smoother_sample(problem: LinearGaussianProblem, observations,
         xi = rng.standard_normal((N, problem.m))
         samples = mean + xi @ np.linalg.inv(L)  # rows y with L' y' = xi'
     elif constraint == "weak":
-        diag, off, H, S0_inv, R_inv = _weak_blocks(problem, n)
-        rhs = _weak_rhs(problem, observations, H, S0_inv, R_inv)
-        mode = _block_thomas_solve(diag, off, rhs).reshape(-1)
-        L_inv, L_sub = _block_cholesky(diag, off)
+        L_inv, L_sub, mode = _weak_solution(problem, observations)
         xi = rng.standard_normal((N, n + 1, problem.m))
-        # backward substitution on L' y = xi, blockwise across all samples,
-        # in place: block i + 1 of xi already holds y when block i needs it
-        xi[:, n] = mul(xi[:, n], L_inv[n])
-        for i in range(n - 1, -1, -1):
-            y = mul(xi[:, i + 1], L_sub[i])
-            np.subtract(xi[:, i], y, out=y)
-            xi[:, i] = mul(y, L_inv[i], out=y)
-        samples = xi.reshape(N, -1)
-        samples += mode
+        samples = _back_substitute(L_inv, L_sub, xi).reshape(N, -1)
+        samples += mode.reshape(-1)
     else:
         raise ValueError("constraint must be 'weak' or 'strong'")
     return samples, np.full(N, 1.0 / N)

@@ -222,6 +222,23 @@ def test_smooth_command_with_trajectory_file(tmp_path):
     assert x1 == pytest.approx(2.0 * z / 3.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("observations", [
+    [[1.0, 2.0, 3.0]], [], [[1.0, float("nan")]]],
+    ids=["wide", "empty", "nan"])
+def test_smooth_rejects_malformed_trajectory(observations, tmp_path, capsys):
+    ppath = tmp_path / "problem.json"
+    save_problem(LinearGaussianProblem.isotropic(2, 1.0, 1.0), ppath)
+    tpath = tmp_path / "traj.json"
+    tpath.write_text(json.dumps({"truth": [[0.0, 0.0]],
+                                 "observations": observations, "seed": 1}))
+    stem = tmp_path / "smooth"
+    assert run_cli("--command", "smooth", "--problem", str(ppath),
+                   "--trajectory", str(tpath), "--out", str(stem)) == 2
+    assert "input error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json",
+                                                          "traj.json"]
+
+
 def test_smooth_command_simulates_without_trajectory(tmp_path):
     stem = tmp_path / "smooth"
     code = run_cli("--command", "smooth", "--m", "2", "--q", "0.5",

@@ -109,18 +109,6 @@ def test_diagonal_smoothing_equals_dense_bit_for_bit(m, q):
     assert post.frob_cov == pytest.approx(post_ref.frob_cov, rel=1e-14)
 
 
-@pytest.fixture
-def count_linalg(monkeypatch):
-    """Count every call into numpy.linalg."""
-    calls = []
-    for name in dir(np.linalg):
-        fn = getattr(np.linalg, name)
-        if callable(fn) and not isinstance(fn, type) and not name.startswith("_"):
-            monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, _n=name,
-                                **k: calls.append(_n) or _fn(*a, **k))
-    return calls
-
-
 def test_diagonal_problems_make_no_linalg_call(count_linalg):
     problem = LinearGaussianProblem(
         A=np.diag([0.9, -1.2, 1.0]), Q=np.diag([0.5, 2.0, 1.0]),

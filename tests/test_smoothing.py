@@ -314,6 +314,35 @@ def test_weak_mode_equals_conditional_mean_oracle():
     assert np.linalg.norm(mode - mean_ref) <= 1e-8
 
 
+@pytest.mark.parametrize("observations", [
+    np.zeros((3, 3)), np.zeros((0,)), np.array([[0.5, np.nan]]),
+    np.array([[np.inf, 0.5]]), np.zeros((2, 1, 2))],
+    ids=["wide", "empty", "nan", "inf", "3-d"])
+def test_smoothers_reject_malformed_observations(observations):
+    problem = random_problem(np.random.default_rng(97), m=3, k=2)
+    calls = [lambda: weak_mode(problem, observations),
+             lambda: optimal_smoother_sample(problem, observations, 4, 1),
+             lambda: strong_mean(problem, observations),
+             lambda: sir_smoother_log_weight(problem, np.zeros(3),
+                                             observations)]
+    for call in calls:
+        with pytest.raises(ValueError, match="observations"):
+            call()
+
+
+def test_weak_smoothing_factors_the_precision_once(count_linalg):
+    problem = random_problem(np.random.default_rng(101), m=3, k=2)
+    n = 4
+    observations = simulate(problem, n, seed=3).observations
+    for call in (lambda: weak_mode(problem, observations),
+                 lambda: optimal_smoother_sample(problem, observations, 8,
+                                                 seed=5, constraint="weak")):
+        count_linalg.clear()
+        call()
+        assert count_linalg.count("cholesky") == n + 1
+        assert "solve" not in count_linalg
+
+
 def test_strong_is_schur_complement_of_weak_at_vanishing_q():
     rng = np.random.default_rng(61)
     problem = random_problem(rng, m=2, k=2)
