@@ -426,9 +426,8 @@ def _cmd_smooth(args) -> int:
                        "n_steps": args.steps}
     observations = trajectory.observations
     n = observations.shape[0]
-    posterior = smoothing.weak_precision(problem, n)
     try:
-        mode = smoothing.weak_mode(problem, observations)
+        posterior, mode = smoothing.weak_smoothing(problem, observations)
     except np.linalg.LinAlgError:
         raise  # a numerical failure, not bad input
     except ValueError as exc:

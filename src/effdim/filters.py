@@ -21,10 +21,21 @@ and the variance of the log-weights; the theoretical collapse statistic
 
 with P the steady-state Kalman posterior covariance.
 
-Noise streams derive from (seed, stage tag, step); the row index of each
-vectorized draw is the particle index, so results do not depend on
-scheduling.  Resampling is systematic (lowest variance of the standard
-schemes).
+Noise streams derive from (seed, stage tag, step).  In a run, seed s
+draws the noise of stage ``tag`` at step n from
+
+    np.random.default_rng(np.random.SeedSequence(entropy=s,
+                                                 spawn_key=(tag, n)))
+
+with tag 2 for the move and tag 3 for resampling; the truth and data
+come from spawn_key=(0,) and the initial ensemble from spawn_key=(1,).
+For seeds in [0, 2^32) a run derives the PCG64 states of all these
+generators in bulk, with SeedSequence's hashing as uint32 array
+arithmetic and the setseq seeding of PCG64, and sets them in turn on
+one generator; the states, and so the draws, are the ones numpy's own
+seeding gives.  The row index of each vectorized draw is the particle
+index, so results do not depend on scheduling.  Resampling is systematic
+(lowest variance of the standard schemes).
 
 The seeds of one problem run together: :func:`run_filters` stacks the
 ensembles of S seeds on a leading axis, positions (S, N, m) and
@@ -67,6 +78,11 @@ _TAG_INIT = 1
 _TAG_STEP = 2
 _TAG_RESAMPLE = 3
 
+# Fewest generators a batch derives in bulk (see _Streams).  The bulk
+# pass costs about as much as ten generators made one by one, and about
+# a fifth of one for each generator it derives.
+BULK_GENERATORS = 12
+
 # Largest S * N * m of one batch of seeds.  A batch pays each step's
 # Python work once for all its seeds: timed on collapse-sweep cells, 8
 # seeds ran 20-40 % faster in batches, and two seeds of N m = 10^5 ran
@@ -85,22 +101,164 @@ class WeightCollapseError(RuntimeError):
 
 
 def _rng(seed, *key) -> np.random.Generator:
-    if isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+    """The generator of ``seed`` and spawn ``key``; a Generator is its own,
+    a SeedSequence makes one without the key."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
     return np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed),
                                spawn_key=tuple(int(k) for k in key)))
 
 
-def _generators(seed, positions: np.ndarray) -> list:
-    """The generator of each ensemble in ``positions``: ``seed`` for an
-    (N, m) ensemble, ``seed[s]`` for row s of an (S, N, m) batch."""
-    return [_rng(s) for s in (seed if positions.ndim == 3 else (seed,))]
+# numpy's SeedSequence: the hash constants of its pool mixing (A) and of
+# its output (B), its mixing multipliers, and its shift
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count`` hash constants start * mult^i mod 2^32, as a
+    (count, 1) uint32 column."""
+    out = [start]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _seed_words(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``SeedSequence(...).generate_state(4, np.uint64)`` of each column of
+    ``entropy``, an (L, K) uint32 array of assembled entropy.
+
+    Column k holds ``lengths[k]`` >= 4 words, in its leading rows, and
+    the lengths do not increase from column to column.  SeedSequence's
+    pool mixing and output hashing run on every column at once, as uint32
+    array arithmetic, which wraps modulo 2^32.  Each hash takes the next
+    constant of a fixed sequence, so the hashes of one word into the
+    several words of the pool are one array operation.  Returns (K, 4)
+    uint64 words.
+    """
+    consts = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy) + 1)
+    used = 0
+
+    def hashmix(values, count):
+        # ``count`` hashes of ``values``, with the next count constants
+        nonlocal used
+        out = values ^ consts[used:used + count]
+        out *= consts[used + 1:used + count + 1]
+        out ^= out >> _XSHIFT
+        used += count
+        return out
+
+    def mix(x, y):
+        out = x * _MIX_MULT_L
+        out -= y * _MIX_MULT_R
+        out ^= out >> _XSHIFT
+        return out
+
+    pool = hashmix(entropy[:4], 4)
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
+    for word in range(4, len(entropy)):
+        cols = np.count_nonzero(lengths > word)
+        pool[:, :cols] = mix(pool[:, :cols], hashmix(entropy[word, :cols], 4))
+    consts = _hash_constants(_INIT_B, _MULT_B, 9)
+    state = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ consts[:8]
+    state *= consts[1:]
+    state ^= state >> _XSHIFT
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(
+        np.uint64)
+
+
+def _pcg_states(words: np.ndarray) -> list:
+    """PCG64's (state, inc) from each row of (K, 4) seed words.
+
+    The setseq seeding of ``PCG64.__init__``: initstate is words 0-1 and
+    initseq words 2-3, high word first; inc = (initseq << 1) | 1 and
+    state = ((inc + initstate) MULT + inc) mod 2^128.
+    """
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in words.tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append(((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc)
+                       & _MASK128, inc))
+    return states
+
+
+class _Streams:
+    """The noise generators of a batch's seeds, one per seed and spawn key.
+
+    Seed s with key k draws from ``_rng(s, *k)``.  For each seed in
+    [0, 2^32), the PCG64 states of the ``keys`` given come from one bulk
+    pass of SeedSequence's hashing (:func:`_seed_words`) and are set in
+    turn on the batch's one generator, when that makes at least
+    BULK_GENERATORS of them; any other seed or key builds its generator
+    with :func:`_rng`.
+    """
+
+    def __init__(self, seeds, keys=()):
+        self.seeds = seeds
+        self._states = {}
+        small = [i for i, seed in enumerate(seeds)
+                 if isinstance(seed, int) and 0 <= seed < 2 ** 32]
+        if len(small) * len(keys) < BULK_GENERATORS:
+            return
+        self._bit_generator = np.random.PCG64(0)
+        self._generator = np.random.Generator(self._bit_generator)
+        self._state = {"bit_generator": "PCG64",
+                       "state": {"state": 0, "inc": 0},
+                       "has_uint32": 0, "uinteger": 0}
+        # SeedSequence pads a one-word entropy to its pool of 4 words
+        # before the spawn key; the longest keys come first
+        keys = sorted(keys, key=len, reverse=True)
+        width = len(keys[0])
+        entropy = np.zeros((4 + width, len(keys), len(small)),
+                           dtype=np.uint32)
+        entropy[0] = [seeds[i] for i in small]
+        entropy[4:] = np.array([key + (0,) * (width - len(key))
+                                for key in keys], dtype=np.uint32).T[..., None]
+        lengths = np.repeat([4 + len(key) for key in keys], len(small))
+        states = iter(_pcg_states(_seed_words(
+            entropy.reshape(len(entropy), -1), lengths)))
+        for key in keys:
+            row = self._states[key] = [None] * len(seeds)
+            for i in small:
+                row[i] = next(states)
+
+    def generators(self, key, rows=None):
+        """The generators of ``rows`` (default all seeds) for spawn
+        ``key``, each made as it is drawn from: a seed's generator is valid
+        until the next is taken."""
+        states = self._states.get(key)
+        for i in range(len(self.seeds)) if rows is None else rows:
+            if states is None or states[i] is None:
+                yield _rng(self.seeds[i], *key)
+            else:
+                self._state["state"]["state"], \
+                    self._state["state"]["inc"] = states[i]
+                self._bit_generator.state = self._state
+                yield self._generator
+
+
+def _generators(seed, positions: np.ndarray):
+    """The generator of each ensemble in ``positions``, made as it is
+    drawn from: ``seed`` for an (N, m) ensemble, ``seed[s]`` for row s of
+    an (S, N, m) batch.  A run passes its streams' generators."""
+    return map(_rng, seed if positions.ndim == 3 else (seed,))
 
 
 def _normals(generators, out: np.ndarray) -> np.ndarray:
-    """Standard normals into ``out``, row s from ``generators[s]``."""
-    rows = out.reshape(len(generators), -1)
+    """Standard normals into ``out``, each (N, m) ensemble from the next
+    of ``generators``."""
+    rows = out.reshape(-1, out.shape[-2] * out.shape[-1])
     for rng, row in zip(generators, rows, strict=True):
         rng.standard_normal(out=row)
     return out
@@ -181,20 +339,21 @@ def _model_factors(problem: LinearGaussianProblem) -> tuple:
 
 
 def _simulate(mu0: np.ndarray, factors: tuple, n_steps: int,
-              seeds) -> list[TrajectoryData]:
-    """One trajectory per seed, the seeds' states stacked as (S, 1, m).
+              streams: _Streams) -> list[TrajectoryData]:
+    """One trajectory per seed of ``streams``, the seeds' states stacked
+    as (S, 1, m).
 
     Each seed draws x^0, then every model noise, then every data noise,
     from its own stream; the (1, m) rows keep every product a
     vector-matrix product, as for one seed alone.
     """
     A_T, H_T, L0_T, Lq_T, Lr_T = factors
+    seeds = streams.seeds
     S, m, k = len(seeds), mu0.size, Lr_T.shape[0]
     x0 = np.empty((S, 1, m))
     w = np.empty((S, n_steps, m))
     v = np.empty((S, n_steps, k))
-    for s, seed in enumerate(seeds):
-        rng = _rng(seed, _TAG_SIM)
+    for s, rng in enumerate(streams.generators((_TAG_SIM,))):
         for out in (x0[s], w[s], v[s]):
             rng.standard_normal(out=out)
     truth = np.empty((S, n_steps + 1, m))
@@ -216,7 +375,7 @@ def simulate(problem: LinearGaussianProblem, n_steps: int,
         raise ValueError("n_steps must be >= 1")
     _check(problem)
     return _simulate(problem.mu0, _model_factors(problem), n_steps,
-                     [seed])[0]
+                     _Streams([seed]))[0]
 
 
 def _prior_factor(problem: LinearGaussianProblem) -> np.ndarray:
@@ -226,11 +385,12 @@ def _prior_factor(problem: LinearGaussianProblem) -> np.ndarray:
 
 
 def _prior_positions(mu0: np.ndarray, prior_T: np.ndarray, N: int,
-                     seeds) -> np.ndarray:
-    """(S, N, m) draws from N(mu0, Sigma0), row s from seed s."""
-    noise = _normals([_rng(seed, _TAG_INIT) for seed in seeds],
-                     np.empty((len(seeds), N, mu0.size)))
-    positions = mul(noise, prior_T, out=noise)
+                     streams: _Streams) -> np.ndarray:
+    """(S, N, m) draws from N(mu0, Sigma0), row s from seed s of
+    ``streams``."""
+    noise = _normals(streams.generators((_TAG_INIT,)),
+                     np.empty((len(streams.seeds), N, mu0.size)))
+    positions = mul(noise, prior_T, out=noise, finite=True)
     positions += mu0
     return positions
 
@@ -241,7 +401,7 @@ def init_ensemble(problem: LinearGaussianProblem, N: int,
     if N < 1:
         raise ValueError("N must be >= 1")
     positions = _prior_positions(problem.mu0, _prior_factor(problem), N,
-                                 [seed])[0]
+                                 _Streams([seed]))[0]
     return ParticleEnsemble(step=0, positions=positions,
                             log_weights=np.full(N, -np.log(N)),
                             normalized=True)
@@ -370,12 +530,20 @@ def _log_likelihood(x, z, obs_T, W_inv, innov, work):
     -0.5 innov' W_inv innov, with ``work`` as scratch.
 
     ``z`` is one row per ensemble of ``x``, shaped to broadcast against
-    its particles.
+    its particles.  The products skip :func:`effdim.model.mul`'s
+    finiteness scan: an inf or NaN in x or in the innovations leaves its
+    particle's log-weight inf or NaN, and only then are they redone on
+    the guarded path.  So finite log-weights vouch for finite innovations
+    and, with a diagonal obs_T, for finite x.
     """
-    mul(x, obs_T, out=innov)
-    np.subtract(z, innov, out=innov)
-    return -0.5 * np.einsum("...j,...j->...", innov,
-                            mul(innov, W_inv, out=work))
+    for finite in (True, False):
+        mul(x, obs_T, out=innov, finite=finite)
+        np.subtract(z, innov, out=innov)
+        incr = -0.5 * np.einsum("...j,...j->...", innov,
+                                mul(innov, W_inv, out=work, finite=finite))
+        if np.isfinite(incr).all():
+            break
+    return incr
 
 
 def _observation_rows(z) -> np.ndarray:
@@ -400,8 +568,10 @@ def sir_step(problem: LinearGaussianProblem, ensemble: ParticleEnsemble,
     plan = plan or step_plan(problem, FilterKind.SIR, float("nan"))
     x = ensemble.positions
     positions, noise, scratch = _workspace(work, x, 3)
-    mul(_normals(_generators(seed, x), scratch), plan.L_T, out=noise)
-    mul(x, plan.A_T, out=positions)
+    # standard normals are finite; the positions are scanned once
+    mul(_normals(_generators(seed, x), scratch), plan.L_T, out=noise,
+        finite=True)
+    mul(x, plan.A_T, out=positions, finite=np.isfinite(x).all())
     positions += noise
     k = z.shape[-1]
     incr = _log_likelihood(positions, z, plan.H_T, plan.R_inv,
@@ -435,16 +605,18 @@ def optimal_step(problem: LinearGaussianProblem, ensemble: ParticleEnsemble,
     innov = _head(noise, z.shape[-1])
     incr = _log_likelihood(x, z, plan.HA_T, plan.S_inv, innov,
                            _head(positions, z.shape[-1]))
+    # finite log-weights vouch for x and the innovations
+    finite = np.isfinite(incr).all()
     if plan.G_T is None:
         # Sigma_o (H' (R^{-1} z)) as a row vector, in that association
         data = mul(mul(mul(z, plan.R_inv.T), plan.H_T.T), plan.Sigma_o.T)
-        mul(x, plan.mean_T, out=positions)
+        mul(x, plan.mean_T, out=positions, finite=finite)
         positions += data
     else:
-        mul(x, plan.A_T, out=positions)
-        positions += mul(innov, plan.G_T, out=noise)
+        mul(x, plan.A_T, out=positions, finite=finite)
+        positions += mul(innov, plan.G_T, out=noise, finite=finite)
     positions += mul(_normals(_generators(seed, x), noise), plan.L_T,
-                     out=noise)
+                     out=noise, finite=True)
     return ParticleEnsemble(step=ensemble.step + 1, positions=positions,
                             log_weights=ensemble.log_weights + incr,
                             normalized=False)
@@ -633,15 +805,20 @@ def _run_batch(problem: LinearGaussianProblem, plan: StepPlan, n_steps: int,
     ``live`` maps the batch's rows to seeds; a seed whose total weight
     underflows leaves it.  The batch keeps four (S, N, m) buffers, one of
     which holds the positions; the steps and resampling work in the
-    others.
+    others.  Every draw comes from the batch's own streams, derived at
+    the start for every step it may reach.
     """
     kind = plan.kind
     step_fn = sir_step if kind is FilterKind.SIR else optimal_step
-    trajectories = _simulate(problem.mu0, plan.model, n_steps, seeds)
+    streams = _Streams(seeds, [(_TAG_SIM,), (_TAG_INIT,)]
+                       + [(_TAG_STEP, n) for n in range(n_steps)]
+                       + [(_TAG_RESAMPLE, n) for n in range(
+                           resample_every - 1, n_steps, resample_every)])
+    trajectories = _simulate(problem.mu0, plan.model, n_steps, streams)
     observations = np.stack([t.observations for t in trajectories])
     ensemble = ParticleEnsemble(
         step=0, positions=_prior_positions(problem.mu0, plan.prior_T, N,
-                                           seeds),
+                                           streams),
         log_weights=np.full((len(seeds), N), -np.log(N)), normalized=True)
     buffers = _buffers(ensemble.positions)
     reports: list[list[CollapseReport]] = [[] for _ in seeds]
@@ -650,7 +827,7 @@ def _run_batch(problem: LinearGaussianProblem, plan: StepPlan, n_steps: int,
     for n in range(n_steps):
         ensemble = step_fn(
             problem, ensemble, observations[live, n],
-            [_rng(seeds[i], _TAG_STEP, n) for i in live], plan=plan,
+            streams.generators((_TAG_STEP, n), live), plan=plan,
             work=_free(buffers, ensemble.positions))
         totals = logsumexp(ensemble.log_weights)
         dead = ~np.isfinite(totals)
@@ -676,7 +853,7 @@ def _run_batch(problem: LinearGaussianProblem, plan: StepPlan, n_steps: int,
             reports[i].append(report)
         if (n + 1) % resample_every == 0:
             ensemble = resample(
-                norm, [_rng(seeds[i], _TAG_RESAMPLE, n) for i in live],
+                norm, streams.generators((_TAG_RESAMPLE, n), live),
                 out=_free(buffers, norm.positions)[0])
         else:
             ensemble = norm

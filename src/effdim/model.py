@@ -179,19 +179,21 @@ def storage(*matrices) -> tuple:
     return tuple(diagonals)
 
 
-def mul(x, M, out=None) -> np.ndarray:
+def mul(x, M, out=None, finite=False) -> np.ndarray:
     """x @ M, where a 1-D M stands for the diagonal matrix diag(M).
 
     x is a vector, a stack of row vectors, or a matrix in M's form;
     ``out``, which may be x itself, receives the product.  The
     elementwise product keeps the matmul's bits: matmul sums into +0.0,
     so a zero product is +0.0, never -0.0; and a row of x holding inf or
-    NaN gets the matmul's row, where inf * 0 spreads NaN.
+    NaN gets the matmul's row, where inf * 0 spreads NaN.  A caller that
+    knows x to be finite says so with ``finite=True``, which spares the
+    scan for inf and NaN.
     """
     if M.ndim != 1:
         return np.matmul(x, M, out=out)
     fix = None
-    if not np.isfinite(x).all():
+    if not finite and not np.isfinite(x).all():
         rows = np.atleast_2d(x)
         bad = ~np.isfinite(rows).all(axis=-1)
         fix = bad, rows[bad] @ np.diag(M)

@@ -207,11 +207,9 @@ def _block_cholesky(diag: np.ndarray, off: np.ndarray):
     return L_inv, L_sub
 
 
-def weak_precision(problem: LinearGaussianProblem,
-                   n: int) -> WeakConstraintPosterior:
-    """Assemble the block-tridiagonal trajectory precision for n data sets.
+def _frob_cov(L_inv: np.ndarray, off: np.ndarray) -> float:
+    """||Sigma||_F of the weak posterior from its block Cholesky factor.
 
-    ``frob_cov`` is exact, in O(n m^3), from the block Cholesky factor:
     S_i^{-1} = L_i^{-T} L_i^{-1}.  With the gains C_i = -S_i^{-1} off',
     the diagonal blocks of the covariance run backward, Sigma_nn = S_n^{-1}
     and Sigma_ii = S_i^{-1} + C_i Sigma_{i+1,i+1} C_i'.  The blocks above
@@ -219,8 +217,7 @@ def weak_precision(problem: LinearGaussianProblem,
     their squared norms sum to tr(Sigma_ii W_i Sigma_ii) with W_0 = 0 and
     W_i = C_{i-1}' (I + W_{i-1}) C_{i-1}.  Diagonal blocks take O(n m).
     """
-    diag, off, _, _, _ = _weak_blocks(problem, n)
-    L_inv, _ = _block_cholesky(diag, off)
+    n, m = L_inv.shape[0] - 1, off.shape[0]
     S_inv = np.array([mul(Li.T, Li) for Li in L_inv])
     C = mul(-S_inv[:-1], off.T)
     sigma = np.empty_like(S_inv)
@@ -228,16 +225,27 @@ def weak_precision(problem: LinearGaussianProblem,
     for i in range(n - 1, -1, -1):
         sigma[i] = S_inv[i] + mul(mul(C[i], sigma[i + 1]), C[i].T)
     W = np.zeros_like(S_inv)
-    eye = np.ones(problem.m) if off.ndim == 1 else np.eye(problem.m)
+    eye = np.ones(m) if off.ndim == 1 else np.eye(m)
     for i in range(1, n + 1):
         W[i] = mul(mul(C[i - 1].T, eye + W[i - 1]), C[i - 1])
     if off.ndim == 1:  # tr(W_i Sigma_ii^2) of diagonal blocks
         upper = np.sum(W * sigma * sigma)
     else:
         upper = np.einsum("nij,nji->", W, sigma @ sigma)
-    frob_cov = float(np.sqrt(np.sum(sigma ** 2) + 2.0 * upper))
+    return float(np.sqrt(np.sum(sigma ** 2) + 2.0 * upper))
+
+
+def weak_precision(problem: LinearGaussianProblem,
+                   n: int) -> WeakConstraintPosterior:
+    """Assemble the block-tridiagonal trajectory precision for n data sets.
+
+    ``frob_cov`` is exact, in O(n m^3), from the block Cholesky factor
+    (see :func:`_frob_cov`).
+    """
+    diag, off, _, _, _ = _weak_blocks(problem, n)
+    L_inv, _ = _block_cholesky(diag, off)
     return WeakConstraintPosterior(diag_blocks=diag, off_block=off,
-                                   frob_cov=frob_cov)
+                                   frob_cov=_frob_cov(L_inv, off))
 
 
 def _back_substitute(L_inv: np.ndarray, L_sub: np.ndarray,
@@ -256,22 +264,31 @@ def _back_substitute(L_inv: np.ndarray, L_sub: np.ndarray,
     return y
 
 
-def _weak_solution(problem: LinearGaussianProblem, observations: np.ndarray):
-    """The block Cholesky factor of the weak precision, and the mode.
+def _weak_mode(problem: LinearGaussianProblem, blocks: tuple,
+               L_inv: np.ndarray, L_sub: np.ndarray,
+               observations: np.ndarray) -> np.ndarray:
+    """The mode, shaped (n+1, m), from the blocks and their factor.
 
     The mode solves L L' x = b for the stacked data term b, by forward
-    substitution L y = b and back substitution L' x = y.  Returns
-    (L_inv, L_sub, mode) with the mode of shape (n+1, m).
+    substitution L y = b and back substitution L' x = y.
     """
+    _, _, H, S0_inv, R_inv = blocks
     n = observations.shape[0]
-    diag, off, H, S0_inv, R_inv = _weak_blocks(problem, n)
-    L_inv, L_sub = _block_cholesky(diag, off)
     y = np.empty((n + 1, problem.m))
     y[0] = mul(mul(problem.mu0, S0_inv.T), L_inv[0].T)
     for i in range(1, n + 1):
         b = mul(mul(observations[i - 1], R_inv.T), H)
         y[i] = mul(b - mul(y[i - 1], L_sub[i - 1].T), L_inv[i].T)
-    return L_inv, L_sub, _back_substitute(L_inv, L_sub, y)
+    return _back_substitute(L_inv, L_sub, y)
+
+
+def _weak_solution(problem: LinearGaussianProblem, observations: np.ndarray):
+    """The block Cholesky factor of the weak precision, and the mode:
+    (L_inv, L_sub, mode) with the mode of shape (n+1, m)."""
+    blocks = _weak_blocks(problem, observations.shape[0])
+    L_inv, L_sub = _block_cholesky(*blocks[:2])
+    return L_inv, L_sub, _weak_mode(problem, blocks, L_inv, L_sub,
+                                    observations)
 
 
 def weak_mode(problem: LinearGaussianProblem, observations) -> np.ndarray:
@@ -281,6 +298,25 @@ def weak_mode(problem: LinearGaussianProblem, observations) -> np.ndarray:
     """
     observations = _observations(problem, observations)
     return _weak_solution(problem, observations)[2].reshape(-1)
+
+
+def weak_smoothing(problem: LinearGaussianProblem, observations):
+    """:func:`weak_precision` and :func:`weak_mode` from one factorization.
+
+    Returns (posterior, mode).  The precision of as many data sets as
+    ``observations`` has rows is factored before the observations are
+    checked, so a singular model fails with LinAlgError even when the
+    data are malformed too.
+    """
+    z = np.atleast_2d(np.asarray(observations, dtype=float))
+    blocks = _weak_blocks(problem, z.shape[0])
+    diag, off = blocks[:2]
+    L_inv, L_sub = _block_cholesky(diag, off)
+    posterior = WeakConstraintPosterior(diag_blocks=diag, off_block=off,
+                                        frob_cov=_frob_cov(L_inv, off))
+    mode = _weak_mode(problem, blocks, L_inv, L_sub,
+                      _observations(problem, z))
+    return posterior, mode.reshape(-1)
 
 
 def optimal_smoother_sample(problem: LinearGaussianProblem, observations,

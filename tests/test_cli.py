@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -578,3 +579,78 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# seeded outputs pinned to their SHA-256: a change to the noise streams
+# (numpy's seeding included) or to the arithmetic shows here
+
+_GOLDEN_DENSE = LinearGaussianProblem(
+    A=[[0.9, 0.1, 0.0], [0.2, 0.5, 0.1], [0.0, 0.3, 0.7]],
+    Q=[[1.0, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.5]],
+    H=[[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]], R=[[0.5, 0.1], [0.1, 0.4]],
+    mu0=[0.0, 0.5, -0.5],
+    Sigma0=[[1.0, 0.0, 0.0], [0.0, 2.0, 0.3], [0.0, 0.3, 1.0]])
+_GOLDEN_ISO = ["--m", "3", "--q", "0.5", "--r", "1"]
+_GOLDEN_RUN = ["--particles", "40", "--steps", "4", "--resample-every", "2"]
+_GOLDEN_ARGV = {
+    "filter-sir-isotropic": ["--command", "filter", "--kind", "sir",
+                             *_GOLDEN_ISO, *_GOLDEN_RUN, "--seeds", "1,2"],
+    "filter-optimal-isotropic": ["--command", "filter", "--kind", "optimal",
+                                 *_GOLDEN_ISO, *_GOLDEN_RUN,
+                                 "--seeds", "1,2"],
+    "filter-sir-dense": ["--command", "filter", "--kind", "sir",
+                         "--problem", "problem.json", *_GOLDEN_RUN,
+                         "--seeds", "1,2"],
+    "filter-optimal-dense": ["--command", "filter", "--kind", "optimal",
+                             "--problem", "problem.json", *_GOLDEN_RUN,
+                             "--seeds", "1,2"],
+    "collapse-sweep": ["--command", "collapse-sweep", "--kind", "optimal",
+                       "--m", "4", "--grid-min", "0.1", "--grid-max", "10",
+                       "--grid-points", "2", "--particles", "30",
+                       "--steps", "3", "--seeds", "1,2,3"],
+    # a seed beyond one 32-bit word next to one within it
+    "filter-seed-2^32": ["--command", "filter", "--kind", "sir",
+                         *_GOLDEN_ISO, *_GOLDEN_RUN,
+                         "--seeds", "4294967296,1"],
+}
+# (run.csv, run.json)
+_GOLDEN_SHA256 = {
+    "filter-sir-isotropic": (
+        "69e6e07b48a6a2d784360a028ddb902bd5735e9ee57f5628ab90e4b9a6fd8b62",
+        "0828b5618a629893f844c0070c33e42a657bbff372331f5b7c25e2b384220a40",
+    ),
+    "filter-optimal-isotropic": (
+        "a076149944dd66a30d91edbb4ddd6075eb68a4ed36537dc0d92d2bb91d04a05d",
+        "d407cd8633934d880f0ecf924ed18042b53063c69978667ae4bb668c427419a8",
+    ),
+    "filter-sir-dense": (
+        "d2e2cb9b754f5243f7a0d847e5fe86932c5346cc0328ac64699105c6475f59b5",
+        "030383e4ce5764bfbd0e15d0d44a4ce3f3fa9b0b3e8d47c1acbd6aa5f91987a8",
+    ),
+    "filter-optimal-dense": (
+        "f4441fa7b0c18393ef9ae5f875ca365d47e4ea3d3da4c0d1487c1e837707f428",
+        "731ad83bd5796108d11f36bf632ac28661b53362c3b616cc335b4e90b4008789",
+    ),
+    "collapse-sweep": (
+        "a5af0f0ab35556074470beaa6c6d9629e68fa0ff36620336610b907aff61bc55",
+        "98b91a315114a1b5b5f4a41679cf49d0c1092d0617c7083661dcef2475245509",
+    ),
+    "filter-seed-2^32": (
+        "d8d6d2cd30a2f5167738dc332629f5620a238f6e3c35941c2b584ca561c398b1",
+        "f44cc2f80a1700f0c4fe436c39e11781e2ee05a21e7ab2735dba34f81721d5af",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_ARGV))
+def test_seeded_outputs_match_their_golden_digests(name, tmp_path,
+                                                   monkeypatch, capsys):
+    # the config echoes --problem and --out, so both stay relative
+    monkeypatch.chdir(tmp_path)
+    save_problem(_GOLDEN_DENSE, "problem.json")
+    assert run_cli(*_GOLDEN_ARGV[name], "--out", "run") == 0
+    capsys.readouterr()
+    got = tuple(hashlib.sha256((tmp_path / f"run{ext}").read_bytes())
+                .hexdigest() for ext in (".csv", ".json"))
+    assert got == _GOLDEN_SHA256[name]

@@ -21,8 +21,9 @@ from effdim.filters import (FilterKind, ParticleEnsemble, WeightCollapseError,
 from effdim.kalman import isotropic_steady_p, solve_dare
 from effdim.model import (PD_COND_LIMIT, LinearGaussianProblem, pd_inverse,
                           psd_factor)
-from util import (kalman_filter_means, optimal_log_weight_increment,
-                  random_problem, serial_run_filter, trajectory_to_json)
+from util import (dense_path, kalman_filter_means,
+                  optimal_log_weight_increment, random_problem,
+                  serial_run_filter, trajectory_to_json)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -951,3 +952,168 @@ def test_failing_batch_propagates_and_cancels_the_rest(monkeypatch):
         run_filters(problem, "sir", 2, _WIDE_N, seeds)
     assert 1 in started and len(started) < len(seeds)
     assert threading.active_count() == threads
+
+
+# ---------------------------------------------------------------------------
+# a run's noise streams, derived in bulk: numpy's own seeding is the oracle
+
+# seeds at the ends of the one-word range and spread between them; with
+# tags 0-3 and steps up to 10^4 they make 1 040 keys
+_STREAM_SEEDS = ([0, 1, 2 ** 31 - 1, 2 ** 32 - 1]
+                 + np.random.default_rng(2013).integers(
+                     2, 2 ** 32 - 1, size=16).tolist())
+_STREAM_KEYS = ([(tag,) for tag in range(4)]
+                + [(tag, n) for tag in range(4)
+                   for n in (0, 1, 2, 3, 19, 20, 293, 999, 4096, 10 ** 4)])
+
+
+def test_bulk_seed_words_equal_seed_sequence():
+    # one column per (key, seed), the longer keys first; SeedSequence pads
+    # a one-word entropy to its 4-word pool before the spawn key
+    pairs = [(key, seed)
+             for key in sorted(_STREAM_KEYS, key=len, reverse=True)
+             for seed in _STREAM_SEEDS]
+    entropy = np.array([[seed, 0, 0, 0, *key] + [0] * (2 - len(key))
+                        for key, seed in pairs], dtype=np.uint32).T
+    lengths = np.array([4 + len(key) for key, _ in pairs])
+    words = filters._seed_words(entropy, lengths)
+    assert words.dtype == np.uint64 and words.shape == (len(pairs), 4)
+    states = filters._pcg_states(words)
+    for (key, seed), row, (state, inc) in zip(pairs, words, states,
+                                              strict=True):
+        sequence = np.random.SeedSequence(seed, spawn_key=key)
+        want = sequence.generate_state(4, np.uint64)
+        assert row.tobytes() == want.tobytes(), (seed, key)
+        pcg = np.random.PCG64(sequence).state["state"]
+        assert (state, inc) == (pcg["state"], pcg["inc"]), (seed, key)
+
+
+def test_bulk_streams_equal_default_rng():
+    streams = filters._Streams(_STREAM_SEEDS, _STREAM_KEYS)
+    for key in _STREAM_KEYS:
+        for seed, rng in zip(_STREAM_SEEDS, streams.generators(key),
+                             strict=True):
+            want = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=key))
+            assert (rng.standard_normal(257).tobytes()
+                    == want.standard_normal(257).tobytes()), (seed, key)
+            assert rng.random() == want.random(), (seed, key)
+
+
+def test_streams_of_other_seeds_and_keys_are_made_by_rng():
+    seeds = [2 ** 32, 7, 2 ** 64 + 5]
+    keys = [(2, n) for n in range(filters.BULK_GENERATORS)]
+    streams = filters._Streams(seeds, keys)
+    assert streams._states  # seed 7 is derived in bulk
+    # every seed on its own stream, whether derived in bulk or not, and a
+    # key the batch did not derive
+    for key in (keys[0], keys[-1], (2, len(keys))):
+        draws = [rng.standard_normal(5).tobytes()
+                 for rng in streams.generators(key, rows=[2, 0, 1])]
+        want = [np.random.default_rng(np.random.SeedSequence(
+            entropy=seeds[i], spawn_key=key)).standard_normal(5).tobytes()
+            for i in (2, 0, 1)]
+        assert draws == want
+
+
+def test_too_few_generators_are_made_one_by_one():
+    streams = filters._Streams([7], [(2, n) for n in range(
+        filters.BULK_GENERATORS - 1)])
+    assert not streams._states
+
+
+@pytest.mark.parametrize("kind", ["sir", "optimal"])
+def test_bulk_streams_raise_no_floating_point_error(kind):
+    problem = _BATCH_PROBLEMS["diagonal"]()
+    seeds = [0, 2 ** 32 - 1, 5, 2 ** 31 - 1]
+    with np.errstate(all="raise"):
+        runs = run_filters(problem, kind, 5, 40, seeds, resample_every=2)
+    for run in runs:
+        _assert_run_is_oracle(run, problem, kind, 5, 40, 2)
+
+
+@pytest.mark.parametrize("kind", ["sir", "optimal"])
+def test_seed_alone_equals_seed_among_seeds_beyond_one_word(kind,
+                                                            monkeypatch):
+    problem = _BATCH_PROBLEMS["isotropic"]()
+    seeds = [2 ** 32, 2 ** 40 + 3, 2 ** 33, 5, 2 ** 63, 2 ** 32 + 1,
+             2 ** 64 + 7, 2 ** 35]
+    assert len(seeds) * 60 * problem.m <= filters.BATCH_ELEMENTS
+    # seed 5 alone makes its 11 generators one by one; in the batch it
+    # is the one seed derived in bulk
+    assert 2 + 6 + 3 < filters.BULK_GENERATORS
+    alone = run_filter(problem, kind, 6, 60, 5, resample_every=2)
+    monkeypatch.setattr(filters, "BULK_GENERATORS", 1)
+    runs = run_filters(problem, kind, 6, 60, seeds, resample_every=2)
+    together = runs[seeds.index(5)]
+    assert _bits(together.reports) == _bits(alone.reports)
+    assert together.means.tobytes() == alone.means.tobytes()
+    assert (together.trajectory.truth.tobytes()
+            == alone.trajectory.truth.tobytes())
+    for run in runs:
+        _assert_run_is_oracle(run, problem, kind, 6, 60, 2)
+
+
+def _exploding_problem(m) -> LinearGaussianProblem:
+    """Diagonal, whose first component grows by 1e158 a step from a spread
+    of 1e150: at the first step the particles beyond about 1.8 prior
+    standard deviations overflow to inf, and a data scale of 1e-300 keeps
+    the others' log-weights finite.  An inf particle's log-weight is -inf
+    at m = 1; at m = 2 the matmul spreads NaN over its row, and its
+    log-weight is NaN.  Every matrix but A is isotropic, so the dense form
+    factors to the same bits."""
+    eye = np.eye(m)
+    return LinearGaussianProblem(
+        A=np.diag([1e158, 0.5][:m]), Q=eye, H=1e-300 * eye, R=1e16 * eye,
+        mu0=np.zeros(m), Sigma0=1e300 * eye)
+
+
+def _guarded_products(monkeypatch, N) -> list:
+    """The shape of every elementwise product over N particles that the
+    filters take on the guarded path from now on."""
+    shapes = []
+    mul = filters.mul
+
+    def spy(x, M, out=None, finite=False):
+        if not finite and M.ndim == 1 and np.shape(x)[-2:-1] == (N,):
+            shapes.append(np.shape(x))
+        return mul(x, M, out=out, finite=finite)
+
+    monkeypatch.setattr(filters, "mul", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("kind", ["sir", "optimal"])
+def test_non_finite_steps_redo_their_products_guarded(kind, monkeypatch):
+    # one seed's weights underflow in a batch of eight ...
+    problem = _overflowing_problem(kind)
+    guarded = _guarded_products(monkeypatch, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        runs = run_filters(problem, kind, 4, 2, list(range(1, 9)),
+                           resample_every=2)
+    assert [run.seed for run in runs if run.degenerate] == [1, 7]
+    assert guarded
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run in runs:
+            _assert_run_is_oracle(run, problem, kind, 4, 2, 2)
+    # ... and particles overflow to inf, matching the dense form's bits
+    for m in (1, 2):
+        problem = _exploding_problem(m)
+        seeds = [3, 4]
+        guarded = _guarded_products(monkeypatch, 200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs = run_filters(problem, kind, 3, 200, seeds)
+            assert all(np.isfinite(run.trajectory.truth[1]).all()
+                       for run in runs)
+            with dense_path():
+                plan = step_plan(problem, kind, runs[0].sigma_frob)
+                assert plan.A_T.ndim == 2
+                dense = run_filters(problem, kind, 3, 200, seeds, plan=plan)
+            assert guarded
+            for run, ref in zip(runs, dense, strict=True):
+                # an overflowed particle shows in the mean, or its NaN
+                # log-weight stops the run
+                assert run.degenerate or not np.isfinite(run.means).all()
+                assert _bits(run.reports) == _bits(ref.reports)
+                assert run.means.tobytes() == ref.means.tobytes()
+                _assert_run_is_oracle(run, problem, kind, 3, 200, 1)

@@ -4,13 +4,15 @@ from scipy.special import logsumexp
 from scipy.stats import spearmanr
 
 from effdim.balance import MapKind
+from effdim.cli import main
 from effdim.filters import simulate
 from effdim.kalman import kalman_cov_step
-from effdim.model import LinearGaussianProblem, frobenius
+from effdim.model import LinearGaussianProblem, frobenius, save_problem
 from effdim.smoothing import (optimal_smoother_sample,
                               sir_smoother_log_weight, smoother_condition,
                               strong_balance_map, strong_mean,
-                              strong_precision, weak_mode, weak_precision)
+                              strong_precision, weak_mode, weak_precision,
+                              weak_smoothing)
 from util import (dense_precision, kalman_filter_means, random_problem,
                   random_spd)
 
@@ -321,6 +323,7 @@ def test_weak_mode_equals_conditional_mean_oracle():
 def test_smoothers_reject_malformed_observations(observations):
     problem = random_problem(np.random.default_rng(97), m=3, k=2)
     calls = [lambda: weak_mode(problem, observations),
+             lambda: weak_smoothing(problem, observations),
              lambda: optimal_smoother_sample(problem, observations, 4, 1),
              lambda: strong_mean(problem, observations),
              lambda: sir_smoother_log_weight(problem, np.zeros(3),
@@ -330,17 +333,39 @@ def test_smoothers_reject_malformed_observations(observations):
             call()
 
 
-def test_weak_smoothing_factors_the_precision_once(count_linalg):
+def test_weak_smoothing_factors_the_precision_once(count_linalg, tmp_path,
+                                                   capsys):
     problem = random_problem(np.random.default_rng(101), m=3, k=2)
     n = 4
     observations = simulate(problem, n, seed=3).observations
     for call in (lambda: weak_mode(problem, observations),
+                 lambda: weak_smoothing(problem, observations),
                  lambda: optimal_smoother_sample(problem, observations, 8,
                                                  seed=5, constraint="weak")):
         count_linalg.clear()
         call()
         assert count_linalg.count("cholesky") == n + 1
         assert "solve" not in count_linalg
+    # the smooth command reports frob_cov and the mode from one factor
+    path = tmp_path / "problem.json"
+    save_problem(problem, path)
+    count_linalg.clear()
+    assert main(["--command", "smooth", "--problem", str(path),
+                 "--steps", str(n), "--seeds", "3",
+                 "--out", str(tmp_path / "smooth")]) == 0
+    assert count_linalg.count("cholesky") == n + 1
+    capsys.readouterr()
+
+
+def test_weak_smoothing_equals_precision_and_mode():
+    problem = random_problem(np.random.default_rng(103), m=3, k=2)
+    observations = simulate(problem, 5, seed=4).observations
+    posterior, mode = weak_smoothing(problem, observations)
+    want = weak_precision(problem, 5)
+    assert posterior.frob_cov == want.frob_cov
+    assert posterior.diag_blocks.tobytes() == want.diag_blocks.tobytes()
+    assert posterior.off_block.tobytes() == want.off_block.tobytes()
+    assert mode.tobytes() == weak_mode(problem, observations).tobytes()
 
 
 def test_strong_is_schur_complement_of_weak_at_vanishing_q():
