@@ -26,7 +26,7 @@ from .filters import (CollapseReport, FilterKind, FilterRun,
 from .smoothing import (StrongConstraintPosterior, WeakConstraintPosterior,
                         optimal_smoother_sample, sir_smoother_log_weight,
                         strong_balance_map, strong_precision, weak_mode,
-                        weak_precision, weak_smoothing)
+                        weak_precision)
 
 __version__ = "0.1.0"
 
@@ -48,6 +48,5 @@ __all__ = [
     "diagnostics", "collapse_stat", "steady_collapse_stat", "run_filter",
     "StrongConstraintPosterior", "WeakConstraintPosterior",
     "strong_precision", "strong_balance_map", "sir_smoother_log_weight",
-    "weak_precision", "weak_mode", "weak_smoothing",
-    "optimal_smoother_sample",
+    "weak_precision", "weak_mode", "optimal_smoother_sample",
 ]

@@ -426,8 +426,9 @@ def _cmd_smooth(args) -> int:
                        "n_steps": args.steps}
     observations = trajectory.observations
     n = observations.shape[0]
+    posterior = smoothing.weak_precision(problem, n)
     try:
-        posterior, mode = smoothing.weak_smoothing(problem, observations)
+        mode = smoothing.weak_mode(problem, observations, posterior)
     except np.linalg.LinAlgError:
         raise  # a numerical failure, not bad input
     except ValueError as exc:

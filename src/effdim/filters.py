@@ -29,13 +29,14 @@ draws the noise of stage ``tag`` at step n from
 
 with tag 2 for the move and tag 3 for resampling; the truth and data
 come from spawn_key=(0,) and the initial ensemble from spawn_key=(1,).
-For seeds in [0, 2^32) a run derives the PCG64 states of all these
-generators in bulk, with SeedSequence's hashing as uint32 array
-arithmetic and the setseq seeding of PCG64, and sets them in turn on
-one generator; the states, and so the draws, are the ones numpy's own
-seeding gives.  The row index of each vectorized draw is the particle
-index, so results do not depend on scheduling.  Resampling is systematic
-(lowest variance of the standard schemes).
+For seeds in [0, 2^32) a run derives the PCG64 states of these
+generators in bulk, a block of keys at a time as it reaches them, with
+SeedSequence's hashing as uint32 array arithmetic and the setseq seeding
+of PCG64, and sets them in turn on one generator; the states, and so the
+draws, are the ones numpy's own seeding gives.  The row index of each
+vectorized draw is the particle index, so results do not depend on
+scheduling.  Resampling is systematic (lowest variance of the standard
+schemes).
 
 The seeds of one problem run together: :func:`run_filters` stacks the
 ensembles of S seeds on a leading axis, positions (S, N, m) and
@@ -78,10 +79,11 @@ _TAG_INIT = 1
 _TAG_STEP = 2
 _TAG_RESAMPLE = 3
 
-# Fewest generators a batch derives in bulk (see _Streams).  The bulk
-# pass costs about as much as ten generators made one by one, and about
-# a fifth of one for each generator it derives.
-BULK_GENERATORS = 12
+# Most (seed, key) generators one bulk pass derives (see _Streams).  A
+# pass costs about as much as ten generators made one by one, plus a
+# quarter of one for each state it derives, and holds each state, some
+# 150 bytes, until the batch takes the next pass's keys.
+STREAM_COLUMNS = 2 ** 12
 
 # Largest S * N * m of one batch of seeds.  A batch pays each step's
 # Python work once for all its seeds: timed on collapse-sweep cells, 8
@@ -196,40 +198,55 @@ def _pcg_states(words: np.ndarray) -> list:
 class _Streams:
     """The noise generators of a batch's seeds, one per seed and spawn key.
 
-    Seed s with key k draws from ``_rng(s, *k)``.  For each seed in
-    [0, 2^32), the PCG64 states of the ``keys`` given come from one bulk
-    pass of SeedSequence's hashing (:func:`_seed_words`) and are set in
-    turn on the batch's one generator, when that makes at least
-    BULK_GENERATORS of them; any other seed or key builds its generator
-    with :func:`_rng`.
+    Seed s with key k draws from ``_rng(s, *k)``.  ``keys`` are the keys
+    the batch takes, in the order it takes them.  When the batch asks for
+    the next of them, the PCG64 states of that key and the ones after it,
+    for every seed in [0, 2^32), come from one bulk pass of SeedSequence's
+    hashing (:func:`_seed_words`), STREAM_COLUMNS (seed, key) states at a
+    time, and are set in turn on the batch's one generator.  Any other
+    seed or key builds its generator with :func:`_rng`.
     """
 
     def __init__(self, seeds, keys=()):
         self.seeds = seeds
+        self._small = [i for i, seed in enumerate(seeds)
+                       if isinstance(seed, int) and 0 <= seed < 2 ** 32]
+        self._keys = iter(keys if self._small else ())
+        self._next = next(self._keys, None)
         self._states = {}
-        small = [i for i, seed in enumerate(seeds)
-                 if isinstance(seed, int) and 0 <= seed < 2 ** 32]
-        if len(small) * len(keys) < BULK_GENERATORS:
-            return
-        self._bit_generator = np.random.PCG64(0)
-        self._generator = np.random.Generator(self._bit_generator)
-        self._state = {"bit_generator": "PCG64",
-                       "state": {"state": 0, "inc": 0},
-                       "has_uint32": 0, "uinteger": 0}
+        if self._next is not None:
+            self._bit_generator = np.random.PCG64(0)
+            self._generator = np.random.Generator(self._bit_generator)
+            self._state = {"bit_generator": "PCG64",
+                           "state": {"state": 0, "inc": 0},
+                           "has_uint32": 0, "uinteger": 0}
+
+    def _derive(self) -> None:
+        """Replace the derived states with those of the next keys."""
+        small = self._small
+        keys = [self._next]
+        for key in self._keys:
+            if len(keys) * len(small) >= STREAM_COLUMNS:
+                self._next = key
+                break
+            keys.append(key)
+        else:
+            self._next = None
         # SeedSequence pads a one-word entropy to its pool of 4 words
         # before the spawn key; the longest keys come first
-        keys = sorted(keys, key=len, reverse=True)
+        keys.sort(key=len, reverse=True)
         width = len(keys[0])
         entropy = np.zeros((4 + width, len(keys), len(small)),
                            dtype=np.uint32)
-        entropy[0] = [seeds[i] for i in small]
+        entropy[0] = [self.seeds[i] for i in small]
         entropy[4:] = np.array([key + (0,) * (width - len(key))
                                 for key in keys], dtype=np.uint32).T[..., None]
         lengths = np.repeat([4 + len(key) for key in keys], len(small))
         states = iter(_pcg_states(_seed_words(
             entropy.reshape(len(entropy), -1), lengths)))
+        self._states = {}
         for key in keys:
-            row = self._states[key] = [None] * len(seeds)
+            row = self._states[key] = [None] * len(self.seeds)
             for i in small:
                 row[i] = next(states)
 
@@ -237,6 +254,8 @@ class _Streams:
         """The generators of ``rows`` (default all seeds) for spawn
         ``key``, each made as it is drawn from: a seed's generator is valid
         until the next is taken."""
+        if key not in self._states and key == self._next:
+            self._derive()
         states = self._states.get(key)
         for i in range(len(self.seeds)) if rows is None else rows:
             if states is None or states[i] is None:
@@ -797,6 +816,16 @@ def _free(buffers: list, positions: np.ndarray) -> list:
     return [b for b in buffers if b is not positions]
 
 
+def _run_keys(n_steps: int, resample_every: int):
+    """The spawn keys of a run, in the order it draws from them."""
+    yield (_TAG_SIM,)
+    yield (_TAG_INIT,)
+    for n in range(n_steps):
+        yield (_TAG_STEP, n)
+        if (n + 1) % resample_every == 0:
+            yield (_TAG_RESAMPLE, n)
+
+
 def _run_batch(problem: LinearGaussianProblem, plan: StepPlan, n_steps: int,
                N: int, seeds: list[int],
                resample_every: int) -> list[FilterRun]:
@@ -805,15 +834,12 @@ def _run_batch(problem: LinearGaussianProblem, plan: StepPlan, n_steps: int,
     ``live`` maps the batch's rows to seeds; a seed whose total weight
     underflows leaves it.  The batch keeps four (S, N, m) buffers, one of
     which holds the positions; the steps and resampling work in the
-    others.  Every draw comes from the batch's own streams, derived at
-    the start for every step it may reach.
+    others.  Every draw comes from the batch's own streams, derived in
+    bulk a block of steps at a time.
     """
     kind = plan.kind
     step_fn = sir_step if kind is FilterKind.SIR else optimal_step
-    streams = _Streams(seeds, [(_TAG_SIM,), (_TAG_INIT,)]
-                       + [(_TAG_STEP, n) for n in range(n_steps)]
-                       + [(_TAG_RESAMPLE, n) for n in range(
-                           resample_every - 1, n_steps, resample_every)])
+    streams = _Streams(seeds, _run_keys(n_steps, resample_every))
     trajectories = _simulate(problem.mu0, plan.model, n_steps, streams)
     observations = np.stack([t.observations for t in trajectories])
     ensemble = ParticleEnsemble(

@@ -33,7 +33,7 @@ run in O(n m) (see :func:`effdim.model.storage`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,13 +59,16 @@ class WeakConstraintPosterior:
     ``diag_blocks[i]`` is block (i, i); ``off_block`` is the constant
     sub-diagonal block (i+1, i) = -Q^{-1} A.  ``frob_cov`` is the exact
     Frobenius norm of the trajectory covariance, from the block recursion
-    of Meurant (1992) with the Rauch-Tung-Striebel gains.  For a diagonal
-    problem every block is stored as its 1-D diagonal.
+    of Meurant (1992) with the Rauch-Tung-Striebel gains.  ``factor`` is
+    the precision's block Cholesky factor (L_inv, L_sub) of
+    :func:`_block_cholesky`, which :func:`weak_mode` reuses.  For a
+    diagonal problem every block is stored as its 1-D diagonal.
     """
 
     diag_blocks: np.ndarray  # (n+1, m, m), or (n+1, m) diagonals
     off_block: np.ndarray    # (m, m) or (m,), block (i+1, i)
     frob_cov: float
+    factor: tuple = field(repr=False)
 
     @property
     def n_data(self) -> int:
@@ -170,14 +173,19 @@ def smoother_condition(problem: LinearGaussianProblem) -> ConditionCheck:
     return ConditionCheck("sir_smoother", lhs, rhs, lhs <= rhs)
 
 
+def _weak_inverses(problem: LinearGaussianProblem) -> tuple:
+    """A and H in the problem's storage form, and the inverses of Q,
+    Sigma0 and R: (A, H, Q_inv, S0_inv, R_inv)."""
+    A, Q, H, R, Sigma0 = storage(problem.A, problem.Q, problem.H, problem.R,
+                                 problem.Sigma0)
+    return (A, H, pd_inverse(Q, "singular Q"),
+            pd_inverse(Sigma0, "singular Sigma0"), pd_inverse(R, "R singular"))
+
+
 def _weak_blocks(problem: LinearGaussianProblem, n: int):
     if n < 1:
         raise ValueError("weak-constraint window needs n >= 1")
-    A, Q, H, R, Sigma0 = storage(problem.A, problem.Q, problem.H, problem.R,
-                                 problem.Sigma0)
-    Q_inv = pd_inverse(Q, "singular Q")
-    S0_inv = pd_inverse(Sigma0, "singular Sigma0")
-    R_inv = pd_inverse(R, "R singular")
+    A, H, Q_inv, S0_inv, R_inv = _weak_inverses(problem)
     M = mul(mul(H.T, R_inv), H)
     AtQiA = mul(mul(A.T, Q_inv), A)
     diag = np.empty((n + 1,) + Q_inv.shape)
@@ -207,9 +215,11 @@ def _block_cholesky(diag: np.ndarray, off: np.ndarray):
     return L_inv, L_sub
 
 
-def _frob_cov(L_inv: np.ndarray, off: np.ndarray) -> float:
-    """||Sigma||_F of the weak posterior from its block Cholesky factor.
+def weak_precision(problem: LinearGaussianProblem,
+                   n: int) -> WeakConstraintPosterior:
+    """Assemble the block-tridiagonal trajectory precision for n data sets.
 
+    ``frob_cov`` is exact, in O(n m^3), from the block Cholesky factor:
     S_i^{-1} = L_i^{-T} L_i^{-1}.  With the gains C_i = -S_i^{-1} off',
     the diagonal blocks of the covariance run backward, Sigma_nn = S_n^{-1}
     and Sigma_ii = S_i^{-1} + C_i Sigma_{i+1,i+1} C_i'.  The blocks above
@@ -217,7 +227,8 @@ def _frob_cov(L_inv: np.ndarray, off: np.ndarray) -> float:
     their squared norms sum to tr(Sigma_ii W_i Sigma_ii) with W_0 = 0 and
     W_i = C_{i-1}' (I + W_{i-1}) C_{i-1}.  Diagonal blocks take O(n m).
     """
-    n, m = L_inv.shape[0] - 1, off.shape[0]
+    diag, off, _, _, _ = _weak_blocks(problem, n)
+    L_inv, L_sub = _block_cholesky(diag, off)
     S_inv = np.array([mul(Li.T, Li) for Li in L_inv])
     C = mul(-S_inv[:-1], off.T)
     sigma = np.empty_like(S_inv)
@@ -225,27 +236,16 @@ def _frob_cov(L_inv: np.ndarray, off: np.ndarray) -> float:
     for i in range(n - 1, -1, -1):
         sigma[i] = S_inv[i] + mul(mul(C[i], sigma[i + 1]), C[i].T)
     W = np.zeros_like(S_inv)
-    eye = np.ones(m) if off.ndim == 1 else np.eye(m)
+    eye = np.ones(problem.m) if off.ndim == 1 else np.eye(problem.m)
     for i in range(1, n + 1):
         W[i] = mul(mul(C[i - 1].T, eye + W[i - 1]), C[i - 1])
     if off.ndim == 1:  # tr(W_i Sigma_ii^2) of diagonal blocks
         upper = np.sum(W * sigma * sigma)
     else:
         upper = np.einsum("nij,nji->", W, sigma @ sigma)
-    return float(np.sqrt(np.sum(sigma ** 2) + 2.0 * upper))
-
-
-def weak_precision(problem: LinearGaussianProblem,
-                   n: int) -> WeakConstraintPosterior:
-    """Assemble the block-tridiagonal trajectory precision for n data sets.
-
-    ``frob_cov`` is exact, in O(n m^3), from the block Cholesky factor
-    (see :func:`_frob_cov`).
-    """
-    diag, off, _, _, _ = _weak_blocks(problem, n)
-    L_inv, _ = _block_cholesky(diag, off)
+    frob_cov = float(np.sqrt(np.sum(sigma ** 2) + 2.0 * upper))
     return WeakConstraintPosterior(diag_blocks=diag, off_block=off,
-                                   frob_cov=_frob_cov(L_inv, off))
+                                   frob_cov=frob_cov, factor=(L_inv, L_sub))
 
 
 def _back_substitute(L_inv: np.ndarray, L_sub: np.ndarray,
@@ -264,59 +264,44 @@ def _back_substitute(L_inv: np.ndarray, L_sub: np.ndarray,
     return y
 
 
-def _weak_mode(problem: LinearGaussianProblem, blocks: tuple,
-               L_inv: np.ndarray, L_sub: np.ndarray,
-               observations: np.ndarray) -> np.ndarray:
-    """The mode, shaped (n+1, m), from the blocks and their factor.
+def _weak_solution(problem: LinearGaussianProblem, observations: np.ndarray,
+                   posterior: WeakConstraintPosterior | None = None):
+    """The block Cholesky factor of the weak precision, and the mode.
 
     The mode solves L L' x = b for the stacked data term b, by forward
-    substitution L y = b and back substitution L' x = y.
+    substitution L y = b and back substitution L' x = y.  The factor is
+    the ``posterior``'s when one is given.  Returns (L_inv, L_sub, mode)
+    with the mode of shape (n+1, m).
     """
-    _, _, H, S0_inv, R_inv = blocks
     n = observations.shape[0]
+    if posterior is None:
+        diag, off, H, S0_inv, R_inv = _weak_blocks(problem, n)
+        L_inv, L_sub = _block_cholesky(diag, off)
+    elif posterior.n_data != n:
+        raise ValueError(f"posterior is for {posterior.n_data} data sets, "
+                         f"observations have {n}")
+    else:
+        _, H, _, S0_inv, R_inv = _weak_inverses(problem)
+        L_inv, L_sub = posterior.factor
     y = np.empty((n + 1, problem.m))
     y[0] = mul(mul(problem.mu0, S0_inv.T), L_inv[0].T)
     for i in range(1, n + 1):
         b = mul(mul(observations[i - 1], R_inv.T), H)
         y[i] = mul(b - mul(y[i - 1], L_sub[i - 1].T), L_inv[i].T)
-    return _back_substitute(L_inv, L_sub, y)
+    return L_inv, L_sub, _back_substitute(L_inv, L_sub, y)
 
 
-def _weak_solution(problem: LinearGaussianProblem, observations: np.ndarray):
-    """The block Cholesky factor of the weak precision, and the mode:
-    (L_inv, L_sub, mode) with the mode of shape (n+1, m)."""
-    blocks = _weak_blocks(problem, observations.shape[0])
-    L_inv, L_sub = _block_cholesky(*blocks[:2])
-    return L_inv, L_sub, _weak_mode(problem, blocks, L_inv, L_sub,
-                                    observations)
-
-
-def weak_mode(problem: LinearGaussianProblem, observations) -> np.ndarray:
+def weak_mode(problem: LinearGaussianProblem, observations,
+              posterior: WeakConstraintPosterior | None = None) -> np.ndarray:
     """4D-Var trajectory estimate: the mode (= mean) of the weak posterior.
 
-    Returns the stacked vector (x^0, ..., x^n) of length (n+1)*m.
+    Returns the stacked vector (x^0, ..., x^n) of length (n+1)*m.  A
+    ``posterior`` from :func:`weak_precision` of the same problem and
+    number of data sets lends its factor, so the precision is not
+    factored again.
     """
     observations = _observations(problem, observations)
-    return _weak_solution(problem, observations)[2].reshape(-1)
-
-
-def weak_smoothing(problem: LinearGaussianProblem, observations):
-    """:func:`weak_precision` and :func:`weak_mode` from one factorization.
-
-    Returns (posterior, mode).  The precision of as many data sets as
-    ``observations`` has rows is factored before the observations are
-    checked, so a singular model fails with LinAlgError even when the
-    data are malformed too.
-    """
-    z = np.atleast_2d(np.asarray(observations, dtype=float))
-    blocks = _weak_blocks(problem, z.shape[0])
-    diag, off = blocks[:2]
-    L_inv, L_sub = _block_cholesky(diag, off)
-    posterior = WeakConstraintPosterior(diag_blocks=diag, off_block=off,
-                                        frob_cov=_frob_cov(L_inv, off))
-    mode = _weak_mode(problem, blocks, L_inv, L_sub,
-                      _observations(problem, z))
-    return posterior, mode.reshape(-1)
+    return _weak_solution(problem, observations, posterior)[2].reshape(-1)
 
 
 def optimal_smoother_sample(problem: LinearGaussianProblem, observations,

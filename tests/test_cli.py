@@ -583,7 +583,14 @@ def test_import_loads_no_scipy():
 
 # ---------------------------------------------------------------------------
 # seeded outputs pinned to their SHA-256: a change to the noise streams
-# (numpy's seeding included) or to the arithmetic shows here
+# (numpy's seeding included) or to the arithmetic shows here.  The digests
+# were taken with numpy 2.4.6 and its bundled OpenBLAS 0.3.31 (SkylakeX
+# kernels) on an AVX-512 Intel Xeon.  Their bytes rest on that build: the
+# dense runs on OpenBLAS's matmul and LAPACK's eigh and Cholesky, whose
+# order of summation and use of FMA follow the CPU, and every run on
+# numpy's SIMD exp and log and on the matmul of the means.  On another
+# CPU or BLAS they may differ in the last bits with the program unchanged;
+# the oracle tests of tests/test_filters.py still hold there.
 
 _GOLDEN_DENSE = LinearGaussianProblem(
     A=[[0.9, 0.1, 0.0], [0.2, 0.5, 0.1], [0.0, 0.3, 0.7]],

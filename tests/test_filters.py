@@ -1,3 +1,4 @@
+import itertools
 import os
 import threading
 import time
@@ -1002,9 +1003,8 @@ def test_bulk_streams_equal_default_rng():
 
 def test_streams_of_other_seeds_and_keys_are_made_by_rng():
     seeds = [2 ** 32, 7, 2 ** 64 + 5]
-    keys = [(2, n) for n in range(filters.BULK_GENERATORS)]
+    keys = [(2, n) for n in range(12)]
     streams = filters._Streams(seeds, keys)
-    assert streams._states  # seed 7 is derived in bulk
     # every seed on its own stream, whether derived in bulk or not, and a
     # key the batch did not derive
     for key in (keys[0], keys[-1], (2, len(keys))):
@@ -1014,12 +1014,40 @@ def test_streams_of_other_seeds_and_keys_are_made_by_rng():
             entropy=seeds[i], spawn_key=key)).standard_normal(5).tobytes()
             for i in (2, 0, 1)]
         assert draws == want
+    assert streams._states  # seed 7 was derived in bulk
 
 
-def test_too_few_generators_are_made_one_by_one():
-    streams = filters._Streams([7], [(2, n) for n in range(
-        filters.BULK_GENERATORS - 1)])
-    assert not streams._states
+def _held_states(streams) -> int:
+    return sum(state is not None for row in streams._states.values()
+               for state in row)
+
+
+def test_streams_of_a_long_run_hold_one_block_of_states():
+    # a million steps: the keys are derived as the run reaches them, never
+    # more than STREAM_COLUMNS (seed, key) states at once
+    seeds = list(range(1, 9))
+    streams = filters._Streams(seeds, filters._run_keys(10 ** 6, 1))
+    keys = list(itertools.islice(filters._run_keys(10 ** 6, 1), 1500))
+    for i, key in enumerate(keys):
+        draws = [rng.random() for rng in streams.generators(key)]
+        assert 0 < _held_states(streams) <= filters.STREAM_COLUMNS
+        if i % 97 == 0 or i in (511, 512, 513, 1023, 1024):
+            assert draws == [np.random.default_rng(np.random.SeedSequence(
+                entropy=seed, spawn_key=key)).random() for seed in seeds]
+    assert len(keys) * len(seeds) > 2 * filters.STREAM_COLUMNS
+
+
+@pytest.mark.parametrize("kind", ["sir", "optimal"])
+def test_runs_across_stream_blocks_equal_serial_oracle(kind, monkeypatch):
+    # two or three keys to a block, so that blocks end between a step's
+    # move and its resampling and between steps
+    monkeypatch.setattr(filters, "STREAM_COLUMNS", 6)
+    problem = _BATCH_PROBLEMS["diagonal"]()
+    seeds = [4, 2 ** 32 + 4, 11]
+    for resample_every in (1, 2):
+        for run in run_filters(problem, kind, 7, 30, seeds,
+                               resample_every=resample_every):
+            _assert_run_is_oracle(run, problem, kind, 7, 30, resample_every)
 
 
 @pytest.mark.parametrize("kind", ["sir", "optimal"])
@@ -1033,17 +1061,13 @@ def test_bulk_streams_raise_no_floating_point_error(kind):
 
 
 @pytest.mark.parametrize("kind", ["sir", "optimal"])
-def test_seed_alone_equals_seed_among_seeds_beyond_one_word(kind,
-                                                            monkeypatch):
+def test_seed_alone_equals_seed_among_seeds_beyond_one_word(kind):
     problem = _BATCH_PROBLEMS["isotropic"]()
     seeds = [2 ** 32, 2 ** 40 + 3, 2 ** 33, 5, 2 ** 63, 2 ** 32 + 1,
              2 ** 64 + 7, 2 ** 35]
     assert len(seeds) * 60 * problem.m <= filters.BATCH_ELEMENTS
-    # seed 5 alone makes its 11 generators one by one; in the batch it
-    # is the one seed derived in bulk
-    assert 2 + 6 + 3 < filters.BULK_GENERATORS
+    # in the batch seed 5 is the one seed derived in bulk
     alone = run_filter(problem, kind, 6, 60, 5, resample_every=2)
-    monkeypatch.setattr(filters, "BULK_GENERATORS", 1)
     runs = run_filters(problem, kind, 6, 60, seeds, resample_every=2)
     together = runs[seeds.index(5)]
     assert _bits(together.reports) == _bits(alone.reports)

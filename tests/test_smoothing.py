@@ -11,8 +11,7 @@ from effdim.model import LinearGaussianProblem, frobenius, save_problem
 from effdim.smoothing import (optimal_smoother_sample,
                               sir_smoother_log_weight, smoother_condition,
                               strong_balance_map, strong_mean,
-                              strong_precision, weak_mode, weak_precision,
-                              weak_smoothing)
+                              strong_precision, weak_mode, weak_precision)
 from util import (dense_precision, kalman_filter_means, random_problem,
                   random_spd)
 
@@ -323,7 +322,8 @@ def test_weak_mode_equals_conditional_mean_oracle():
 def test_smoothers_reject_malformed_observations(observations):
     problem = random_problem(np.random.default_rng(97), m=3, k=2)
     calls = [lambda: weak_mode(problem, observations),
-             lambda: weak_smoothing(problem, observations),
+             lambda: weak_mode(problem, observations,
+                               weak_precision(problem, 1)),
              lambda: optimal_smoother_sample(problem, observations, 4, 1),
              lambda: strong_mean(problem, observations),
              lambda: sir_smoother_log_weight(problem, np.zeros(3),
@@ -339,13 +339,18 @@ def test_weak_smoothing_factors_the_precision_once(count_linalg, tmp_path,
     n = 4
     observations = simulate(problem, n, seed=3).observations
     for call in (lambda: weak_mode(problem, observations),
-                 lambda: weak_smoothing(problem, observations),
+                 lambda: weak_precision(problem, n),
                  lambda: optimal_smoother_sample(problem, observations, 8,
                                                  seed=5, constraint="weak")):
         count_linalg.clear()
         call()
         assert count_linalg.count("cholesky") == n + 1
         assert "solve" not in count_linalg
+    # the mode reuses a posterior's factor
+    posterior = weak_precision(problem, n)
+    count_linalg.clear()
+    weak_mode(problem, observations, posterior)
+    assert "cholesky" not in count_linalg and "solve" not in count_linalg
     # the smooth command reports frob_cov and the mode from one factor
     path = tmp_path / "problem.json"
     save_problem(problem, path)
@@ -357,15 +362,15 @@ def test_weak_smoothing_factors_the_precision_once(count_linalg, tmp_path,
     capsys.readouterr()
 
 
-def test_weak_smoothing_equals_precision_and_mode():
-    problem = random_problem(np.random.default_rng(103), m=3, k=2)
+@pytest.mark.parametrize("isotropic", [False, True])
+def test_weak_mode_from_a_posterior_equals_weak_mode(isotropic):
+    problem = (LinearGaussianProblem.isotropic(3, 0.5, 2.0) if isotropic
+               else random_problem(np.random.default_rng(103), m=3, k=2))
     observations = simulate(problem, 5, seed=4).observations
-    posterior, mode = weak_smoothing(problem, observations)
-    want = weak_precision(problem, 5)
-    assert posterior.frob_cov == want.frob_cov
-    assert posterior.diag_blocks.tobytes() == want.diag_blocks.tobytes()
-    assert posterior.off_block.tobytes() == want.off_block.tobytes()
+    mode = weak_mode(problem, observations, weak_precision(problem, 5))
     assert mode.tobytes() == weak_mode(problem, observations).tobytes()
+    with pytest.raises(ValueError, match="posterior is for 4 data sets"):
+        weak_mode(problem, observations, weak_precision(problem, 4))
 
 
 def test_strong_is_schur_complement_of_weak_at_vanishing_q():
