@@ -272,6 +272,7 @@ def general_sufficient_conditions(problem: LinearGaussianProblem,
 
     P is the steady-state posterior covariance; DARE failures propagate.
     """
+    _check_constant(constant)
     state = solve_dare(problem, tol=tol, max_iter=max_iter)
     p_f = state.eff_dim
     a2 = frobenius(problem.A) ** 2

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -136,9 +137,73 @@ def _csv_text(config: dict, header: str, rows: list[str]) -> str:
     return "\n".join([head, header] + rows) + "\n"
 
 
+def _floats_text(sep: str, values) -> str:
+    """Floats as json writes them, joined by ``sep``: repr, with NaN,
+    Infinity and -Infinity in place of nan, inf and -inf."""
+    text = sep.join(map(float.__repr__, values))
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _floats_text("", (key,))
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _render(value, pad: str) -> str:
+    """``value`` exactly as ``json.dumps(indent=2, sort_keys=True)`` writes
+    it when nested at indent ``pad``.  json's indented encoder is pure
+    Python before 3.13; most of its time goes to per-item overhead, so a
+    list of floats is written with one join."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _floats_text("", (value,))
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if {*map(type, value)} == {float}:
+            body = _floats_text(sep, value)
+        else:
+            body = sep.join([_render(item, inner) for item in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([f"{encode_basestring_ascii(_json_key(key))}: "
+                         f"{_render(item, inner)}"
+                         for key, item in sorted(value.items())])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    raise TypeError(f"Object of type {value.__class__.__name__} "
+                    "is not JSON serializable")
+
+
 def _json_text(config: dict, payload: dict) -> str:
-    return json.dumps({"config": config, **payload}, indent=2,
-                      sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline."""
+    return _render({"config": config, **payload}, "") + "\n"
 
 
 def _write(path: str, text: str) -> None:
@@ -404,6 +469,10 @@ def _cmd_collapse_sweep(args) -> int:
 
 
 def _cmd_smooth(args) -> int:
+    try:
+        balance._check_constant(args.balance_constant)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     dare = _dare_options(args)
     problem = _resolve_problem(args)
     if args.trajectory is not None:

@@ -323,6 +323,15 @@ def test_max_dimension_rejects_bad_constant():
             max_dimension(1.0, MapKind.OPTIMAL, constant=constant)
 
 
+@pytest.mark.parametrize("constant", [0.0, -1.0, float("nan"),
+                                      float("inf")])
+def test_general_conditions_reject_bad_constant_before_the_dare(constant):
+    # max_iter=1 cannot converge: the constant is checked before the solve
+    problem = LinearGaussianProblem.isotropic(3, 1e-4, 1.0)
+    with pytest.raises(ValueError, match="constant"):
+        general_sufficient_conditions(problem, constant=constant, max_iter=1)
+
+
 @pytest.mark.parametrize("kind", [MapKind.FEASIBILITY, MapKind.STRONG])
 def test_grid_end_an_ulp_past_the_root_keeps_points_inside(kind):
     # at q = 0.8, m = 10 the grid end one ulp past the root still

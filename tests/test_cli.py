@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -7,10 +8,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effdim import balance, filters, model
 from effdim.balance import g_feasibility, g_optimal, g_sir
-from effdim.cli import main
+from effdim.cli import _render, main
 from effdim.model import LinearGaussianProblem, save_problem
 from effdim.filters import simulate
 from util import random_problem, trajectory_to_json
@@ -346,6 +349,10 @@ def test_maxdim_default_format_renders_no_csv(tmp_path, monkeypatch):
     assert len(json.loads(out.read_text())["m_max"]) == 4
 
 
+_SMOOTH = ["--command", "smooth", "--m", "2", "--q", "1", "--r", "1",
+           "--seeds", "1", "--steps", "3"]
+
+
 @pytest.mark.parametrize("argv", [
     ["--command", "map", "--grid-min", "0"],
     ["--command", "map", "--grid-min", "10", "--grid-max", "1"],
@@ -356,9 +363,13 @@ def test_maxdim_default_format_renders_no_csv(tmp_path, monkeypatch):
     ["--command", "maxdim", "--kind", "optimal", "--balance-constant", "-1"],
     ["--command", "collapse-sweep", "--kind", "sir", "--m", "2",
      "--seeds", "1", "--grid-min", "0"],
+    [*_SMOOTH, "--balance-constant", "0"],
+    [*_SMOOTH, "--balance-constant", "nan"],
+    [*_SMOOTH, "--balance-constant", "inf"],
 ], ids=["map-grid-min-0", "map-grid-reversed", "map-grid-points-1",
         "map-grid-max-nan", "map-constant-0", "maxdim-grid-min-0",
-        "maxdim-constant-negative", "sweep-eps-grid-min-0"])
+        "maxdim-constant-negative", "sweep-eps-grid-min-0",
+        "smooth-constant-0", "smooth-constant-nan", "smooth-constant-inf"])
 def test_bad_balance_input_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "out.json"
     assert run_cli(*argv, "--out", str(out)) == 2
@@ -570,6 +581,89 @@ def test_bad_dare_flags_exit_2(command, flag, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+# ---------------------------------------------------------------------------
+# the JSON files are json.dumps(doc, indent=2, sort_keys=True) text and a
+# newline; cli writes that text itself, so json is the oracle
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                   2.2250738585072014e-308, 1e16, 9999999999999998.0, 1e-5,
+                   1e-4, 1e22, 0.1]
+_LEAVES = st.one_of(
+    st.floats(), st.sampled_from(_SPECIAL_FLOATS),
+    st.floats().map(np.float64), st.booleans(), st.none(),
+    st.integers(), st.integers(-2**200, 2**200),
+    st.text(), st.sampled_from(["\x00\x1f\x7f", '"\\/', "\ud800", "é日\U0001f600"]),
+    st.sampled_from(filters.FilterKind),
+    st.lists(st.floats() | st.sampled_from(_SPECIAL_FLOATS)))
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                  | st.dictionaries(st.text() | st.sampled_from(
+                      filters.FilterKind), kids)),
+    max_leaves=40)
+
+
+def _assert_renders_as_json(doc):
+    assert _render(doc, "") == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCS)
+def test_renderer_writes_what_json_writes(doc):
+    _assert_renders_as_json(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.floats() | st.integers() | st.booleans(),
+                       st.integers()) | st.dictionaries(st.none(), st.none()))
+def test_renderer_coerces_keys_as_json_does(doc):
+    _assert_renders_as_json(doc)
+
+
+@pytest.mark.parametrize("doc", [object(), [np.int64(1)], {"a": {1, 2}},
+                                 np.zeros(2), {1j: 0}, {1: 0, "a": 0}],
+                         ids=["object", "int64", "set", "ndarray",
+                              "complex-key", "mixed-keys"])
+def test_renderer_rejects_what_json_rejects(doc):
+    with pytest.raises(TypeError) as want:
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        _render(doc, "")
+    assert str(got.value) == str(want.value)
+
+
+_CANONICAL_ARGV = {
+    "effdim": ["--command", "effdim", "--m", "5", "--q", "0.1", "--r", "1"],
+    "bounds": ["--command", "bounds", "--m", "5", "--q", "0.1", "--r", "1"],
+    "map": ["--command", "map", "--kind", "optimal", "--grid-points", "20"],
+    "maxdim": ["--command", "maxdim", "--kind", "sir", "--grid-points", "20"],
+    "filter": ["--command", "filter", "--kind", "sir", "--m", "3", "--q",
+               "0.5", "--r", "1", "--particles", "20", "--steps", "3",
+               "--seeds", "1,2"],
+    "smooth": [*_SMOOTH],
+    "collapse-sweep": ["--command", "collapse-sweep", "--kind", "sir",
+                       "--m", "3", "--grid-points", "2", "--particles", "20",
+                       "--steps", "3", "--seeds", "1"],
+    # the cell fails, so its collapse fraction is NaN
+    "collapse-sweep-nan": ["--command", "collapse-sweep", "--kind", "optimal",
+                           "--sweep", "m", "--dims", "2", "--q", "1e300",
+                           "--r", "1e300", "--particles", "20", "--steps",
+                           "3", "--seeds", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CANONICAL_ARGV))
+def test_json_outputs_are_canonical(name, tmp_path, capsys):
+    assert run_cli(*_CANONICAL_ARGV[name], "--out",
+                   str(tmp_path / "run")) == 0
+    capsys.readouterr()
+    [path] = [p for p in tmp_path.iterdir() if p.suffix != ".csv"]
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=2,
+                              sort_keys=True) + "\n"
+    assert ("NaN" in text) == name.endswith("-nan")
+
+
 def test_import_loads_no_scipy():
     # effdim runs on numpy's BLAS alone; a second BLAS pool (scipy's)
     # competes with numpy's for the same cores
@@ -582,13 +676,15 @@ def test_import_loads_no_scipy():
 
 
 # ---------------------------------------------------------------------------
-# seeded outputs pinned to their SHA-256: a change to the noise streams
-# (numpy's seeding included) or to the arithmetic shows here.  The digests
+# seeded outputs and balance maps pinned to their SHA-256: a change to the
+# noise streams (numpy's seeding included), to the arithmetic or to the
+# JSON text shows here.  The digests
 # were taken with numpy 2.4.6 and its bundled OpenBLAS 0.3.31 (SkylakeX
 # kernels) on an AVX-512 Intel Xeon.  Their bytes rest on that build: the
 # dense runs on OpenBLAS's matmul and LAPACK's eigh and Cholesky, whose
 # order of summation and use of FMA follow the CPU, and every run on
-# numpy's SIMD exp and log and on the matmul of the means.  On another
+# numpy's SIMD exp and log and on the matmul of the means; the map and
+# maxdim runs on its power and sqrt over the grid.  On another
 # CPU or BLAS they may differ in the last bits with the program unchanged;
 # the oracle tests of tests/test_filters.py still hold there.
 
@@ -620,6 +716,13 @@ _GOLDEN_ARGV = {
     "filter-seed-2^32": ["--command", "filter", "--kind", "sir",
                          *_GOLDEN_ISO, *_GOLDEN_RUN,
                          "--seeds", "4294967296,1"],
+    # one-file commands, written once per --format
+    "map-feasibility": ["--command", "map", "--kind", "feasibility",
+                        "--grid-points", "40"],
+    "map-optimal": ["--command", "map", "--kind", "optimal",
+                    "--grid-points", "40"],
+    "maxdim-sir": ["--command", "maxdim", "--kind", "sir",
+                   "--grid-points", "40"],
 }
 # (run.csv, run.json)
 _GOLDEN_SHA256 = {
@@ -647,6 +750,18 @@ _GOLDEN_SHA256 = {
         "d8d6d2cd30a2f5167738dc332629f5620a238f6e3c35941c2b584ca561c398b1",
         "f44cc2f80a1700f0c4fe436c39e11781e2ee05a21e7ab2735dba34f81721d5af",
     ),
+    "map-feasibility": (
+        "d5fbee79b329c6b5712b06f556deea2c0f53d03d6cf5f80902ff52dee8064a34",
+        "0a148d43c58784e521a4dec5515902975eb474343bc29a1a95071ddd4a4da7b6",
+    ),
+    "map-optimal": (
+        "f9759b3c9a78584d51fe3bdfaa7a6057c5a3388acd7082557e28b6762a5609e9",
+        "04710353daf1333e57ed70e9cd8ec0e3369f756f0e4dfa863ca80f5e1cf14eba",
+    ),
+    "maxdim-sir": (
+        "092a86acd50fa738c5aaab0158f25a37c8df6ff691ec6c1574c3f59027a4d3cc",
+        "42c7bdf8ce617fd4623b87eaccb413b32b783cdfcd45ca595a051257b0dfeef0",
+    ),
 }
 
 
@@ -656,7 +771,12 @@ def test_seeded_outputs_match_their_golden_digests(name, tmp_path,
     # the config echoes --problem and --out, so both stay relative
     monkeypatch.chdir(tmp_path)
     save_problem(_GOLDEN_DENSE, "problem.json")
-    assert run_cli(*_GOLDEN_ARGV[name], "--out", "run") == 0
+    argv = _GOLDEN_ARGV[name]
+    if argv[1] in ("map", "maxdim"):
+        assert run_cli(*argv, "--format", "csv", "--out", "run.csv") == 0
+        assert run_cli(*argv, "--out", "run.json") == 0
+    else:
+        assert run_cli(*argv, "--out", "run") == 0
     capsys.readouterr()
     got = tuple(hashlib.sha256((tmp_path / f"run{ext}").read_bytes())
                 .hexdigest() for ext in (".csv", ".json"))
