@@ -38,8 +38,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (PD_COND_LIMIT, LinearGaussianProblem, SymMatrix,
-                    frobenius, pd_inverse, sym)
+from .model import (PD_COND_LIMIT, LinearGaussianProblem, SymMatrix, dense,
+                    frobenius, identity, inverse, mul, on_storage, pd_inverse,
+                    solve, storage, sym)
 
 Q_REGULARIZATION = 1e-12  # scale of trace(Q)/m added to a singular Q
 
@@ -60,14 +61,20 @@ class DareBounds:
     q_regularized: bool = False
 
 
+def _eigs(M: np.ndarray) -> np.ndarray:
+    """Nondecreasing eigenvalues of symmetric M (its lower triangle, as
+    LAPACK reads it); the sorted entries of a diagonal M (1-D)."""
+    return np.sort(M) if M.ndim == 1 else np.linalg.eigvalsh(M)
+
+
 def _sym_part_eigs(M: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(0.5 * (M + M.T))
+    return _eigs(0.5 * (M + M.T))
 
 
 def _regularized_q(problem: LinearGaussianProblem):
     """Return (Q, was_regularized); nudges a singular Q to invertible."""
     Q = problem.Q
-    w = np.linalg.eigvalsh(0.5 * (Q + Q.T))
+    w = _sym_part_eigs(storage(Q)[0])
     if w[0] > 0.0 and w[-1] / w[0] <= PD_COND_LIMIT:
         return Q, False
     bump = Q_REGULARIZATION * np.trace(Q) / problem.m
@@ -76,21 +83,17 @@ def _regularized_q(problem: LinearGaussianProblem):
     return Q + bump * np.eye(problem.m), True
 
 
-def dare_lower_bound(problem: LinearGaussianProblem) -> SymMatrix:
-    """Komaroff-type lower bound X_l = A (Q^{-1} + H'R^{-1}H)^{-1} A' + Q."""
-    A, Q, H, R = problem.A, problem.Q, problem.H, problem.R
+def _lower(A, Q, H, R):
     Q_inv = pd_inverse(Q, "lower bound requires invertible Q")
     R_inv = pd_inverse(R, "R singular")
-    inner = np.linalg.inv(Q_inv + H.T @ R_inv @ H)
-    return SymMatrix(sym(A @ inner @ A.T + Q, rtol=np.inf))
+    inner = inverse(Q_inv + mul(mul(H.T, R_inv), H))
+    return mul(mul(A, inner), A.T) + Q
 
 
-def dare_upper_bound(problem: LinearGaussianProblem) -> tuple[SymMatrix, float]:
-    """Kwon-type upper bound; returns (X_u, eta)."""
-    A, Q, H, R = problem.A, problem.Q, problem.H, problem.R
+def _upper(A, Q, H, R):
     R_inv = pd_inverse(R, "R singular")
-    M = 0.5 * ((H.T @ R_inv @ H) + (H.T @ R_inv @ H).T)
-    lam_AAt = np.linalg.eigvalsh(A @ A.T)[-1]
+    M = 0.5 * (mul(mul(H.T, R_inv), H) + mul(mul(H.T, R_inv), H).T)
+    lam_AAt = _eigs(mul(A, A.T))[-1]
     lam_min_M = max(_sym_part_eigs(M)[0], 0.0)
     lam_max_Q = _sym_part_eigs(Q)[-1]
     a = 1.0 - lam_AAt - lam_min_M * lam_max_Q
@@ -107,15 +110,41 @@ def dare_upper_bound(problem: LinearGaussianProblem) -> tuple[SymMatrix, float]:
     if eta <= 0.0:
         raise BoundInapplicableError(
             f"upper bound inapplicable: eta = {eta:.3e} <= 0")
-    eye = np.eye(problem.m)
     try:
-        X_star = A @ np.linalg.inv(eye / eta + M) @ A.T + Q
+        X_star = mul(mul(A, inverse(identity(A) / eta + M)), A.T) + Q
         X_star_inv = pd_inverse(X_star, "upper bound inapplicable: "
-                                         "singular intermediate")
-        X_u = A @ np.linalg.inv(X_star_inv + M) @ A.T + Q
+                                        "singular intermediate")
+        X_u = mul(mul(A, inverse(X_star_inv + M)), A.T) + Q
     except np.linalg.LinAlgError as exc:
         raise BoundInapplicableError(str(exc)) from exc
-    return SymMatrix(sym(X_u, rtol=np.inf)), float(eta)
+    return X_u, float(eta)
+
+
+def _sandwich(A, Q, H, R):
+    """(X_l, X_u, eta, P_u) in the form of A, Q, H and R; X_u as
+    :func:`_upper` returns it, P_u from its symmetric part."""
+    X_l = _lower(A, Q, H, R)
+    X_u, eta = _upper(A, Q, H, R)
+    X_sym = 0.5 * (X_u + X_u.T)
+    HXu = mul(H, X_sym)
+    P_u = X_sym - mul(HXu.T, solve(mul(HXu, H.T) + R, HXu))
+    return X_l, X_u, eta, P_u
+
+
+def _dense_sym(M) -> SymMatrix:
+    return SymMatrix(sym(dense(M), rtol=np.inf))
+
+
+def dare_lower_bound(problem: LinearGaussianProblem) -> SymMatrix:
+    """Komaroff-type lower bound X_l = A (Q^{-1} + H'R^{-1}H)^{-1} A' + Q."""
+    return _dense_sym(on_storage(_lower, problem.A, problem.Q, problem.H,
+                                 problem.R))
+
+
+def dare_upper_bound(problem: LinearGaussianProblem) -> tuple[SymMatrix, float]:
+    """Kwon-type upper bound; returns (X_u, eta)."""
+    X_u, eta = on_storage(_upper, problem.A, problem.Q, problem.H, problem.R)
+    return _dense_sym(X_u), eta
 
 
 def p_upper_bound(problem: LinearGaussianProblem,
@@ -124,7 +153,9 @@ def p_upper_bound(problem: LinearGaussianProblem,
 
     With ``regularize_q`` a singular Q is bumped by
     Q_REGULARIZATION * trace(Q)/m on the diagonal and the result is
-    flagged ``q_regularized``; otherwise a singular Q raises.
+    flagged ``q_regularized``; otherwise a singular Q raises.  A problem
+    whose A, Q, H and R are all diagonal is bounded on their diagonals
+    (see :func:`effdim.model.on_storage`); the result is dense either way.
     """
     work = problem
     regularized = False
@@ -132,15 +163,11 @@ def p_upper_bound(problem: LinearGaussianProblem,
         Q_reg, regularized = _regularized_q(problem)
         if regularized:
             work = replace(problem, Q=Q_reg)
-    X_l = dare_lower_bound(work)
-    X_u, eta = dare_upper_bound(work)
-    H, R = work.H, work.R
-    S = H @ X_u.a @ H.T + R
-    HXu = H @ X_u.a
-    P_u = X_u.a - HXu.T @ np.linalg.solve(S, HXu)
-    P_u = SymMatrix(sym(P_u, rtol=np.inf))
-    return DareBounds(X_lower=X_l, X_upper=X_u, P_upper=P_u,
-                      eff_dim_upper=frobenius(P_u), eta=eta,
+    X_l, X_u, eta, P_u = on_storage(_sandwich, work.A, work.Q, work.H,
+                                    work.R)
+    P_u = _dense_sym(P_u)
+    return DareBounds(X_lower=_dense_sym(X_l), X_upper=_dense_sym(X_u),
+                      P_upper=P_u, eff_dim_upper=frobenius(P_u), eta=eta,
                       q_regularized=regularized)
 
 

@@ -16,12 +16,14 @@ posterior samples concentrate (see :func:`spread_stats`).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (LinearGaussianProblem, SymMatrix, as_matrix, frobenius,
-                    pd_inverse, sym)
+from .model import (LinearGaussianProblem, SymMatrix, as_matrix, dense,
+                    frobenius, identity, mul, on_storage, pd_inverse, solve,
+                    sym)
 
 DARE_TOL = 1e-10
 DARE_MAX_ITER = 100_000
@@ -101,8 +103,25 @@ def _converged(residual: float, norm_x: float, tol: float) -> bool:
     return np.isfinite(norm_x) and residual <= tol * norm_x
 
 
-def _doubling(problem: LinearGaussianProblem, X0, tol: float,
-              max_iter: int):
+def _norm(M) -> float:
+    """||M||_F of the dense matrix M stands for.
+
+    The BLAS dot sums a diagonal's squares in another order than the m^2
+    entries of its matrix, so a diagonal is expanded first: O(m^2), and
+    the same bits as the dense form.
+    """
+    return frobenius(dense(M))
+
+
+def _norm_1_inf(M) -> float:
+    """||M||_1 ||M||_inf; max|d|^2 for a diagonal M (1-D)."""
+    if M.ndim == 1:
+        top = np.abs(M).max()
+        return top * top
+    return np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)
+
+
+def _doubling(A, Q, H, R, X0, tol: float, max_iter: int):
     """SDA on the filter DARE in control form: (X, doublings, residual).
 
     With A_0 = A', G_0 = H'R^{-1}H and H_0 = Q, a doubling solves
@@ -113,43 +132,42 @@ def _doubling(problem: LinearGaussianProblem, X0, tol: float,
     minimal solution.  That is the limit from X0 too unless Q leaves a
     growing mode unexcited, which keeps ||A_k||_2 above 1; then the
     doubling goes on from X0.  None (a non-finite iterate or a singular
-    solve) asks for the sweep.
+    solve) asks for the sweep.  The matrices are all dense or all
+    diagonal (1-D).
     """
-    m = problem.m
+    eye = identity(A)
     try:
-        G = problem.H.T @ np.linalg.solve(problem.R, problem.H)
-        Ak, Gk, Hk = problem.A.T, 0.5 * (G + G.T), problem.Q
+        G = mul(H.T, solve(R, H))
+        Ak, Gk, Hk = A.T, 0.5 * (G + G.T), Q
         k, from_x0, X = 0, False, None
         while True:
             X_next = Hk
             if from_x0:
-                X_next = Hk + Ak.T @ X0 @ np.linalg.solve(
-                    np.eye(m) + Gk @ X0, Ak)
+                X_next = Hk + mul(mul(Ak.T, X0),
+                                  solve(eye + mul(Gk, X0), Ak))
                 X_next = 0.5 * (X_next + X_next.T)
-            norm_x = np.linalg.norm(X_next)
+            norm_x = _norm(X_next)
             if not np.isfinite(norm_x):
                 return None
             # X no longer moves (or A_k is gone): more doublings are idle
             stalled = X is not None and (
-                np.linalg.norm(X_next - X) <= _STALL_RTOL * norm_x
-                or not np.any(Ak))
+                _norm(X_next - X) <= _STALL_RTOL * norm_x or not np.any(Ak))
             X = X_next
-            residual = dare_residual(problem, X)
+            residual = _residual(A, Q, H, R, X)
             if _converged(residual, norm_x, tol):
                 # ||A_k||_2^2 <= ||A_k||_1 ||A_k||_inf
-                if from_x0 or (np.linalg.norm(Ak, 1)
-                               * np.linalg.norm(Ak, np.inf) <= 1.0):
+                if from_x0 or _norm_1_inf(Ak) <= 1.0:
                     return X, k, residual
                 from_x0, X = True, None
                 continue
             if stalled or k == max_iter:
                 break
-            V = np.linalg.solve(np.eye(m) + Gk @ Hk, np.hstack((Ak, Gk)))
-            Hk = Hk + Ak.T @ Hk @ V[:, :m]
+            V1, V2 = solve(eye + mul(Gk, Hk), Ak, Gk)
+            Hk = Hk + mul(mul(Ak.T, Hk), V1)
             Hk = 0.5 * (Hk + Hk.T)
-            Gk = Gk + Ak @ V[:, m:] @ Ak.T
+            Gk = Gk + mul(mul(Ak, V2), Ak.T)
             Gk = 0.5 * (Gk + Gk.T)
-            Ak = Ak @ V[:, :m]
+            Ak = mul(Ak, V1)
             k += 1
     except np.linalg.LinAlgError:
         return None
@@ -159,33 +177,50 @@ def _doubling(problem: LinearGaussianProblem, X0, tol: float,
         residual=residual, iterations=k)
 
 
-def _sweep(problem: LinearGaussianProblem, X, tol: float, max_iter: int):
+def _sweep(A, Q, H, R, X, tol: float, max_iter: int):
     """Fixed-point sweep X <- A (X - X H' S^{-1} H X) A' + Q from X.
 
     The step ||X_new - X||_F is the DARE residual of X, so the sweep stops
     on the equation residual.  Returns (X, sweeps, residual).
     """
-    A, Q, H, R = problem.A, problem.Q, problem.H, problem.R
     for it in range(1, max_iter + 1):
-        HX = H @ X
+        HX = mul(H, X)
         try:
-            X_next = A @ (X - HX.T @ np.linalg.solve(HX @ H.T + R, HX)) @ A.T
+            X_next = mul(mul(A, X - mul(HX.T, solve(mul(HX, H.T) + R, HX))),
+                         A.T)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 "innovation covariance singular during DARE iteration"
             ) from exc
         X_next = 0.5 * (X_next + X_next.T) + Q
-        step = float(np.linalg.norm(X_next - X))
+        step = _norm(X_next - X)
         X = X_next
         if not np.isfinite(step):
             raise DareConvergenceError(
                 "DARE iteration diverged (non-finite covariance)",
                 residual=step, iterations=it)
-        if _converged(step, np.linalg.norm(X), tol):
-            return X, it, dare_residual(problem, X)
+        if _converged(step, _norm(X), tol):
+            return X, it, _residual(A, Q, H, R, X)
     raise DareConvergenceError(
         f"DARE iteration did not converge in {max_iter} sweeps "
         f"(last residual {step:.3e})", residual=step, iterations=max_iter)
+
+
+def _steady(A, Q, H, R, P0, tol: float, max_iter: int):
+    """(X, K, P, iterations, residual) in the form of A, Q, H, R and P0.
+
+    The dense iteration ignores floating-point errors; the diagonal one
+    keeps those :func:`effdim.model.on_storage` raises, which send it to
+    the dense form.
+    """
+    with (np.errstate(all="ignore") if A.ndim == 2
+          else contextlib.nullcontext()):
+        X0 = mul(mul(A, P0), A.T) + Q
+        X, iterations, residual = (_doubling(A, Q, H, R, X0, tol, max_iter)
+                                   or _sweep(A, Q, H, R, X0, tol, max_iter))
+    HX = mul(H, X)
+    K = solve(mul(HX, H.T) + R, HX).T
+    return X, K, X - mul(K, HX), iterations, residual
 
 
 def solve_dare(problem: LinearGaussianProblem, tol: float = DARE_TOL,
@@ -198,7 +233,9 @@ def solve_dare(problem: LinearGaussianProblem, tol: float = DARE_TOL,
     and P follow from X.  On stabilizable/detectable problems it
     converges quadratically and the limit does not depend on ``start``.
     A non-finite iterate or a singular solve falls back to the
-    fixed-point sweep from the same start.
+    fixed-point sweep from the same start.  A problem whose A, Q, H, R
+    and start are all diagonal is solved on their diagonals (see
+    :func:`effdim.model.on_storage`); the result is dense either way.
 
     Raises DareConvergenceError, carrying the last residual and the
     doubling (or sweep) count, when doubling stagnates above ``tol``,
@@ -209,27 +246,26 @@ def solve_dare(problem: LinearGaussianProblem, tol: float = DARE_TOL,
         raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    P0 = as_matrix(problem.Sigma0 if start is None else start)
-    with np.errstate(all="ignore"):
-        X0 = problem.A @ P0 @ problem.A.T + problem.Q
-        X, iterations, residual = (_doubling(problem, X0, tol, max_iter)
-                                   or _sweep(problem, X0, tol, max_iter))
-    HX = problem.H @ X
-    K = np.linalg.solve(HX @ problem.H.T + problem.R, HX).T
-    P = SymMatrix(sym(X - K @ HX, rtol=np.inf))
-    return SteadyState(X=SymMatrix(sym(X, rtol=np.inf)), K=K, P=P,
-                       eff_dim=frobenius(P), iterations=int(iterations),
+    X, K, P, iterations, residual = on_storage(
+        lambda *forms: _steady(*forms, tol, max_iter), problem.A, problem.Q,
+        problem.H, problem.R, problem.Sigma0 if start is None else start)
+    P = SymMatrix(sym(dense(P), rtol=np.inf))
+    return SteadyState(X=SymMatrix(sym(dense(X), rtol=np.inf)), K=dense(K),
+                       P=P, eff_dim=frobenius(P), iterations=int(iterations),
                        residual=float(residual))
+
+
+def _residual(A, Q, H, R, X) -> float:
+    S = mul(mul(H, X), H.T) + R
+    HXA = mul(mul(H, X), A.T)
+    rhs = mul(mul(A, X), A.T) - mul(HXA.T, solve(S, HXA)) + Q
+    return _norm(X - rhs)
 
 
 def dare_residual(problem: LinearGaussianProblem, X) -> float:
     """||X - (A X A' - A X H'(H X H' + R)^{-1} H X A' + Q)||_F."""
-    Xa = as_matrix(X)
-    A, Q, H, R = problem.A, problem.Q, problem.H, problem.R
-    S = H @ Xa @ H.T + R
-    HXA = H @ Xa @ A.T
-    rhs = A @ Xa @ A.T - HXA.T @ np.linalg.solve(S, HXA) + Q
-    return float(np.linalg.norm(Xa - rhs))
+    return on_storage(_residual, problem.A, problem.Q, problem.H, problem.R,
+                      as_matrix(X))
 
 
 def isotropic_steady_p(q: float, r: float) -> float:
@@ -250,10 +286,9 @@ def isotropic_steady_p(q: float, r: float) -> float:
 
 def spread_stats(P) -> SpreadStats:
     """Shell radius/thickness statistics from the eigenvalues of P."""
-    if isinstance(P, SymMatrix):
-        eigs = P.eigenvalues()
-    else:
-        eigs = np.linalg.eigvalsh(sym(as_matrix(P), rtol=np.inf))
+    if not isinstance(P, SymMatrix):
+        P = SymMatrix(sym(as_matrix(P), rtol=np.inf))
+    eigs = P.eigenvalues()
     s1 = float(np.sum(eigs))
     s2 = float(np.sum(eigs ** 2))
     if s1 <= 0.0:

@@ -12,12 +12,23 @@ comparison used throughout, and JSON round-tripping.
 A matrix is stored in one of two forms: dense (2-D), or, when it is
 exactly diagonal, as its 1-D diagonal.  :func:`storage` picks the
 diagonal form when every matrix a computation uses is diagonal, and the
-product, inverse and factor helpers below accept either form, so each
-computation is written once and runs in O(m) per vector on diagonal
-problems.  The diagonal form repeats the dense form's
-arithmetic bit for bit wherever LAPACK's result on a diagonal matrix is
-itself exact; the exception is an eigendecomposition, which sorts the
-eigenvalues (see :func:`psd_factor`).
+product, solve, inverse and factor helpers below accept either form, so
+each computation is written once and runs in O(m) per vector on
+diagonal problems.  The filters, the smoother, the DARE, its bounds and
+the spectra all run on the storage form; :func:`on_storage` runs a
+computation whose results must keep the dense form's bits.
+
+The two forms round alike, except where this list says otherwise:
+  - a product of diagonals is their elementwise product (:func:`mul`);
+  - a solve multiplies by the reciprocal pivots, as OpenBLAS does for two
+    or more right-hand side columns; with one column, so in a 1x1 system,
+    LAPACK divides and the two can differ in the last bit (:func:`solve`);
+  - the eigenvalues of a diagonal are its sorted entries, which LAPACK
+    returns too unless it scales the matrix, for entries beyond about
+    1e+-146; an eigendecomposition keeps the entries' order instead (see
+    :func:`psd_factor`);
+  - a Frobenius norm sums the squares in another order than over the m^2
+    entries of the dense matrix, so the two agree only to rounding.
 """
 
 from __future__ import annotations
@@ -76,7 +87,8 @@ class SymMatrix:
     """A square matrix stored symmetric.
 
     Construct through :meth:`from_array`, which enforces the symmetry
-    tolerance.  ``eigenvalues`` returns the nondecreasing real spectrum.
+    tolerance.  ``eigenvalues`` returns the nondecreasing real spectrum;
+    for a diagonal matrix, its sorted entries.
     """
 
     a: np.ndarray
@@ -86,7 +98,8 @@ class SymMatrix:
         return cls(sym(as_matrix(M), rtol))
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.a)
+        d = diagonal(self.a)
+        return np.linalg.eigvalsh(self.a) if d is None else np.sort(d)
 
     def __array__(self, dtype=None, copy=None):
         if dtype is None:
@@ -139,8 +152,9 @@ def psd_compare(C, D, tol_scale: float = PSD_TOL_SCALE) -> PsdOrder:
 def frobenius(M) -> float:
     """Frobenius norm (sum of squared entries, square-rooted).
 
-    The arithmetic of ``np.linalg.norm``: a 1-D diagonal and its dense
-    matrix give the same value, since the zeros add nothing.
+    The arithmetic of ``np.linalg.norm``.  A 1-D diagonal and its dense
+    matrix agree to rounding only: the BLAS dot sums the squares in
+    another order.
     """
     x = as_matrix(M).ravel(order="K")
     return float(np.sqrt(x.dot(x)))
@@ -209,6 +223,62 @@ def inverse(M) -> np.ndarray:
     if M.ndim == 1:
         return 1.0 / M
     return np.linalg.inv(M)
+
+
+def solve(M, *B):
+    """M^{-1} B for each right-hand side B, from one LU factorization of M.
+
+    Several B come back as a tuple, one B as an array.  A diagonal M
+    (1-D) takes each B in its form (a diagonal, or a stack of diagonals)
+    and multiplies it by the reciprocal pivots 1/M.  That is how
+    OpenBLAS's gesv rounds a solve with two or more right-hand side
+    columns; with a single column (a 1x1 diagonal system here) it
+    divides, so there the two forms may differ in the last bit.  A zero
+    pivot raises LinAlgError, as LAPACK does.
+    """
+    if M.ndim == 1:
+        if not M.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        reciprocal = 1.0 / M
+        X = tuple(b * reciprocal for b in B)
+        return X[0] if len(X) == 1 else X
+    if len(B) == 1:
+        return np.linalg.solve(M, B[0])
+    X = np.linalg.solve(M, np.hstack(B))
+    return tuple(np.hsplit(X, np.cumsum([b.shape[1] for b in B[:-1]])))
+
+
+def identity(M) -> np.ndarray:
+    """The identity matrix of M's order, in M's storage form."""
+    return np.ones(len(M)) if M.ndim == 1 else np.eye(len(M))
+
+
+def dense(M) -> np.ndarray:
+    """The dense matrix M stands for: diag(M) for a 1-D M, else M."""
+    return np.diag(M) if M.ndim == 1 else M
+
+
+def on_storage(fn, *matrices):
+    """fn(*matrices), with the matrices in their storage form.
+
+    In diagonal form the result has the dense form's bits for as long as
+    every value stays finite.  An inf on the diagonal of a dense matrix
+    spreads NaN off it in the next product (inf * 0), which a diagonal
+    cannot hold.  So fn runs on diagonals with floating-point overflow,
+    invalid operations and division by zero raised, and any of them, or
+    a matrix that is not finite to begin with, sends fn to the dense
+    matrices, under the caller's error state.  fn's result is returned as
+    it is: its matrices keep the form fn was given.
+    """
+    forms = storage(*matrices)
+    if forms[0].ndim == 1 and all(np.isfinite(d).all() for d in forms):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise",
+                             under="ignore"):
+                return fn(*forms)
+        except FloatingPointError:
+            pass
+    return fn(*(as_matrix(M) for M in matrices))
 
 
 def cholesky(M) -> np.ndarray:

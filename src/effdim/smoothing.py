@@ -166,10 +166,14 @@ def smoother_condition(problem: LinearGaussianProblem) -> ConditionCheck:
     """Sufficient non-collapse condition for the prior-proposal smoother.
 
     ||H||_F^2 ||A||_F^2 ||Sigma0||_F <= ||R|| (spectral norm on the right).
+    The spectral norm of a diagonal R is max|r|; LAPACK's 2x2 SVD formula
+    can round it one or two ulps low.
     """
     lhs = (frobenius(problem.H) ** 2 * frobenius(problem.A) ** 2
            * frobenius(problem.Sigma0))
-    rhs = float(np.linalg.norm(problem.R, 2))
+    (R,) = storage(problem.R)
+    rhs = float(np.abs(R).max() if R.ndim == 1 and np.isfinite(R).all()
+                else np.linalg.norm(problem.R, 2))
     return ConditionCheck("sir_smoother", lhs, rhs, lhs <= rhs)
 
 

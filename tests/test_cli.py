@@ -694,6 +694,11 @@ _GOLDEN_DENSE = LinearGaussianProblem(
     H=[[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]], R=[[0.5, 0.1], [0.1, 0.4]],
     mu0=[0.0, 0.5, -0.5],
     Sigma0=[[1.0, 0.0, 0.0], [0.0, 2.0, 0.3], [0.0, 0.3, 1.0]])
+# non-isotropic and diagonal, with an unstable component
+_GOLDEN_DIAGONAL = LinearGaussianProblem(
+    A=np.diag([0.9, -0.5, 1.1]), Q=np.diag([0.5, 2.0, 0.1]),
+    H=np.diag([1.0, 0.5, -2.0]), R=np.diag([0.3, 1.0, 4.0]),
+    mu0=[0.1, -0.2, 0.3], Sigma0=np.diag([1.0, 0.2, 3.0]))
 _GOLDEN_ISO = ["--m", "3", "--q", "0.5", "--r", "1"]
 _GOLDEN_RUN = ["--particles", "40", "--steps", "4", "--resample-every", "2"]
 _GOLDEN_ARGV = {
@@ -723,6 +728,15 @@ _GOLDEN_ARGV = {
                     "--grid-points", "40"],
     "maxdim-sir": ["--command", "maxdim", "--kind", "sir",
                    "--grid-points", "40"],
+    # the DARE, its bounds and the smoother on diagonals
+    "effdim-isotropic": ["--command", "effdim", *_GOLDEN_ISO],
+    "bounds-isotropic": ["--command", "bounds", *_GOLDEN_ISO],
+    "smooth-isotropic": ["--command", "smooth", *_GOLDEN_ISO,
+                         "--steps", "4", "--seeds", "1"],
+    "effdim-diagonal": ["--command", "effdim", "--problem", "diagonal.json"],
+    "bounds-diagonal": ["--command", "bounds", "--problem", "diagonal.json"],
+    "smooth-diagonal": ["--command", "smooth", "--problem", "diagonal.json",
+                        "--steps", "4", "--seeds", "1"],
 }
 # (run.csv, run.json)
 _GOLDEN_SHA256 = {
@@ -762,6 +776,32 @@ _GOLDEN_SHA256 = {
         "092a86acd50fa738c5aaab0158f25a37c8df6ff691ec6c1574c3f59027a4d3cc",
         "42c7bdf8ce617fd4623b87eaccb413b32b783cdfcd45ca595a051257b0dfeef0",
     ),
+    # taken with the dense DARE, bounds and spectra of the code before the
+    # diagonal form; the diagonal form writes the same bytes
+    "effdim-isotropic": (
+        "afeab2545d4b66a1a66128133ee4ac72a5765181e58c18ed0d4d05f238cda68f",
+        "01afcdfcc472774ebdcc9bfe7bab616196d7000b93bb63ab1da5f8e2755ffd65",
+    ),
+    "bounds-isotropic": (
+        "2e42866cbcca9270279407035572b2dbeb5d34e7435191d500949a59b96bb4b2",
+        "f0db003352d39a9001a092a287f64decc42dddaf40d848c857bd325e60a2a43e",
+    ),
+    "smooth-isotropic": (
+        "5c9a8f6959f717570397838e66eb5d377145e1d1e8e0a5d4b6a80243b472a726",
+        "26f95dffb771d7e4e711f6cb92a7c02b378a82bd3626ad5595c26e734a4b4b1d",
+    ),
+    "effdim-diagonal": (
+        "9198d5698bbd7abf72b6fa819268ee3d3aa4724777c312918e2e80f2fd900872",
+        "849262da61c68da57cba30771fd498dd0bcb1424b768323a9437e79f2a216d56",
+    ),
+    "bounds-diagonal": (
+        "27ec963e4c7a9e37812ecc665a92ba8d92ece5fb6d582e616ef39f3af2682190",
+        "c22645f0406aa1ac3d05a804b6bf2c4266801ad954176d15c5d9052d334b9df9",
+    ),
+    "smooth-diagonal": (
+        "4262a57aa29d4fb4a6f4497b82e28e0f0e54d969597bc1e8811a3e9b64e97a38",
+        "47734f932dedac5380473f64215619638abd7cc764f90cfe46c2b08647a72c45",
+    ),
 }
 
 
@@ -771,8 +811,9 @@ def test_seeded_outputs_match_their_golden_digests(name, tmp_path,
     # the config echoes --problem and --out, so both stay relative
     monkeypatch.chdir(tmp_path)
     save_problem(_GOLDEN_DENSE, "problem.json")
+    save_problem(_GOLDEN_DIAGONAL, "diagonal.json")
     argv = _GOLDEN_ARGV[name]
-    if argv[1] in ("map", "maxdim"):
+    if argv[1] in ("map", "maxdim", "effdim", "bounds"):
         assert run_cli(*argv, "--format", "csv", "--out", "run.csv") == 0
         assert run_cli(*argv, "--out", "run.json") == 0
     else:

@@ -2,22 +2,31 @@
 
 Problems whose matrices are all diagonal run on 1-D diagonals
 elementwise.  The dense form, forced through ``util.dense_path``, is the
-reference: on the isotropic family the two agree bit for bit.
+reference: on the isotropic family the two agree bit for bit, and so do
+the DARE, its bounds and the spectra on any diagonal problem of order 2
+or more.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effdim import model
+from effdim.balance import general_sufficient_conditions
+from effdim.bounds import BoundInapplicableError, p_upper_bound
 from effdim.filters import (_steady_posterior, collapse_stat,
                             init_ensemble, optimal_step, run_filter,
                             simulate, sir_step, steady_collapse_stat,
                             step_plan)
-from effdim.kalman import isotropic_steady_p, solve_dare
+from effdim.kalman import (DARE_MAX_ITER, DareConvergenceError, dare_residual,
+                           isotropic_steady_p, solve_dare, spread_stats)
 from effdim.model import LinearGaussianProblem, mul, psd_factor, validate
-from effdim.smoothing import optimal_smoother_sample, weak_mode, weak_precision
+from effdim.smoothing import (optimal_smoother_sample, smoother_condition,
+                              weak_mode, weak_precision)
 from util import dense_path
 
 
@@ -259,3 +268,213 @@ def test_pd_inverse_rejects_subnormal_eigenvalues():
     assert plan.G_T is not None and np.isfinite(plan.sigma_frob)
     run = run_filter(problem, "optimal", 3, 20, seed=1, plan=plan)
     assert np.isfinite(run.means).all()
+
+
+# ---------------------------------------------------------------------------
+# the DARE, its bounds and the spectra on diagonals
+
+_LAPACK = ("solve", "inv", "eigh", "eigvalsh", "svd")
+
+
+@pytest.fixture
+def count_lapack(monkeypatch):
+    """Count the O(m^3) LAPACK calls, also those numpy.linalg makes itself
+    (the 2-norm's svd)."""
+    calls = []
+    for name in _LAPACK:
+        fn = getattr(np.linalg, name)
+        wrapper = (lambda *a, _fn=fn, _n=name, **k:
+                   calls.append(_n) or _fn(*a, **k))
+        monkeypatch.setattr(np.linalg, name, wrapper)
+        monkeypatch.setattr(np.linalg._linalg, name, wrapper)
+    return calls
+
+
+_NONISOTROPIC = LinearGaussianProblem(
+    A=np.diag([0.9, -0.5, 0.3, 1.1, -0.95]),
+    Q=np.diag([0.5, 2.0, 0.1, 1.0, 0.05]),
+    H=np.diag([1.0, 0.5, -2.0, 1.5, 0.8]),
+    R=np.diag([0.3, 1.0, 4.0, 0.5, 2.0]), mu0=np.zeros(5),
+    Sigma0=np.diag([1.0, 0.2, 3.0, 0.5, 1.0]))
+
+
+def _riccati_layer(problem):
+    state = solve_dare(problem)
+    spread_stats(state.P)
+    p_upper_bound(problem)
+    general_sufficient_conditions(problem)
+    smoother_condition(problem)
+
+
+@pytest.mark.parametrize("isotropic", [True, False])
+def test_riccati_layer_makes_no_lapack_call_on_diagonal_problems(
+        count_lapack, isotropic):
+    problem = (LinearGaussianProblem.isotropic(100, 0.01, 1.0) if isotropic
+               else _NONISOTROPIC)
+    _riccati_layer(problem)
+    assert count_lapack == []
+    # the same problem with a dense Q and R still takes the LAPACK path
+    _riccati_layer(dataclasses.replace(problem, Q=problem.Q + 0.01,
+                                       R=problem.R + 0.01))
+    assert set(count_lapack) == set(_LAPACK)
+
+
+def _same_outcome(call):
+    """call()'s result, or the type, text and fields of what it raised."""
+    try:
+        return call()
+    except (DareConvergenceError, BoundInapplicableError,
+            np.linalg.LinAlgError) as exc:
+        return (type(exc), str(exc), getattr(exc, "residual", None),
+                getattr(exc, "iterations", None))
+
+
+def _state_bits(state):
+    if isinstance(state, tuple):
+        return state
+    return (state.X.a.tobytes(), state.K.tobytes(), state.P.a.tobytes(),
+            state.eff_dim, state.iterations, state.residual)
+
+
+def _bounds_bits(db):
+    if isinstance(db, tuple):
+        return db
+    return (db.X_lower.a.tobytes(), db.X_upper.a.tobytes(),
+            db.P_upper.a.tobytes(), db.eff_dim_upper, db.eta)
+
+
+def _entries(data, m, lo, hi):
+    return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=m,
+                                       max_size=m)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_diagonal_riccati_equals_dense_bit_for_bit(data):
+    m = data.draw(st.integers(2, 8))
+    signs = np.where(_entries(data, m, -1.0, 1.0) < 0.0, -1.0, 1.0)
+    problem = LinearGaussianProblem(
+        A=np.diag(_entries(data, m, -1.2, 1.2)),
+        Q=np.diag(10.0 ** _entries(data, m, -3.0, 1.0)),
+        H=np.diag(signs * _entries(data, m, 0.3, 2.0)),
+        R=np.diag(10.0 ** _entries(data, m, -2.0, 1.0)), mu0=np.zeros(m),
+        Sigma0=np.diag(10.0 ** _entries(data, m, -2.0, 2.0)))
+    state = solve_dare(problem)
+    bounds = _same_outcome(lambda: p_upper_bound(problem))
+    with dense_path():
+        want = solve_dare(problem)
+        want_bounds = _same_outcome(lambda: p_upper_bound(problem))
+        want_spread = spread_stats(want.P)
+        want_rhs = smoother_condition(problem).rhs
+    assert _state_bits(state) == _state_bits(want)
+    assert _bounds_bits(bounds) == _bounds_bits(want_bounds)
+    spread = spread_stats(state.P)
+    assert spread.eigenvalues.tobytes() == want_spread.eigenvalues.tobytes()
+    assert (spread.e_hat, spread.v_hat) == (want_spread.e_hat,
+                                            want_spread.v_hat)
+    # the exact 2-norm; LAPACK's 2x2 SVD may round it an ulp or two low
+    rhs = smoother_condition(problem).rhs
+    assert rhs == np.abs(np.diag(problem.R)).max()
+    assert rhs == (want_rhs if m > 2 else pytest.approx(want_rhs, rel=1e-15))
+    X_ref = scipy.linalg.solve_discrete_are(problem.A.T, problem.H.T,
+                                            problem.Q, problem.R)
+    err = np.linalg.norm(state.X.a - X_ref) / np.linalg.norm(X_ref)
+    assert err <= 1e-8
+
+
+@pytest.mark.parametrize("m, q", [(100, 1e-4), (100, 1e-2), (100, 1.0),
+                                  (20, None), (100, None)])
+def test_large_diagonal_riccati_equals_dense_bit_for_bit(m, q):
+    # m^2 entries reach the BLAS dot's SIMD lanes, where a diagonal's
+    # squares would sum in another order than its dense matrix's
+    if q is not None:
+        problem = LinearGaussianProblem.isotropic(m, q, 1.0)
+    else:
+        rng = np.random.default_rng(m)
+        problem = LinearGaussianProblem(
+            A=np.diag(rng.uniform(-1.1, 1.1, m)),
+            Q=np.diag(10.0 ** rng.uniform(-3, 1, m)),
+            H=np.diag(rng.uniform(0.3, 2.0, m)),
+            R=np.diag(10.0 ** rng.uniform(-2, 1, m)), mu0=np.zeros(m),
+            Sigma0=np.eye(m))
+    got = (solve_dare(problem), _same_outcome(lambda: p_upper_bound(problem)))
+    with dense_path():
+        want = (solve_dare(problem),
+                _same_outcome(lambda: p_upper_bound(problem)))
+    assert _state_bits(got[0]) == _state_bits(want[0])
+    assert _bounds_bits(got[1]) == _bounds_bits(want[1])
+    # far from the solution the residual's entries are alike in size
+    X = np.diag(np.linspace(0.5, 2.0, m))
+    got = dare_residual(problem, X)
+    with dense_path():
+        assert got == dare_residual(problem, X)
+
+
+_EDGE = {
+    "zero H": dict(A=[0.5, 0.9], Q=[1.0, 2.0], H=[0.0, 0.0], R=[1.0, 1.0]),
+    "singular R": dict(A=[0.5, 0.9], Q=[1.0, 2.0], H=[1.0, 1.0],
+                       R=[1.0, 0.0]),
+    "negative R": dict(A=[0.9, 0.5], Q=[1.0, 1.0], H=[1.0, 1.0],
+                       R=[-1.0, 1.0]),
+    "undetectable": dict(A=[1.5, 0.5], Q=[1.0, 1.0], H=[0.0, 1.0],
+                         R=[1.0, 1.0]),
+    "unexcited": dict(A=[2.0, 0.5], Q=[0.0, 1.0], H=[1.0, 1.0],
+                      R=[1.0, 1.0]),
+    "overflowing H": dict(A=[0.9, 1e-3], Q=[1.0, 1.0], H=[1e160, 1.0],
+                          R=[1.0, 1.0]),
+    "huge Q": dict(A=[0.9, 0.5], Q=[1e300, 1.0], H=[1.0, 1.0],
+                   R=[1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("max_iter", [1, 3, DARE_MAX_ITER])
+@pytest.mark.parametrize("name", sorted(_EDGE))
+def test_diagonal_edge_paths_match_dense(name, max_iter):
+    # singular solves fall back to the sweep, divergence raises, and an
+    # overflow sends the diagonal form to the dense one: same outcome
+    problem = LinearGaussianProblem(
+        **{key: np.diag(v) for key, v in _EDGE[name].items()},
+        mu0=np.zeros(2), Sigma0=np.eye(2))
+    with np.errstate(all="ignore"):
+        got = [_same_outcome(lambda: solve_dare(problem, max_iter=max_iter)),
+               _same_outcome(lambda: p_upper_bound(problem))]
+        with dense_path():
+            want = [_same_outcome(lambda: solve_dare(problem,
+                                                     max_iter=max_iter)),
+                    _same_outcome(lambda: p_upper_bound(problem))]
+    assert _state_bits(got[0]) == _state_bits(want[0])
+    assert _bounds_bits(got[1]) == _bounds_bits(want[1])
+
+
+def test_singular_r_falls_back_to_the_sweep_on_diagonals(count_lapack):
+    problem = LinearGaussianProblem(A=0.5 * np.eye(2), Q=np.eye(2),
+                                    H=np.eye(2), R=np.diag([1.0, 0.0]),
+                                    mu0=np.zeros(2), Sigma0=np.eye(2))
+    with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+        model.solve(np.diag(problem.R), np.ones(2))
+    state = solve_dare(problem)
+    assert state.iterations > 0 and np.isfinite(state.eff_dim)
+    assert count_lapack == []
+
+
+def test_solve_rounds_like_lapack():
+    # positive pivots, as in the DARE: LAPACK writes -0.0 off the
+    # diagonal of the solution of a negative one
+    rng = np.random.default_rng(8)
+    for m in (2, 3, 17, 100):
+        d = rng.uniform(0.1, 10.0, m)
+        b, c = rng.standard_normal(m), rng.standard_normal(m)
+        got = model.solve(d, b)
+        want = np.linalg.solve(np.diag(d), np.diag(b))
+        assert np.diag(got).tobytes() == want.tobytes()
+        x, y = model.solve(d, b, c)
+        v, w = model.solve(np.diag(d), np.diag(b), np.diag(c))
+        assert (np.diag(x).tobytes(), np.diag(y).tobytes()) == (
+            v.tobytes(), w.tobytes())
+    # one right-hand side column: LAPACK divides, the diagonal form
+    # multiplies by the reciprocal, an ulp apart at most
+    d, b = rng.uniform(0.1, 10.0, 200), rng.standard_normal(200)
+    lapack = np.array([np.linalg.solve([[p]], [[q]])[0, 0]
+                       for p, q in zip(d, b)])
+    assert lapack.tobytes() == (b / d).tobytes()
+    np.testing.assert_array_max_ulp(model.solve(d, b), lapack, maxulp=1)
