@@ -27,6 +27,7 @@ for m.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,19 +121,34 @@ def _check_constant(constant: float) -> None:
         raise ValueError("constant must be positive and finite")
 
 
-def max_dimension(eps: float, kind, constant: float = 1.0) -> float:
-    """Largest state dimension for which the filter criterion holds at ratio eps.
-
-    Solves g(eps, 1) <= constant / sqrt(m) for m.
-    """
-    if eps <= 0:
+def _max_dimensions(eps, kind, constant: float) -> list[float]:
+    """(constant / g(eps, 1))^2 for each ratio of ``eps``; inf where g is 0
+    or the square is beyond the float range."""
+    if np.any(np.asarray(eps) <= 0):
         raise ValueError("eps must be positive")
     _check_constant(constant)
     kind = MapKind(kind)
     if kind not in _RAY_KINDS:
         raise ValueError("max_dimension applies to the optimal and sir criteria")
-    g = _G_FUNCS[kind](float(eps), 1.0)
-    return (constant / g) ** 2
+    out = []
+    # Python's scalar power, not numpy's: their squares can differ in the
+    # last bit
+    for g in np.ravel(_G_FUNCS[kind](eps, 1.0)).tolist():
+        try:
+            out.append((constant / g) ** 2)
+        except (ZeroDivisionError, OverflowError):
+            out.append(math.inf)
+    return out
+
+
+def max_dimension(eps: float, kind, constant: float = 1.0) -> float:
+    """Largest state dimension for which the filter criterion holds at ratio eps.
+
+    Solves g(eps, 1) <= constant / sqrt(m) for m.  Where g(eps, 1) is 0
+    (the optimal criterion once eps^2 overflows) the criterion holds for
+    every m, and where m passes the float range, the result is inf.
+    """
+    return _max_dimensions(float(eps), kind, constant)[0]
 
 
 @dataclass(frozen=True)
@@ -238,8 +254,7 @@ def build_map(kind, q_grid, r_grid, dims, constant: float = 1.0) -> BalanceMap:
 def build_max_dim_curve(eps_grid, kind, constant: float = 1.0) -> MaxDimCurve:
     kind = MapKind(kind)
     eps_grid = np.asarray(eps_grid, dtype=float)
-    m_max = np.array([max_dimension(float(e), kind, constant)
-                      for e in eps_grid])
+    m_max = np.array(_max_dimensions(eps_grid, kind, constant), dtype=float)
     return MaxDimCurve(eps_grid=eps_grid, m_max=m_max, kind=kind)
 
 
@@ -301,13 +316,15 @@ def map_to_csv(bm: BalanceMap) -> str:
 
 
 def map_to_dict(bm: BalanceMap) -> dict:
+    """The JSON document of ``bm``; grids, values and level-set points
+    stay float64 arrays, which the CLI writes as their lists."""
     return {
         "kind": bm.kind.value,
-        "q_grid": bm.q_grid.tolist(),
-        "r_grid": bm.r_grid.tolist(),
-        "values": bm.values.tolist(),
+        "q_grid": bm.q_grid,
+        "r_grid": bm.r_grid,
+        "values": bm.values,
         "level_sets": [
-            {"m": ls.m, "level": ls.level, "points": ls.points.tolist()}
+            {"m": ls.m, "level": ls.level, "points": ls.points}
             for ls in bm.level_sets
         ],
     }
@@ -321,8 +338,9 @@ def curve_to_csv(curve: MaxDimCurve) -> str:
 
 
 def curve_to_dict(curve: MaxDimCurve) -> dict:
-    return {"kind": curve.kind.value, "eps_grid": curve.eps_grid.tolist(),
-            "m_max": curve.m_max.tolist()}
+    """The JSON document of ``curve``, its arrays as float64 arrays."""
+    return {"kind": curve.kind.value, "eps_grid": curve.eps_grid,
+            "m_max": curve.m_max}
 
 
 def conditions_to_dict(conds: SufficientConditions) -> dict:

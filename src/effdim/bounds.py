@@ -172,10 +172,12 @@ def p_upper_bound(problem: LinearGaussianProblem,
 
 
 def bounds_to_dict(bounds: DareBounds) -> dict:
+    """The JSON document of ``bounds``; the matrices stay float64 arrays,
+    which the CLI writes as their lists."""
     return {
-        "X_lower": bounds.X_lower.a.tolist(),
-        "X_upper": bounds.X_upper.a.tolist(),
-        "P_upper": bounds.P_upper.a.tolist(),
+        "X_lower": bounds.X_lower.a,
+        "X_upper": bounds.X_upper.a,
+        "P_upper": bounds.P_upper.a,
         "eff_dim_upper": bounds.eff_dim_upper,
         "eta": bounds.eta,
         "q_regularized": bounds.q_regularized,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import balance, bounds, filters, kalman, smoothing
 from ._util import fmt17
-from .model import LinearGaussianProblem, load_problem
+from .model import LinearGaussianProblem, load_problem, validate
 
 COMMANDS = ("effdim", "bounds", "map", "maxdim", "filter", "smooth",
             "collapse-sweep")
@@ -137,20 +138,24 @@ def _csv_text(config: dict, header: str, rows: list[str]) -> str:
     return "\n".join([head, header] + rows) + "\n"
 
 
-def _floats_text(sep: str, values) -> str:
-    """Floats as json writes them, joined by ``sep``: repr, with NaN,
-    Infinity and -Infinity in place of nan, inf and -inf."""
-    text = sep.join(map(float.__repr__, values))
+def _spell_non_finite(text: str) -> str:
+    """Float reprs as json spells them: NaN, Infinity and -Infinity in
+    place of nan, inf and -inf."""
     if "n" in text:
         text = text.replace("nan", "NaN").replace("inf", "Infinity")
     return text
+
+
+def _float_text(value: float) -> str:
+    """A float as json writes it."""
+    return _spell_non_finite(float.__repr__(value))
 
 
 def _json_key(key) -> str:
     if isinstance(key, str):
         return key
     if isinstance(key, float):
-        return _floats_text("", (key,))
+        return _float_text(key)
     if key is True:
         return "true"
     if key is False:
@@ -163,11 +168,81 @@ def _json_key(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
+def _list_text(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """The json list (or object) of the non-empty ``items``, texts at
+    indent ``pad`` plus two spaces, joined with one copy of their text;
+    the brackets go onto the first and last item in ``items``."""
+    inner = pad + "  "
+    items[0] = brackets[0] + "\n" + inner + items[0]
+    items[-1] += "\n" + pad + brackets[1]
+    return (",\n" + inner).join(items)
+
+
+def _row_texts(a: np.ndarray, pad: str) -> list[str]:
+    """The json lists of the rows (last axis) of the float64 ``a``, nested
+    at indent ``pad`` plus two spaces per leading axis.
+
+    Each distinct bit pattern (``-0.0`` stays apart from ``0.0``) is
+    formatted once, at its first occurrence, and its text is dropped
+    after its last.  The rows are taken in blocks that each bring about
+    sqrt(a.size) new values, so that both the numpy calls per block and
+    the texts an array of distinct values holds at a time grow as
+    sqrt(a.size), and an array of few values is one block.
+    """
+    flat = a.ravel()
+    _, first, ids = np.unique(flat.view(np.int64), return_index=True,
+                              return_inverse=True)
+    last = np.zeros_like(first)
+    np.maximum.at(last, ids, np.arange(flat.size))
+    is_first = np.zeros(flat.size, dtype=bool)
+    is_first[first] = True
+    is_last = np.zeros(flat.size, dtype=bool)
+    is_last[last] = True
+    texts = np.empty(first.size, dtype=object)
+    pad += "  " * (a.ndim - 1)
+    width = a.shape[-1]
+    seen = is_first.reshape(-1, width).sum(axis=1).cumsum()
+    quota = math.isqrt(flat.size)
+    ends = (np.searchsorted(seen, np.arange(quota, seen[-1], quota))
+            + 1).tolist()
+    rows = []
+    for lo, hi in zip([0, *ends], [*ends, seen.size]):
+        part = slice(lo * width, hi * width)
+        part_ids, new = ids[part], is_first[part]
+        texts[part_ids[new]] = list(map(float.__repr__,
+                                        flat[part][new].tolist()))
+        gathered = texts[part_ids].tolist()
+        rows += [_spell_non_finite(_list_text(gathered[i:i + width], pad))
+                 for i in range(0, len(gathered), width)]
+        texts[part_ids[is_last[part]]] = None
+    return rows
+
+
+def _array_text(a: np.ndarray, pad: str) -> str:
+    """The float64 array ``a`` as :func:`_render` writes ``a.tolist()``.
+
+    Result arrays repeat values (an isotropic ``P`` holds two, a balance
+    map one per ratio q/r), so :func:`_row_texts` formats each distinct
+    value once.
+    """
+    if a.ndim == 0:
+        return _float_text(float(a))
+    texts = (_row_texts(a, pad) if a.size
+             else ["[]"] * math.prod(a.shape[:-1]))
+    for d in range(a.ndim - 2, -1, -1):
+        size = a.shape[d]
+        texts = [_list_text(texts[i * size:(i + 1) * size], pad + "  " * d)
+                 if size else "[]" for i in range(math.prod(a.shape[:d]))]
+    return texts[0]
+
+
 def _render(value, pad: str) -> str:
     """``value`` exactly as ``json.dumps(indent=2, sort_keys=True)`` writes
-    it when nested at indent ``pad``.  json's indented encoder is pure
-    Python before 3.13; most of its time goes to per-item overhead, so a
-    list of floats is written with one join."""
+    it when nested at indent ``pad``, a float64 ``np.ndarray`` as its
+    ``tolist()``.  json's indented encoder is pure Python before 3.13;
+    most of its time goes to per-item overhead, so a list of floats is
+    written with one join, and each list or object copies its items'
+    text once."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -179,24 +254,23 @@ def _render(value, pad: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return _floats_text("", (value,))
+        return _float_text(value)
+    if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        return _array_text(value, pad)
     inner = pad + "  "
-    sep = ",\n" + inner
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         if {*map(type, value)} == {float}:
-            body = _floats_text(sep, value)
-        else:
-            body = sep.join([_render(item, inner) for item in value])
-        return f"[\n{inner}{body}\n{pad}]"
+            return _spell_non_finite(
+                _list_text(list(map(float.__repr__, value)), pad))
+        return _list_text([_render(item, inner) for item in value], pad)
     if isinstance(value, dict):
         if not value:
             return "{}"
-        body = sep.join([f"{encode_basestring_ascii(_json_key(key))}: "
-                         f"{_render(item, inner)}"
-                         for key, item in sorted(value.items())])
-        return f"{{\n{inner}{body}\n{pad}}}"
+        return _list_text([f"{encode_basestring_ascii(_json_key(key))}: "
+                           f"{_render(item, inner)}"
+                           for key, item in sorted(value.items())], pad, "{}")
     raise TypeError(f"Object of type {value.__class__.__name__} "
                     "is not JSON serializable")
 
@@ -243,9 +317,18 @@ def _emit_pair(args, config: dict, payload: dict, csv_header: str,
                          else _json_text(config, payload))
 
 
+def _dare_problem(args) -> LinearGaussianProblem:
+    """The problem of the arguments, rejected unless its DARE is posed."""
+    problem = _resolve_problem(args)
+    report = validate(problem, dare=True)
+    if report:
+        raise InputError("invalid problem: " + "; ".join(report))
+    return problem
+
+
 def _cmd_effdim(args) -> int:
     dare = _dare_options(args)
-    problem = _resolve_problem(args)
+    problem = _dare_problem(args)
     state = kalman.solve_dare(problem, **dare)
     stats = kalman.spread_stats(state.P)
     payload = {
@@ -271,7 +354,7 @@ def _cmd_effdim(args) -> int:
 
 def _cmd_bounds(args) -> int:
     dare = _dare_options(args)
-    problem = _resolve_problem(args)
+    problem = _dare_problem(args)
     state = kalman.solve_dare(problem, **dare)
     db = bounds.p_upper_bound(problem)
     payload = {"steady_state": kalman.steady_state_to_dict(state),
@@ -514,7 +597,7 @@ def _cmd_smooth(args) -> int:
         "smoother_condition": {"lhs": condition.lhs, "rhs": condition.rhs,
                                "holds": condition.holds},
         "balance_verdicts": balance.conditions_to_dict(conditions),
-        "mode_final": mode[-1].tolist(),
+        "mode_final": mode[-1],
     }
     header = "step," + ",".join(f"x{i}" for i in range(problem.m))
     rows = [",".join([str(i)] + [fmt17(v) for v in mode[i]])

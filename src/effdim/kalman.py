@@ -181,7 +181,9 @@ def _sweep(A, Q, H, R, X, tol: float, max_iter: int):
     """Fixed-point sweep X <- A (X - X H' S^{-1} H X) A' + Q from X.
 
     The step ||X_new - X||_F is the DARE residual of X, so the sweep stops
-    on the equation residual.  Returns (X, sweeps, residual).
+    on the equation residual, relative to ||X||_F; where the sum of
+    squares in that norm overflows, the norm is taken of X / max|X|.
+    Returns (X, sweeps, residual).
     """
     for it in range(1, max_iter + 1):
         HX = mul(H, X)
@@ -199,7 +201,16 @@ def _sweep(A, Q, H, R, X, tol: float, max_iter: int):
             raise DareConvergenceError(
                 "DARE iteration diverged (non-finite covariance)",
                 residual=step, iterations=it)
-        if _converged(step, _norm(X), tol):
+        norm_x = _norm(X)
+        if not np.isfinite(norm_x):
+            # the sum of squares overflows; the entries are finite
+            top = float(np.abs(X).max())
+            norm_x = top * _norm(X / top)
+            if not np.isfinite(norm_x):
+                raise DareConvergenceError(
+                    "DARE iteration overflowed (||X||_F beyond the float "
+                    "range)", residual=step, iterations=it)
+        if _converged(step, norm_x, tol):
             return X, it, _residual(A, Q, H, R, X)
     raise DareConvergenceError(
         f"DARE iteration did not converge in {max_iter} sweeps "
@@ -294,7 +305,12 @@ def spread_stats(P) -> SpreadStats:
     if s1 <= 0.0:
         return SpreadStats(eigenvalues=eigs, mean_y=0.0, var_y=0.0,
                            e_hat=0.0, v_hat=0.0)
-    e_hat = (4.0 * s1 * s1 - 2.0 * s2) / (4.0 * s1 ** 1.5)
+    den = 4.0 * s1 ** 1.5
+    if den > 0.0:
+        e_hat = (4.0 * s1 * s1 - 2.0 * s2) / den
+    else:
+        # trace below ~1e-205: sqrt(s1) (1 - s2 / (2 s1^2)) on eigs / s1
+        e_hat = float(np.sqrt(s1) * (1.0 - 0.5 * np.sum((eigs / s1) ** 2)))
     v_hat = s2 / (2.0 * s1)
     return SpreadStats(eigenvalues=eigs, mean_y=s1, var_y=2.0 * s2,
                        e_hat=e_hat, v_hat=v_hat)
@@ -307,10 +323,12 @@ def effective_dimension(problem: LinearGaussianProblem, tol: float = DARE_TOL,
 
 
 def steady_state_to_dict(state: SteadyState) -> dict:
+    """The JSON document of ``state``; X, K and P stay float64 arrays,
+    which the CLI writes as their lists."""
     return {
-        "X": state.X.a.tolist(),
-        "K": state.K.tolist(),
-        "P": state.P.a.tolist(),
+        "X": state.X.a,
+        "K": state.K,
+        "P": state.P.a,
         "eff_dim": state.eff_dim,
         "iterations": state.iterations,
         "residual": state.residual,

@@ -416,17 +416,21 @@ def _psd_report(name: str, M: np.ndarray, strict: bool,
 
 
 def validate(problem: LinearGaussianProblem, rtol: float = SYM_RTOL,
-             tol_scale: float = PSD_TOL_SCALE) -> list[str]:
+             tol_scale: float = PSD_TOL_SCALE, dare: bool = False
+             ) -> list[str]:
     """Check every type invariant; return one message per violated check.
 
     An empty list means the problem is well posed.  A diagonal Q, R or
     Sigma0 is checked from its entries, without an eigendecomposition.
+    With ``dare`` only what the covariance recursion needs is checked:
+    k may exceed m, and R need only be positive semi-definite (a singular
+    R sends the DARE solve to its sweep).
     """
     report: list[str] = []
     for name in ("A", "Q", "H", "R", "mu0", "Sigma0"):
         if not np.all(np.isfinite(getattr(problem, name))):
             report.append(f"{name} has non-finite entries")
-    if problem.k > problem.m:
+    if problem.k > problem.m and not dare:
         report.append(f"k > m ({problem.k} > {problem.m})")
     for name in ("Q", "R", "Sigma0"):
         M = getattr(problem, name)
@@ -435,7 +439,8 @@ def validate(problem: LinearGaussianProblem, rtol: float = SYM_RTOL,
     if not any(r.startswith("Q ") for r in report):
         report += _psd_report("Q", problem.Q, strict=False, tol_scale=tol_scale)
     if not any(r.startswith("R ") for r in report):
-        report += _psd_report("R", problem.R, strict=True, tol_scale=tol_scale)
+        report += _psd_report("R", problem.R, strict=not dare,
+                              tol_scale=tol_scale)
     if not any(r.startswith("Sigma0 ") for r in report):
         report += _psd_report("Sigma0", problem.Sigma0, strict=False,
                               tol_scale=tol_scale)

@@ -347,3 +347,36 @@ def test_grid_end_an_ulp_past_the_root_keeps_points_inside(kind):
         bm = build_map(kind, np.array([q]), r_grid, [10])
         (ls,) = bm.level_sets
         assert r_grid[0] <= ls.points[0, 1] <= r_grid[-1]
+
+
+@pytest.mark.parametrize("kind", [MapKind.OPTIMAL, MapKind.SIR])
+@pytest.mark.parametrize("constant", [0.37, 1.0, 3.0])
+def test_max_dim_curve_is_max_dimension_per_eps(kind, constant):
+    # the curve evaluates g once over the grid and squares each ratio with
+    # Python's power: the values of max_dimension, bit for bit
+    for eps_grid in (log_grid(1e-4, 1e2, 200), log_grid(1e-3, 1e3, 57),
+                     10.0 ** np.random.default_rng(3).uniform(-6, 6, 300)):
+        curve = build_max_dim_curve(eps_grid, kind, constant=constant)
+        want = [(constant / g) ** 2 for g in
+                (g_optimal if kind is MapKind.OPTIMAL else g_sir)(
+                    eps_grid, 1.0).tolist()]
+        assert curve.m_max.tolist() == want
+        assert want == [max_dimension(float(e), kind, constant)
+                        for e in eps_grid]
+
+
+def test_max_dimension_is_inf_where_every_m_passes():
+    # eps^2 overflows, so g_optimal(eps, 1) is 0: the criterion holds for
+    # every m
+    with np.errstate(over="ignore"):
+        assert max_dimension(1e300, MapKind.OPTIMAL) == np.inf
+        curve = build_max_dim_curve(log_grid(1e-300, 1e300, 40),
+                                    MapKind.OPTIMAL)
+    assert curve.m_max[-1] == np.inf
+    assert np.all(curve.m_max > 0)
+    # (1 / g)^2 beyond the float range reads inf as well
+    assert max_dimension(1e-320, MapKind.SIR) == np.inf
+    assert max_dimension(1e-320, MapKind.OPTIMAL) == np.inf
+    # g_sir grows without bound: no dimension passes
+    with np.errstate(over="ignore"):
+        assert max_dimension(1e300, MapKind.SIR) == 0.0

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from effdim import balance, filters, model
 from effdim.balance import g_feasibility, g_optimal, g_sir
@@ -620,16 +621,56 @@ def test_renderer_coerces_keys_as_json_does(doc):
     _assert_renders_as_json(doc)
 
 
+# float64 arrays render as their tolist(); arrays of any other dtype are
+# rejected as json rejects them
 @pytest.mark.parametrize("doc", [object(), [np.int64(1)], {"a": {1, 2}},
-                                 np.zeros(2), {1j: 0}, {1: 0, "a": 0}],
+                                 np.zeros(2, dtype=np.int64),
+                                 np.zeros(2, dtype=bool),
+                                 np.zeros(2, dtype=object),
+                                 np.zeros(2, dtype=np.float32),
+                                 {1j: 0}, {1: 0, "a": 0}],
                          ids=["object", "int64", "set", "ndarray",
-                              "complex-key", "mixed-keys"])
+                              "bool-ndarray", "object-ndarray",
+                              "float32-ndarray", "complex-key",
+                              "mixed-keys"])
 def test_renderer_rejects_what_json_rejects(doc):
     with pytest.raises(TypeError) as want:
         json.dumps(doc, indent=2, sort_keys=True)
     with pytest.raises(TypeError) as got:
         _render(doc, "")
     assert str(got.value) == str(want.value)
+
+
+@st.composite
+def _float_arrays(draw):
+    """float64 arrays of 0 to 3 dimensions, sides 0 to 6, whose entries
+    are drawn from a small pool (heavy repeats) or freely."""
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                  max_side=6))
+    pool = draw(st.lists(st.floats() | st.sampled_from(_SPECIAL_FLOATS),
+                         min_size=1, max_size=4))
+    elements = draw(st.sampled_from([st.sampled_from(pool),
+                                     st.floats() | st.sampled_from(
+                                         _SPECIAL_FLOATS)]))
+    return draw(hnp.arrays(np.float64, shape, elements=elements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_float_arrays(), st.sampled_from(["", "  ", "      "]))
+def test_renderer_writes_a_float_array_as_its_list(a, pad):
+    want = json.dumps(a.tolist(), indent=2, sort_keys=True)
+    assert _render(a, pad) == want.replace("\n", "\n" + pad)
+    assert _render({"a": a}, pad) == _render({"a": a.tolist()}, pad)
+
+
+@pytest.mark.parametrize("a", [np.zeros((3, 4)).T, np.arange(12.0)[::3],
+                               np.asfortranarray(np.eye(3)),
+                               np.array(-0.0), np.full((2, 0, 3), 1.0),
+                               np.zeros((0, 2))],
+                         ids=["transposed", "strided", "fortran", "0-d",
+                              "empty-row", "no-rows"])
+def test_renderer_writes_array_layouts_as_their_lists(a):
+    assert _render(a, "  ") == _render(a.tolist(), "  ")
 
 
 _CANONICAL_ARGV = {
@@ -728,6 +769,15 @@ _GOLDEN_ARGV = {
                     "--grid-points", "40"],
     "maxdim-sir": ["--command", "maxdim", "--kind", "sir",
                    "--grid-points", "40"],
+    # maps whose values repeat (sir) or mirror (strong), the renderer's
+    # dedupe, and the vectorized maxdim
+    "map-sir": ["--command", "map", "--kind", "sir", "--grid-points", "40"],
+    "map-strong": ["--command", "map", "--kind", "strong",
+                   "--grid-points", "40"],
+    "maxdim-optimal": ["--command", "maxdim", "--kind", "optimal",
+                       "--grid-points", "40"],
+    "effdim-dense": ["--command", "effdim", "--problem", "problem.json"],
+    "bounds-dense": ["--command", "bounds", "--problem", "problem.json"],
     # the DARE, its bounds and the smoother on diagonals
     "effdim-isotropic": ["--command", "effdim", *_GOLDEN_ISO],
     "bounds-isotropic": ["--command", "bounds", *_GOLDEN_ISO],
@@ -776,6 +826,28 @@ _GOLDEN_SHA256 = {
         "092a86acd50fa738c5aaab0158f25a37c8df6ff691ec6c1574c3f59027a4d3cc",
         "42c7bdf8ce617fd4623b87eaccb413b32b783cdfcd45ca595a051257b0dfeef0",
     ),
+    # taken with the code that wrote each array through tolist() and
+    # evaluated max_dimension once per eps; the same bytes now
+    "map-sir": (
+        "c4bb276240b53fd1737790034672c51c97bb24d76ce8dd5d98803044ab6c8433",
+        "f3b3e0aa4ff408b0752ff627850463226f18e35d93e4551b1b0bc46e235cd895",
+    ),
+    "map-strong": (
+        "4c8442401fac5bc1c40737256c73b16610e50277f9252ec152631401dbe9e977",
+        "19c698c9324f8dde01bed0ac52f2fdb6bf4c7d1fd92e680b8675b77ae0594f73",
+    ),
+    "maxdim-optimal": (
+        "c6961e8c92c7f87fdf4f3f7cf9f380102a0bd7fb48b82ce8272133aceabf39cc",
+        "f5a53c6284b922feb71345a628073f8bd66c13d5d89247333d8d6d864aeca831",
+    ),
+    "effdim-dense": (
+        "cdbfb1b9136b87a4d4ab4db2aa3af1544975f886df463f949adfad425dfefa62",
+        "704303d57e2fb42965ab71610a83d4b93d568cbad5a3908383a2b3edfcb60f35",
+    ),
+    "bounds-dense": (
+        "d6bf7ff3374693b4c3c0ec35bcc9a396cabbfeab45305000047a8f42dcceefbb",
+        "4040b71b0c3c12fff6a08f2fa9e4f156c74e7c184ad74203e770ee2d69189262",
+    ),
     # taken with the dense DARE, bounds and spectra of the code before the
     # diagonal form; the diagonal form writes the same bytes
     "effdim-isotropic": (
@@ -822,3 +894,57 @@ def test_seeded_outputs_match_their_golden_digests(name, tmp_path,
     got = tuple(hashlib.sha256((tmp_path / f"run{ext}").read_bytes())
                 .hexdigest() for ext in (".csv", ".json"))
     assert got == _GOLDEN_SHA256[name]
+
+
+# inputs at the edges of the float range and invalid problems: each ends
+# in a result (0), an input error (2) or a numerical failure (3), never in
+# a traceback.  A real process prints numpy's overflow warnings on stderr;
+# here they are silenced so that they do not turn into errors.
+_EDGE_ARGV = [
+    (["--command", "effdim", "--m", "1", "--q", "1e-300", "--r", "1"], 0),
+    (["--command", "effdim", "--m", "3", "--q", "1e-300", "--r", "1"], 0),
+    (["--command", "effdim", "--m", "1", "--q", "1e300", "--r", "1"], 0),
+    (["--command", "bounds", "--m", "1", "--q", "1e300", "--r", "1"], 0),
+    (["--command", "maxdim", "--kind", "optimal", "--grid-min", "1e-300",
+      "--grid-max", "1e300"], 0),
+    (["--command", "maxdim", "--kind", "sir", "--grid-min", "1e-320",
+      "--grid-max", "1e300"], 0),
+    *[(["--command", command, "--m", "2", "--q", q, "--r", r], 2)
+      for command in ("effdim", "bounds")
+      for q, r in (("1", "-1"), ("-1", "1"), ("nan", "1"))],
+]
+
+
+@pytest.mark.parametrize("argv,code", _EDGE_ARGV,
+                         ids=[" ".join(a[1:]) for a, _ in _EDGE_ARGV])
+def test_edge_inputs_exit_0_2_or_3(argv, code, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run_cli(*argv, "--out", str(out)) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        doc = json.loads(out.read_text())
+        assert doc["config"]["command"] == argv[1]
+    else:
+        assert "invalid problem" in err
+        assert not out.exists()
+
+
+def test_effdim_and_bounds_take_what_the_dare_takes(tmp_path, capsys):
+    # the DARE needs neither k <= m nor a nonsingular R, which the filters
+    # do: effdim solves both, and bounds, which inverts R, fails
+    # numerically on the singular one
+    eye = np.eye(2)
+    wide = LinearGaussianProblem(A=0.5 * eye, Q=eye, H=np.ones((3, 2)),
+                                 R=np.eye(3), mu0=np.zeros(2), Sigma0=eye)
+    singular = LinearGaussianProblem(A=0.5 * eye, Q=eye, H=eye,
+                                     R=np.zeros((2, 2)), mu0=np.zeros(2),
+                                     Sigma0=eye)
+    for name, problem, codes in (("wide", wide, (0, 0)),
+                                 ("singular", singular, (0, 3))):
+        path = str(tmp_path / f"{name}.json")
+        save_problem(problem, path)
+        for command, code in zip(("effdim", "bounds"), codes):
+            assert run_cli("--command", command, "--problem", path) == code
+            assert "invalid problem" not in capsys.readouterr().err

@@ -202,6 +202,16 @@ def test_solve_dare_overflow_is_not_convergence():
     assert err.value.iterations < 2000
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_solve_dare_converges_where_the_norm_of_x_overflows(m):
+    # ||X||_F^2 overflows at q = 1e300 although every entry is finite:
+    # doubling hands over to the sweep, which decides on a scaled norm
+    with np.errstate(over="ignore"):
+        state = solve_dare(LinearGaussianProblem.isotropic(m, 1e300, 1.0))
+    np.testing.assert_array_equal(np.diag(state.X.a), np.full(m, 1e300))
+    assert state.iterations < 10 and state.residual == 0.0
+
+
 def test_solve_dare_singular_r_falls_back_to_sweep():
     # R = 0 leaves G_0 = H'R^{-1}H undefined; the sweep finds the exact
     # steady state of perfect observations, P = 0 and X = Q
@@ -290,6 +300,17 @@ def test_spread_stats_scalar_four():
     assert stats.var_y == pytest.approx(32.0)
     assert stats.e_hat == pytest.approx(1.0)
     assert stats.v_hat == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("p", [1e-300, 1e-250, 5e-324])
+def test_spread_stats_scales_where_the_trace_underflows(p):
+    # 4 p^1.5 underflows to 0; e_hat for one eigenvalue is sqrt(p)/2
+    stats = spread_stats(np.array([[p]]))
+    assert stats.mean_y == p
+    assert stats.e_hat == np.sqrt(p) / 2
+    three = spread_stats(np.diag([p, p, p]))
+    assert three.e_hat == pytest.approx(np.sqrt(3 * p) * (1 - 1 / 6),
+                                        rel=1e-15)
 
 
 def test_spread_stats_nonnegative_on_random_psd():

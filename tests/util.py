@@ -129,7 +129,8 @@ def trajectory_to_json(trajectory: TrajectoryData, indent: int = 2) -> str:
 
 
 def steady_state_to_json(state: SteadyState, indent: int = 2) -> str:
-    return json.dumps(steady_state_to_dict(state), indent=indent)
+    return json.dumps(steady_state_to_dict(state), indent=indent,
+                      default=np.ndarray.tolist)
 
 
 def serial_run_filter(problem: LinearGaussianProblem, kind, n_steps: int,
