@@ -240,9 +240,9 @@ def _render(value, pad: str) -> str:
     """``value`` exactly as ``json.dumps(indent=2, sort_keys=True)`` writes
     it when nested at indent ``pad``, a float64 ``np.ndarray`` as its
     ``tolist()``.  json's indented encoder is pure Python before 3.13;
-    most of its time goes to per-item overhead, so a list of floats is
-    written with one join, and each list or object copies its items'
-    text once."""
+    most of its time goes to per-item overhead, so a float64 array is
+    written by :func:`_array_text`, and each list or object copies its
+    items' text once."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -261,9 +261,6 @@ def _render(value, pad: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if {*map(type, value)} == {float}:
-            return _spell_non_finite(
-                _list_text(list(map(float.__repr__, value)), pad))
         return _list_text([_render(item, inner) for item in value], pad)
     if isinstance(value, dict):
         if not value:

@@ -423,11 +423,13 @@ def validate(problem: LinearGaussianProblem, rtol: float = SYM_RTOL,
     An empty list means the problem is well posed.  A diagonal Q, R or
     Sigma0 is checked from its entries, without an eigendecomposition.
     With ``dare`` only what the covariance recursion needs is checked:
-    k may exceed m, and R need only be positive semi-definite (a singular
-    R sends the DARE solve to its sweep).
+    mu0 is not read, k may exceed m, and R need only be positive
+    semi-definite (a singular R sends the DARE solve to its sweep).
     """
     report: list[str] = []
     for name in ("A", "Q", "H", "R", "mu0", "Sigma0"):
+        if dare and name == "mu0":
+            continue
         if not np.all(np.isfinite(getattr(problem, name))):
             report.append(f"{name} has non-finite entries")
     if problem.k > problem.m and not dare:

@@ -941,8 +941,12 @@ def test_effdim_and_bounds_take_what_the_dare_takes(tmp_path, capsys):
     singular = LinearGaussianProblem(A=0.5 * eye, Q=eye, H=eye,
                                      R=np.zeros((2, 2)), mu0=np.zeros(2),
                                      Sigma0=eye)
+    # nor mu0, so a NaN there is no reason to refuse the problem
+    no_mean = LinearGaussianProblem(A=0.5 * eye, Q=eye, H=eye, R=eye,
+                                    mu0=np.array([np.nan, 0.0]), Sigma0=eye)
     for name, problem, codes in (("wide", wide, (0, 0)),
-                                 ("singular", singular, (0, 3))):
+                                 ("singular", singular, (0, 3)),
+                                 ("no_mean", no_mean, (0, 0))):
         path = str(tmp_path / f"{name}.json")
         save_problem(problem, path)
         for command, code in zip(("effdim", "bounds"), codes):
