@@ -2,12 +2,15 @@
 
 For the isotropic family A = H = I, Q = qI, R = rI every criterion in
 this package reduces to a scalar function g(q, r) compared against
-c / sqrt(m) (the O(1) constant c defaults to 1):
+c / sqrt(m) (the O(1) constant c defaults to 1).  With p the steady
+posterior variance, the positive root of p^2 + q p - q r = 0, and
+x = p + q the steady prior variance, the positive root of
+x^2 - q x - q r = 0 (both :func:`effdim.kalman.positive_root`):
 
-    feasibility   g = (sqrt(q^2 + 4qr) - q) / 2          (per-component steady P)
-    optimal       g = (sqrt(q^2 + 4qr) - q) / (2 (q+r))  (optimal-filter collapse)
-    sir           g = (sqrt(q^2 + 4qr) + q) / (2 r)      (SIR-filter collapse)
-    strong        g = s r / (s + r)                      (one-shot smoothing, prior s)
+    feasibility   g = p                  (per-component steady P)
+    optimal       g = q r / (x (q + r))  (optimal-filter collapse)
+    sir           g = x / r              (SIR-filter collapse)
+    strong        g = s r / (s + r)      (one-shot smoothing, prior s)
 
 Every level set g = l (l = c/sqrt(m)) has a closed form:
 
@@ -34,7 +37,8 @@ import numpy as np
 
 from ._util import fmt17
 from .model import LinearGaussianProblem, frobenius
-from .kalman import DARE_MAX_ITER, DARE_TOL, solve_dare
+from .kalman import (DARE_MAX_ITER, DARE_TOL, _check_domain, positive_root,
+                     solve_dare)
 
 LEVEL_TOL = 1e-7  # half-width of the tangent band at the optimal peak
 OPTIMAL_PEAK = 1.0 / 3.0  # g_optimal(1/2, 1), the peak over eps
@@ -50,13 +54,6 @@ class MapKind(str, enum.Enum):
     STRONG = "strong"
 
 
-def _check_domain(q, r) -> None:
-    if np.any(np.asarray(q) < 0):
-        raise ValueError("q must be nonnegative")
-    if np.any(np.asarray(r) <= 0):
-        raise ValueError("r must be positive")
-
-
 def _maybe_scalar(value, q, r):
     if np.ndim(q) == 0 and np.ndim(r) == 0:
         return float(value)
@@ -67,31 +64,30 @@ def g_feasibility(q, r):
     """Per-component steady posterior std scale; feasible when <= c/sqrt(m)."""
     _check_domain(q, r)
     qa = np.asarray(q, dtype=float)
+    return _maybe_scalar(positive_root(1.0, qa, qa * r), q, r)
+
+
+def _prior(q, r):
+    """(q, r, x) as float arrays, x the steady prior variance."""
+    _check_domain(q, r)
+    qa = np.asarray(q, dtype=float)
     ra = np.asarray(r, dtype=float)
-    den = np.sqrt(qa * qa + 4.0 * qa * ra) + qa
-    out = np.divide(2.0 * qa * ra, den,
-                    out=np.zeros(np.broadcast(qa, ra).shape), where=den > 0)
-    return _maybe_scalar(out, q, r)
+    return qa, ra, positive_root(1.0, -qa, qa * ra)
 
 
 def g_optimal(q, r):
     """Collapse scale of the optimal particle filter; depends only on q/r."""
-    _check_domain(q, r)
-    qa = np.asarray(q, dtype=float)
-    ra = np.asarray(r, dtype=float)
-    den = (np.sqrt(qa * qa + 4.0 * qa * ra) + qa) * (qa + ra)
-    out = np.divide(2.0 * qa * ra, den,
-                    out=np.zeros(np.broadcast(qa, ra).shape), where=den > 0)
+    qa, ra, x = _prior(q, r)
+    den = x * (qa + ra)
+    out = np.divide(qa * ra, den, out=np.zeros(np.shape(den)),
+                    where=den > 0)  # 0 at q = 0
     return _maybe_scalar(out, q, r)
 
 
 def g_sir(q, r):
     """Collapse scale of the SIR filter; depends only on q/r."""
-    _check_domain(q, r)
-    qa = np.asarray(q, dtype=float)
-    ra = np.asarray(r, dtype=float)
-    out = (np.sqrt(qa * qa + 4.0 * qa * ra) + qa) / (2.0 * ra)
-    return _maybe_scalar(out, q, r)
+    qa, ra, x = _prior(q, r)
+    return _maybe_scalar(x / ra, q, r)
 
 
 def g_strong(sigma0, r):

@@ -10,17 +10,16 @@ dimension without iterating:
 
 where the scalar eta dominates the largest eigenvalue x of X.  From
 x <= lam_1(AA') x / (1 + lam_n(M) x) + lam_1(Q), M = H'R^{-1}H, eta is
-the positive root of
+the positive root (:func:`effdim.kalman.positive_root`) of
 
-    lam_n(M) eta^2 + (1 - lam_1(AA') - lam_n(M) lam_1(Q)) eta - lam_1(Q) = 0,
+    lam_n(M) eta^2 + a eta - lam_1(Q) = 0,
 
-i.e. eta = (sqrt(a^2 + b c) - a) / b with a = 1 - lam_1(AA') -
-lam_n(M) lam_1(Q), b = 2 lam_n(M), c = 2 lam_1(Q).  For rank-deficient H
-(lam_n(M) = 0) the limit eta = lam_1(Q) / a applies when a > 0; otherwise
-the bound does not exist and BoundInapplicableError is raised.  Because
-lam_1(AA') majorizes A for any asymmetry, the sandwich holds for general
-A; the acceptance suite still reports (rather than asserts) asymmetric-A
-violations as a guard.
+a = 1 - lam_1(AA') - lam_n(M) lam_1(Q).  For rank-deficient H (lam_n(M)
+= 0, numerically at most 1e-14) the root is eta = lam_1(Q) / a when
+a > 0; otherwise the bound does not exist and BoundInapplicableError is
+raised.  Because lam_1(AA') majorizes A for any asymmetry, the sandwich
+holds for general A; the acceptance suite still reports (rather than
+asserts) asymmetric-A violations as a guard.
 
 The posterior bound follows from operator monotonicity of
 Y -> (Y^{-1} + M)^{-1}:
@@ -38,9 +37,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .kalman import positive_root
 from .model import (PD_COND_LIMIT, LinearGaussianProblem, SymMatrix, dense,
-                    frobenius, identity, inverse, mul, on_storage, pd_inverse,
-                    solve, storage, sym)
+                    eigenvalues, frobenius, identity, inverse, mul,
+                    on_storage, pd_inverse, solve, storage)
 
 Q_REGULARIZATION = 1e-12  # scale of trace(Q)/m added to a singular Q
 
@@ -61,20 +61,10 @@ class DareBounds:
     q_regularized: bool = False
 
 
-def _eigs(M: np.ndarray) -> np.ndarray:
-    """Nondecreasing eigenvalues of symmetric M (its lower triangle, as
-    LAPACK reads it); the sorted entries of a diagonal M (1-D)."""
-    return np.sort(M) if M.ndim == 1 else np.linalg.eigvalsh(M)
-
-
-def _sym_part_eigs(M: np.ndarray) -> np.ndarray:
-    return _eigs(0.5 * (M + M.T))
-
-
 def _regularized_q(problem: LinearGaussianProblem):
     """Return (Q, was_regularized); nudges a singular Q to invertible."""
     Q = problem.Q
-    w = _sym_part_eigs(storage(Q)[0])
+    w = eigenvalues(storage(Q)[0])
     if w[0] > 0.0 and w[-1] / w[0] <= PD_COND_LIMIT:
         return Q, False
     bump = Q_REGULARIZATION * np.trace(Q) / problem.m
@@ -92,21 +82,19 @@ def _lower(A, Q, H, R):
 
 def _upper(A, Q, H, R):
     R_inv = pd_inverse(R, "R singular")
-    M = 0.5 * (mul(mul(H.T, R_inv), H) + mul(mul(H.T, R_inv), H).T)
-    lam_AAt = _eigs(mul(A, A.T))[-1]
-    lam_min_M = max(_sym_part_eigs(M)[0], 0.0)
-    lam_max_Q = _sym_part_eigs(Q)[-1]
+    M = mul(mul(H.T, R_inv), H)
+    M = 0.5 * (M + M.T)
+    lam_AAt = eigenvalues(mul(A, A.T))[-1]
+    lam_min_M = max(eigenvalues(M)[0], 0.0)
+    lam_max_Q = eigenvalues(Q)[-1]
     a = 1.0 - lam_AAt - lam_min_M * lam_max_Q
-    if lam_min_M > 1e-14:
-        b = 2.0 * lam_min_M
-        c = 2.0 * lam_max_Q
-        eta = (np.sqrt(a * a + b * c) - a) / b
-    elif a > 0.0:
-        eta = lam_max_Q / a  # lam_n(M) -> 0 limit of the quadratic root
-    else:
-        raise BoundInapplicableError(
-            "upper bound inapplicable: lam_1(AA') >= 1 with "
-            "rank-deficient H")
+    if not lam_min_M > 1e-14:  # rank-deficient H
+        if not a > 0.0:
+            raise BoundInapplicableError(
+                "upper bound inapplicable: lam_1(AA') >= 1 with "
+                "rank-deficient H")
+        lam_min_M = 0.0
+    eta = positive_root(lam_min_M, a, lam_max_Q)
     if eta <= 0.0:
         raise BoundInapplicableError(
             f"upper bound inapplicable: eta = {eta:.3e} <= 0")
@@ -132,7 +120,7 @@ def _sandwich(A, Q, H, R):
 
 
 def _dense_sym(M) -> SymMatrix:
-    return SymMatrix(sym(dense(M), rtol=np.inf))
+    return SymMatrix.symmetrized(dense(M))
 
 
 def dare_lower_bound(problem: LinearGaussianProblem) -> SymMatrix:

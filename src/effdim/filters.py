@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import contextvars
 import enum
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -71,8 +70,8 @@ import numpy as np
 
 from ._util import logsumexp
 from .kalman import DareConvergenceError, solve_dare
-from .model import (LinearGaussianProblem, frobenius, inverse, mul,
-                    pd_inverse, psd_factor, storage, validate)
+from .model import (LinearGaussianProblem, frobenius, inverse, json_object,
+                    mul, pd_inverse, psd_factor, storage, validate)
 
 _TAG_SIM = 0
 _TAG_INIT = 1
@@ -460,7 +459,11 @@ def _steady_posterior(A, Q, H, R) -> np.ndarray:
 
     Each component's prior x solves h^2 x^2 + (r(1 - a^2) - q h^2) x - q r
     = 0, whose positive root is taken without cancellation; the
-    posterior is x r / (h^2 x + r).  Needs q > 0 and h != 0.
+    posterior is x r / (h^2 x + r).  Needs q > 0 and h != 0.  The root is
+    not :func:`effdim.kalman.positive_root`: its discriminant is formed as
+    hypot(b, 2 |h| sqrt(q) sqrt(r)), which keeps the square of b from
+    overflowing, and switching to b^2 + 4 h^2 q r moves the last bits of
+    sigma_frob, the filters' steady collapse statistic.
     """
     h2 = H * H
     b = R * (1.0 - A * A) - Q * h2
@@ -901,15 +904,7 @@ _TRAJECTORY_KEYS = ("truth", "observations", "seed")
 
 
 def trajectory_from_json(text: str) -> TrajectoryData:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("invalid JSON: expected a top-level object")
-    missing = [key for key in _TRAJECTORY_KEYS if key not in doc]
-    if missing:
-        raise ValueError(f"trajectory JSON missing key: {missing[0]}")
+    doc = json_object(text, _TRAJECTORY_KEYS, "trajectory")
     truth = np.atleast_2d(np.asarray(doc["truth"], dtype=float))
     observations = np.atleast_2d(np.asarray(doc["observations"], dtype=float))
     return TrajectoryData(truth=truth, observations=observations,

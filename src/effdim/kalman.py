@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (LinearGaussianProblem, SymMatrix, as_matrix, dense,
-                    frobenius, identity, mul, on_storage, pd_inverse, solve,
-                    sym)
+from .model import (_TINY, LinearGaussianProblem, SymMatrix, as_matrix,
+                    dense, frobenius, identity, mul, on_storage, pd_inverse,
+                    solve)
 
 DARE_TOL = 1e-10
 DARE_MAX_ITER = 100_000
@@ -92,7 +92,7 @@ def kalman_cov_step(problem: LinearGaussianProblem, P_n) -> SymMatrix:
     S_inv = pd_inverse(S, "innovation covariance singular")
     HX = H @ X
     P_next = X - HX.T @ S_inv @ HX
-    return SymMatrix(sym(P_next, rtol=np.inf))
+    return SymMatrix.symmetrized(P_next)
 
 
 def _converged(residual: float, norm_x: float, tol: float) -> bool:
@@ -235,18 +235,18 @@ def _steady(A, Q, H, R, P0, tol: float, max_iter: int):
 
 
 def solve_dare(problem: LinearGaussianProblem, tol: float = DARE_TOL,
-               max_iter: int = DARE_MAX_ITER, start=None) -> SteadyState:
+               max_iter: int = DARE_MAX_ITER) -> SteadyState:
     """Steady-state covariances by structure-preserving doubling.
 
     SDA (Chu, Fan & Lin, LAA 2005) follows the Kalman recursion from the
-    posterior covariance ``start`` (default Sigma0) in steps of 2^k and
-    stops once ``dare_residual(problem, X) <= tol * ||X||_F``; K
-    and P follow from X.  On stabilizable/detectable problems it
-    converges quadratically and the limit does not depend on ``start``.
-    A non-finite iterate or a singular solve falls back to the
-    fixed-point sweep from the same start.  A problem whose A, Q, H, R
-    and start are all diagonal is solved on their diagonals (see
-    :func:`effdim.model.on_storage`); the result is dense either way.
+    posterior covariance Sigma0 in steps of 2^k and stops once
+    ``dare_residual(problem, X) <= tol * ||X||_F``; K and P follow from
+    X.  On stabilizable/detectable problems it converges quadratically
+    and the limit does not depend on Sigma0.  A non-finite iterate or a
+    singular solve falls back to the fixed-point sweep from the same
+    start.  A problem whose A, Q, H, R and Sigma0 are all diagonal is
+    solved on their diagonals (see :func:`effdim.model.on_storage`); the
+    result is dense either way.
 
     Raises DareConvergenceError, carrying the last residual and the
     doubling (or sweep) count, when doubling stagnates above ``tol``,
@@ -259,9 +259,9 @@ def solve_dare(problem: LinearGaussianProblem, tol: float = DARE_TOL,
         raise ValueError("max_iter must be >= 1")
     X, K, P, iterations, residual = on_storage(
         lambda *forms: _steady(*forms, tol, max_iter), problem.A, problem.Q,
-        problem.H, problem.R, problem.Sigma0 if start is None else start)
-    P = SymMatrix(sym(dense(P), rtol=np.inf))
-    return SteadyState(X=SymMatrix(sym(dense(X), rtol=np.inf)), K=dense(K),
+        problem.H, problem.R, problem.Sigma0)
+    P = SymMatrix.symmetrized(dense(P))
+    return SteadyState(X=SymMatrix.symmetrized(dense(X)), K=dense(K),
                        P=P, eff_dim=frobenius(P), iterations=int(iterations),
                        residual=float(residual))
 
@@ -279,39 +279,57 @@ def dare_residual(problem: LinearGaussianProblem, X) -> float:
                       as_matrix(X))
 
 
+def positive_root(alpha, beta, gamma):
+    """The root t >= 0 of alpha t^2 + beta t - gamma = 0, elementwise.
+
+    For alpha, gamma >= 0 it is 2 gamma / (beta + d) where beta > 0 and
+    (d - beta) / (2 alpha) elsewhere, d = sqrt(beta^2 + 4 alpha gamma):
+    neither subtracts two numbers of the same sign.  With alpha = 0 and
+    beta > 0 it is gamma / beta; with gamma = 0 and beta <= 0, 0.
+    """
+    d = np.sqrt(beta * beta + 4.0 * alpha * gamma)
+    up = beta > 0.0
+    return (np.where(up, 2.0 * gamma, d - beta)
+            / np.where(up, beta + d, 2.0 * alpha))[()]
+
+
+def _check_domain(q, r) -> None:
+    if np.any(np.asarray(q) < 0):
+        raise ValueError("q must be nonnegative")
+    if np.any(np.asarray(r) <= 0):
+        raise ValueError("r must be positive")
+
+
 def isotropic_steady_p(q: float, r: float) -> float:
     """Per-component steady posterior variance for A = H = I, Q = qI, R = rI.
 
-    Closed form (sqrt(q^2 + 4 q r) - q) / 2; the isotropic effective
+    The positive root p of p^2 + q p - q r = 0; the isotropic effective
     dimension is sqrt(m) times this value.
     """
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    if r <= 0:
-        raise ValueError("r must be positive")
-    if q == 0.0:
-        return 0.0
-    # algebraically equal to (sqrt(q^2+4qr) - q)/2, stable for q >> r
-    return 2.0 * q * r / (np.sqrt(q * q + 4.0 * q * r) + q)
+    _check_domain(q, r)
+    return float(positive_root(1.0, q, q * r))
 
 
 def spread_stats(P) -> SpreadStats:
-    """Shell radius/thickness statistics from the eigenvalues of P."""
-    if not isinstance(P, SymMatrix):
-        P = SymMatrix(sym(as_matrix(P), rtol=np.inf))
-    eigs = P.eigenvalues()
+    """Shell radius/thickness statistics from the eigenvalues of P.
+
+    Where 4 s1^2 or s2 (s1 = sum lam, s2 = sum lam^2) leaves the normal
+    range, e_hat = sqrt(s1) (1 - u/2) and v_hat = s1 u / 2 with u = sum
+    (lam/s1)^2; within it, s1^1.5 is normal too."""
+    eigs = SymMatrix.symmetrized(P).eigenvalues()
     s1 = float(np.sum(eigs))
-    s2 = float(np.sum(eigs ** 2))
+    with np.errstate(over="ignore"):
+        s2 = float(np.sum(eigs ** 2))
     if s1 <= 0.0:
         return SpreadStats(eigenvalues=eigs, mean_y=0.0, var_y=0.0,
                            e_hat=0.0, v_hat=0.0)
-    den = 4.0 * s1 ** 1.5
-    if den > 0.0:
-        e_hat = (4.0 * s1 * s1 - 2.0 * s2) / den
+    if _TINY <= 4.0 * s1 * s1 < np.inf and _TINY <= s2 < np.inf:
+        e_hat = (4.0 * s1 * s1 - 2.0 * s2) / (4.0 * s1 ** 1.5)
+        v_hat = s2 / (2.0 * s1)
     else:
-        # trace below ~1e-205: sqrt(s1) (1 - s2 / (2 s1^2)) on eigs / s1
-        e_hat = float(np.sqrt(s1) * (1.0 - 0.5 * np.sum((eigs / s1) ** 2)))
-    v_hat = s2 / (2.0 * s1)
+        u = float(np.sum((eigs / s1) ** 2))
+        e_hat = float(np.sqrt(s1) * (1.0 - 0.5 * u))
+        v_hat = 0.5 * s1 * u
     return SpreadStats(eigenvalues=eigs, mean_y=s1, var_y=2.0 * s2,
                        e_hat=e_hat, v_hat=v_hat)
 

@@ -39,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerances (module-wide defaults; every consumer takes them as keyword
-# overrides where it matters).
+# Tolerances, fixed for the whole package.
 SYM_RTOL = 1e-12        # relative asymmetry accepted before rejection
 PSD_TOL_SCALE = 1e-10   # Loewner slack: tol = PSD_TOL_SCALE * (1 + ||D - C||_F)
 PSD_FACTOR_RTOL = 1e-10 # eigenvalue clip threshold for PSD square roots
@@ -57,29 +56,17 @@ def as_matrix(M) -> np.ndarray:
     return np.asarray(M, dtype=float)
 
 
-def sym(M, rtol: float = SYM_RTOL) -> np.ndarray:
-    """Return the symmetrized matrix (M + M.T)/2.
-
-    Asymmetry below ``rtol * (1 + ||M||_F)`` is treated as roundoff and
-    silently folded; anything larger raises ValueError.  Symmetrizing up
-    front keeps every downstream eigendecomposition real.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    gap = np.linalg.norm(M - M.T)
-    if gap > rtol * (1.0 + np.linalg.norm(M)):
-        raise ValueError("matrix is not symmetric within tolerance")
-    out = 0.5 * (M + M.T)
-    out.setflags(write=False)
-    return out
-
-
-def _is_symmetric(M: np.ndarray, rtol: float = SYM_RTOL) -> bool:
+def _is_symmetric(M: np.ndarray) -> bool:
     d = diagonal(M)
     if d is not None:  # M - M' is zero, or NaN where d is not finite
         return bool(np.isfinite(d).all())
-    return np.linalg.norm(M - M.T) <= rtol * (1.0 + np.linalg.norm(M))
+    return np.linalg.norm(M - M.T) <= SYM_RTOL * (1.0 + np.linalg.norm(M))
+
+
+def eigenvalues(M: np.ndarray) -> np.ndarray:
+    """Nondecreasing eigenvalues of the symmetric part of M; the sorted
+    entries of a diagonal M (1-D)."""
+    return np.sort(M) if M.ndim == 1 else np.linalg.eigvalsh(0.5 * (M + M.T))
 
 
 @dataclass(frozen=True)
@@ -87,19 +74,34 @@ class SymMatrix:
     """A square matrix stored symmetric.
 
     Construct through :meth:`from_array`, which enforces the symmetry
-    tolerance.  ``eigenvalues`` returns the nondecreasing real spectrum;
-    for a diagonal matrix, its sorted entries.
+    tolerance, or :meth:`symmetrized`, which folds any asymmetry of a
+    computed matrix.  ``eigenvalues`` returns the nondecreasing real
+    spectrum; for a diagonal matrix, its sorted entries.
     """
 
     a: np.ndarray
 
     @classmethod
-    def from_array(cls, M, rtol: float = SYM_RTOL) -> "SymMatrix":
-        return cls(sym(as_matrix(M), rtol))
+    def from_array(cls, M) -> "SymMatrix":
+        """(M + M')/2; M not symmetric as :func:`validate` takes it
+        raises ValueError."""
+        S = cls.symmetrized(M)
+        if not _is_symmetric(as_matrix(M)):
+            raise ValueError("matrix is not symmetric within tolerance")
+        return S
+
+    @classmethod
+    def symmetrized(cls, M) -> "SymMatrix":
+        """(M + M')/2 of a square M, without a tolerance test."""
+        M = as_matrix(M)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {M.shape}")
+        out = 0.5 * (M + M.T)
+        out.setflags(write=False)
+        return cls(out)
 
     def eigenvalues(self) -> np.ndarray:
-        d = diagonal(self.a)
-        return np.linalg.eigvalsh(self.a) if d is None else np.sort(d)
+        return eigenvalues(*storage(self.a))
 
     def __array__(self, dtype=None, copy=None):
         if dtype is None:
@@ -127,14 +129,14 @@ class PsdOrder:
     min_eig_diff: float
 
 
-def psd_compare(C, D, tol_scale: float = PSD_TOL_SCALE) -> PsdOrder:
+def psd_compare(C, D) -> PsdOrder:
     """Classify the Loewner order of two symmetric matrices."""
     Ca = as_matrix(C)
     Da = as_matrix(D)
     if Ca.shape != Da.shape:
         raise ValueError(f"order mismatch: {Ca.shape} vs {Da.shape}")
     E = 0.5 * ((Da - Ca) + (Da - Ca).T)
-    tol = tol_scale * (1.0 + np.linalg.norm(E))
+    tol = PSD_TOL_SCALE * (1.0 + np.linalg.norm(E))
     eigs = np.linalg.eigvalsh(E)
     le = eigs[0] >= -tol
     ge = eigs[-1] <= tol
@@ -303,19 +305,19 @@ def _spectrum(M: np.ndarray):
     return np.linalg.eigh(0.5 * (M + M.T))
 
 
-def psd_factor(M, rtol: float = PSD_FACTOR_RTOL) -> np.ndarray:
+def psd_factor(M) -> np.ndarray:
     """A factor L with L @ L.T = M for symmetric PSD M.
 
     Built from the eigendecomposition so that singular (rank-deficient)
-    covariances factor cleanly; eigenvalues below -rtol*(1+lambda_max)
-    mean M is not PSD and raise LinAlgError.  A diagonal M (1-D) gets
-    the 1-D factor sqrt(M).  For a dense diagonal M, ``eigh`` orders the
-    columns of L by ascending eigenvalue, so L is a permuted diagonal;
-    both factors give noise of the same distribution, and they agree
-    bit for bit when the entries are equal.
+    covariances factor cleanly; eigenvalues below -PSD_FACTOR_RTOL (1 +
+    lambda_max) mean M is not PSD and raise LinAlgError.  A diagonal M
+    (1-D) gets the 1-D factor sqrt(M).  For a dense diagonal M, ``eigh``
+    orders the columns of L by ascending eigenvalue, so L is a permuted
+    diagonal; both factors give noise of the same distribution, and they
+    agree bit for bit when the entries are equal.
     """
     w, V = _spectrum(as_matrix(M))
-    if w.min() < -rtol * (1.0 + max(w.max(), 0.0)):
+    if w.min() < -PSD_FACTOR_RTOL * (1.0 + max(w.max(), 0.0)):
         raise np.linalg.LinAlgError("matrix is not positive semi-definite within tolerance")
     root = np.sqrt(np.clip(w, 0.0, None))
     return root if V is None else V * root
@@ -398,15 +400,13 @@ class LinearGaussianProblem:
                    Sigma0=sigma0 * eye)
 
 
-def _psd_report(name: str, M: np.ndarray, strict: bool,
-                tol_scale: float) -> list[str]:
+def _psd_report(name: str, M: np.ndarray, strict: bool) -> list[str]:
     if np.max(np.abs(M)) > _SYM_MAX:
         return [f"{name} has entries too large to symmetrize without "
                 "overflow"]
-    d = diagonal(M)
-    w = d if d is not None else np.linalg.eigvalsh(0.5 * (M + M.T))
+    w = eigenvalues(*storage(M))
     lo, hi = w.min(), w.max()
-    tol = tol_scale * (1.0 + max(abs(lo), abs(hi)))
+    tol = PSD_TOL_SCALE * (1.0 + max(abs(lo), abs(hi)))
     if strict:
         if lo <= tol:
             return [f"{name} not positive definite"]
@@ -415,9 +415,7 @@ def _psd_report(name: str, M: np.ndarray, strict: bool,
     return []
 
 
-def validate(problem: LinearGaussianProblem, rtol: float = SYM_RTOL,
-             tol_scale: float = PSD_TOL_SCALE, dare: bool = False
-             ) -> list[str]:
+def validate(problem: LinearGaussianProblem, dare: bool = False) -> list[str]:
     """Check every type invariant; return one message per violated check.
 
     An empty list means the problem is well posed.  A diagonal Q, R or
@@ -436,16 +434,14 @@ def validate(problem: LinearGaussianProblem, rtol: float = SYM_RTOL,
         report.append(f"k > m ({problem.k} > {problem.m})")
     for name in ("Q", "R", "Sigma0"):
         M = getattr(problem, name)
-        if not _is_symmetric(M, rtol):
+        if not _is_symmetric(M):
             report.append(f"{name} not symmetric")
     if not any(r.startswith("Q ") for r in report):
-        report += _psd_report("Q", problem.Q, strict=False, tol_scale=tol_scale)
+        report += _psd_report("Q", problem.Q, strict=False)
     if not any(r.startswith("R ") for r in report):
-        report += _psd_report("R", problem.R, strict=not dare,
-                              tol_scale=tol_scale)
+        report += _psd_report("R", problem.R, strict=not dare)
     if not any(r.startswith("Sigma0 ") for r in report):
-        report += _psd_report("Sigma0", problem.Sigma0, strict=False,
-                              tol_scale=tol_scale)
+        report += _psd_report("Sigma0", problem.Sigma0, strict=False)
     return report
 
 
@@ -461,16 +457,24 @@ def problem_to_json(problem: LinearGaussianProblem, indent: int = 2) -> str:
     return json.dumps(doc, indent=indent)
 
 
-def problem_from_json(text: str) -> LinearGaussianProblem:
+def json_object(text: str, keys, what: str) -> dict:
+    """The top-level JSON object of ``text``; ValueError unless it parses
+    to an object that holds every key of ``keys`` (``what`` names the
+    document in the message)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("invalid JSON: expected a top-level object")
-    missing = [key for key in _PROBLEM_KEYS if key not in doc]
-    if missing:
-        raise ValueError(f"problem JSON missing key: {missing[0]}")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{what} JSON missing key: {key}")
+    return doc
+
+
+def problem_from_json(text: str) -> LinearGaussianProblem:
+    doc = json_object(text, _PROBLEM_KEYS, "problem")
     try:
         return LinearGaussianProblem(**{key: doc[key] for key in _PROBLEM_KEYS})
     except (TypeError, ValueError) as exc:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .balance import ConditionCheck, MapKind, BalanceMap, build_map
 from .model import (LinearGaussianProblem, SymMatrix, cholesky, frobenius,
-                    inverse, mul, pd_inverse, storage, sym)
+                    inverse, mul, pd_inverse, storage)
 
 
 @dataclass(frozen=True)
@@ -108,13 +108,11 @@ def strong_precision(problem: LinearGaussianProblem,
     for _ in range(n):
         B = problem.A @ B
         precision += B.T @ M @ B
-    precision = 0.5 * (precision + precision.T)
-    covariance = np.linalg.inv(precision)
-    covariance = 0.5 * (covariance + covariance.T)
-    cov_sym = SymMatrix(sym(covariance, rtol=np.inf))
+    precision = SymMatrix.symmetrized(precision)
+    covariance = SymMatrix.symmetrized(np.linalg.inv(precision.a))
     return StrongConstraintPosterior(
-        precision=SymMatrix(sym(precision, rtol=np.inf)),
-        covariance=cov_sym, frob_cov=frobenius(cov_sym), n_data=int(n))
+        precision=precision, covariance=covariance,
+        frob_cov=frobenius(covariance), n_data=int(n))
 
 
 def strong_mean(problem: LinearGaussianProblem, observations,

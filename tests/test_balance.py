@@ -14,6 +14,52 @@ from effdim.model import LinearGaussianProblem
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
+# The closed forms as each wrote out its own quadratic root, before they
+# shared kalman.positive_root: the reference for the bits of the new ones.
+def _written_out_feasibility(q, r):
+    den = np.sqrt(q * q + 4.0 * q * r) + q
+    return np.divide(2.0 * q * r, den,
+                     out=np.zeros(np.broadcast(q, r).shape), where=den > 0)
+
+
+def _written_out_optimal(q, r):
+    den = (np.sqrt(q * q + 4.0 * q * r) + q) * (q + r)
+    return np.divide(2.0 * q * r, den,
+                     out=np.zeros(np.broadcast(q, r).shape), where=den > 0)
+
+
+def _written_out_sir(q, r):
+    return (np.sqrt(q * q + 4.0 * q * r) + q) / (2.0 * r)
+
+
+def _written_out_steady_p(q, r):
+    if q == 0.0:
+        return 0.0
+    return 2.0 * q * r / (np.sqrt(q * q + 4.0 * q * r) + q)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def test_closed_forms_keep_the_bits_of_the_written_out_roots():
+    grid = log_grid()
+    rng = np.random.default_rng(15)
+    q_rand, r_rand = 10.0 ** rng.uniform(-150, 150, (2, 200_000))
+    for q, r in ((grid[:, None], grid[None, :]), (q_rand, r_rand)):
+        for new, old in ((g_feasibility, _written_out_feasibility),
+                         (g_optimal, _written_out_optimal),
+                         (g_sir, _written_out_sir)):
+            assert _same_bits(new(q, r), old(q, r)), new.__name__
+    for q, r in zip(np.r_[0.0, grid, q_rand[:2000]].tolist(),
+                    np.r_[1.0, grid[::-1], r_rand[:2000]].tolist()):
+        assert _same_bits(isotropic_steady_p(q, r),
+                          _written_out_steady_p(q, r))
+        assert _same_bits(g_feasibility(q, r), _written_out_steady_p(q, r))
+
+
 def test_g_feasibility_values():
     assert g_feasibility(1.0, 1.0) == pytest.approx(GOLDEN, abs=1e-14)
     assert g_feasibility(0.0, 5.0) == 0.0

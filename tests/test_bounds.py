@@ -129,6 +129,20 @@ def test_p_upper_small_noise_limit():
     assert db.eff_dim_upper < 1e-2
 
 
+def test_upper_bound_small_noise_root_does_not_cancel():
+    # a = 0.75 and lam_n(M) lam_1(Q) = 1e-20: formed as
+    # (sqrt(a^2 + b c) - a) / b the root cancels to 0
+    eye = np.eye(2)
+    problem = LinearGaussianProblem(A=0.5 * eye, Q=1e-10 * eye, H=eye,
+                                    R=1e10 * eye, mu0=np.zeros(2),
+                                    Sigma0=eye)
+    X_u, eta = dare_upper_bound(problem)
+    assert eta == pytest.approx(1e-10 / 0.75, rel=1e-15)
+    state = solve_dare(problem)
+    assert psd_compare(state.X, X_u).verdict in OK_ORDER
+    assert state.eff_dim <= p_upper_bound(problem).eff_dim_upper
+
+
 def test_p_upper_static_model_posterior():
     rng = np.random.default_rng(5)
     Q = random_spd(rng, 3)

@@ -900,11 +900,17 @@ def test_seeded_outputs_match_their_golden_digests(name, tmp_path,
 # in a result (0), an input error (2) or a numerical failure (3), never in
 # a traceback.  A real process prints numpy's overflow warnings on stderr;
 # here they are silenced so that they do not turn into errors.
+# small-noise.json is stable, with noise so small that the upper bound's
+# eta cancelled to 0 when its root was formed as (sqrt(a^2 + bc) - a)/b
+_SMALL_NOISE = LinearGaussianProblem(
+    A=0.5 * np.eye(2), Q=1e-10 * np.eye(2), H=np.eye(2), R=1e10 * np.eye(2),
+    mu0=np.zeros(2), Sigma0=np.eye(2))
 _EDGE_ARGV = [
     (["--command", "effdim", "--m", "1", "--q", "1e-300", "--r", "1"], 0),
     (["--command", "effdim", "--m", "3", "--q", "1e-300", "--r", "1"], 0),
     (["--command", "effdim", "--m", "1", "--q", "1e300", "--r", "1"], 0),
     (["--command", "bounds", "--m", "1", "--q", "1e300", "--r", "1"], 0),
+    (["--command", "bounds", "--problem", "small-noise.json"], 0),
     (["--command", "maxdim", "--kind", "optimal", "--grid-min", "1e-300",
       "--grid-max", "1e300"], 0),
     (["--command", "maxdim", "--kind", "sir", "--grid-min", "1e-320",
@@ -917,7 +923,10 @@ _EDGE_ARGV = [
 
 @pytest.mark.parametrize("argv,code", _EDGE_ARGV,
                          ids=[" ".join(a[1:]) for a, _ in _EDGE_ARGV])
-def test_edge_inputs_exit_0_2_or_3(argv, code, tmp_path, capsys):
+def test_edge_inputs_exit_0_2_or_3(argv, code, tmp_path, monkeypatch,
+                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    save_problem(_SMALL_NOISE, "small-noise.json")
     out = tmp_path / "out.json"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -6,7 +9,8 @@ from hypothesis import strategies as st
 
 from effdim.kalman import (DareConvergenceError, dare_residual,
                            effective_dimension, isotropic_steady_p,
-                           kalman_cov_step, solve_dare, spread_stats)
+                           kalman_cov_step, positive_root, solve_dare,
+                           spread_stats)
 from effdim.model import (LinearGaussianProblem, PsdVerdict, frobenius,
                           psd_compare, psd_factor)
 from util import random_problem, random_spd, steady_state_to_json
@@ -107,8 +111,8 @@ def test_solve_dare_residual_invariant_and_p_below_x():
 def test_solve_dare_start_independence():
     rng = np.random.default_rng(9)
     problem = random_problem(rng, m=4)
-    a = solve_dare(problem, start=np.zeros((4, 4)))
-    b = solve_dare(problem, start=10.0 * np.eye(4))
+    a = solve_dare(replace(problem, Sigma0=np.zeros((4, 4))))
+    b = solve_dare(replace(problem, Sigma0=10.0 * np.eye(4)))
     assert np.linalg.norm(a.P.a - b.P.a) <= 1e-6
 
 
@@ -272,6 +276,48 @@ def test_isotropic_steady_p_values():
                                             abs=1e-10)
 
 
+def _root_oracle(alpha: float, beta: float, gamma: float) -> float:
+    # the form without cancellation, at 60 digits
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b, c = Decimal(alpha), Decimal(beta), Decimal(gamma)
+        d = (b * b + 4 * a * c).sqrt()
+        return float(2 * c / (b + d) if b > 0 else (d - b) / (2 * a))
+
+
+def test_positive_root_unit_cases():
+    assert positive_root(1.0, 1.0, 1.0) == pytest.approx(GOLDEN, rel=1e-15)
+    assert positive_root(1.0, -1.0, 1.0) == pytest.approx(1.0 + GOLDEN,
+                                                          rel=1e-15)
+    # alpha = 0: the root of the linear equation, bit for bit
+    for beta, gamma in ((4.0, 2.0), (3.0, 1.0), (0.7, 1e-300)):
+        assert positive_root(0.0, beta, gamma) == gamma / beta
+    # beta of either sign, and beta = 0
+    assert positive_root(2.0, 3.0, 2.0) == 0.5
+    assert positive_root(2.0, -3.0, 9.0) == 3.0
+    assert positive_root(4.0, 0.0, 1.0) == 0.5
+    # q = 0 and -0.0 in the isotropic form p^2 + q p - q r = 0
+    for q in (0.0, -0.0):
+        root = positive_root(1.0, q, q * 3.0)
+        assert root == 0.0 and not np.signbit(root)
+        assert isotropic_steady_p(q, 3.0) == 0.0
+    # elementwise, with broadcasting
+    got = positive_root(1.0, np.array([[1.0], [-1.0]]), np.array([0.0, 1.0]))
+    assert got.shape == (2, 2)
+    assert got.tolist() == [[0.0, positive_root(1.0, 1.0, 1.0)],
+                            [1.0, positive_root(1.0, -1.0, 1.0)]]
+
+
+def test_positive_root_matches_a_60_digit_oracle():
+    rng = np.random.default_rng(16)
+    for _ in range(2000):
+        alpha, gamma = 10.0 ** rng.uniform(-60, 60, 2)
+        beta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-60, 60)
+        want = _root_oracle(alpha, beta, gamma)
+        assert positive_root(alpha, beta, gamma) == pytest.approx(
+            want, rel=4 * np.finfo(float).eps)
+
+
 def test_isotropic_steady_p_domain():
     with pytest.raises(ValueError):
         isotropic_steady_p(-1.0, 1.0)
@@ -311,6 +357,30 @@ def test_spread_stats_scales_where_the_trace_underflows(p):
     three = spread_stats(np.diag([p, p, p]))
     assert three.e_hat == pytest.approx(np.sqrt(3 * p) * (1 - 1 / 6),
                                         rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [1e-200, 1e-160, 1e160, 1e200, 1e210, 1e300])
+def test_spread_stats_scales_where_the_plain_terms_leave_the_range(p):
+    # 4 p^2 or p^2 is subnormal, or overflows: for one eigenvalue e_hat
+    # is sqrt(p)/2 and v_hat p/2
+    stats = spread_stats(np.array([[p]]))
+    assert stats.mean_y == p
+    assert stats.e_hat == np.sqrt(p) / 2
+    assert stats.v_hat == p / 2
+    two = spread_stats(np.diag([p, p]))
+    assert two.e_hat == pytest.approx(np.sqrt(2 * p) * 0.75, rel=1e-15)
+    assert two.v_hat == pytest.approx(p / 2, rel=1e-15)
+
+
+def test_spread_stats_keeps_the_plain_terms_in_the_normal_range():
+    rng = np.random.default_rng(21)
+    for scale in (1e-150, 1e-50, 1.0, 1e50, 1e150):
+        P = scale * random_spd(rng, 5)
+        stats = spread_stats(P)
+        eigs = np.linalg.eigvalsh(P)
+        s1, s2 = float(np.sum(eigs)), float(np.sum(eigs ** 2))
+        assert stats.e_hat == (4.0 * s1 * s1 - 2.0 * s2) / (4.0 * s1 ** 1.5)
+        assert stats.v_hat == s2 / (2.0 * s1)
 
 
 def test_spread_stats_nonnegative_on_random_psd():
