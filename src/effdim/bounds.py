@@ -17,9 +17,11 @@ the positive root (:func:`effdim.kalman.positive_root`) of
 a = 1 - lam_1(AA') - lam_n(M) lam_1(Q).  For rank-deficient H (lam_n(M)
 = 0, numerically at most 1e-14) the root is eta = lam_1(Q) / a when
 a > 0; otherwise the bound does not exist and BoundInapplicableError is
-raised.  Because lam_1(AA') majorizes A for any asymmetry, the sandwich
-holds for general A; the acceptance suite still reports (rather than
-asserts) asymmetric-A violations as a guard.
+raised.  It is raised too, naming the matrix, when one of the three
+spectra is not finite (AA' or H'R^{-1}H overflowing).  Because
+lam_1(AA') majorizes A for any asymmetry, the sandwich holds for
+general A; the acceptance suite still reports (rather than asserts)
+asymmetric-A violations as a guard.
 
 The posterior bound follows from operator monotonicity of
 Y -> (Y^{-1} + M)^{-1}:
@@ -84,9 +86,15 @@ def _upper(A, Q, H, R):
     R_inv = pd_inverse(R, "R singular")
     M = mul(mul(H.T, R_inv), H)
     M = 0.5 * (M + M.T)
-    lam_AAt = eigenvalues(mul(A, A.T))[-1]
-    lam_min_M = max(eigenvalues(M)[0], 0.0)
-    lam_max_Q = eigenvalues(Q)[-1]
+    spectra = {"AA'": eigenvalues(mul(A, A.T)), "H'R^-1 H": eigenvalues(M),
+               "Q": eigenvalues(Q)}
+    for name, lam in spectra.items():
+        if not np.isfinite(lam).all():
+            raise BoundInapplicableError(
+                f"upper bound inapplicable: {name} overflows")
+    lam_AAt = spectra["AA'"][-1]
+    lam_min_M = max(spectra["H'R^-1 H"][0], 0.0)
+    lam_max_Q = spectra["Q"][-1]
     a = 1.0 - lam_AAt - lam_min_M * lam_max_Q
     if not lam_min_M > 1e-14:  # rank-deficient H
         if not a > 0.0:

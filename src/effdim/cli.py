@@ -314,13 +314,18 @@ def _emit_pair(args, config: dict, payload: dict, csv_header: str,
                          else _json_text(config, payload))
 
 
-def _dare_problem(args) -> LinearGaussianProblem:
-    """The problem of the arguments, rejected unless its DARE is posed."""
-    problem = _resolve_problem(args)
-    report = validate(problem, dare=True)
+def _valid(problem: LinearGaussianProblem,
+           dare: bool = False) -> LinearGaussianProblem:
+    """``problem``, rejected unless it is valid (and its DARE posed)."""
+    report = validate(problem, dare=dare)
     if report:
         raise InputError("invalid problem: " + "; ".join(report))
     return problem
+
+
+def _dare_problem(args) -> LinearGaussianProblem:
+    """The problem of the arguments, rejected unless its DARE is posed."""
+    return _valid(_resolve_problem(args), dare=True)
 
 
 def _cmd_effdim(args) -> int:
@@ -508,23 +513,42 @@ def _sweep_cells(args, seeds):
             for m in dims]
 
 
-def _sweep_cell(args, kind, seeds, cell) -> dict:
-    """Every seed of one sweep cell, run together on one plan."""
-    problem = LinearGaussianProblem.isotropic(cell["m"], cell["q"], cell["r"],
-                                              sigma0=args.sigma0)
+def _sweep_runs(args, kind, seeds, cells) -> list[dict]:
+    """Every seed of every sweep cell.
+
+    Each cell is validated and planned in turn; a cell whose plan fails
+    gets one error record per seed.  The planned cells then run together
+    (:func:`effdim.filters.run_plans`): the cells of an eps sweep share
+    m, so each seed's noise is drawn once for all of them.
+    """
     try:
-        runs = _run_filters(args, problem, kind, seeds)
-    except (kalman.DareConvergenceError, np.linalg.LinAlgError) as exc:
-        summaries = [{"seed": seed, "error": str(exc)} for seed in seeds]
-        fraction = float("nan")
-        sigma = filters.steady_collapse_stat(problem, kind)
-    else:
+        filters.check_run(args.steps, args.particles, args.resample_every)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    results, planned = list(cells), []
+    for i, cell in enumerate(cells):
+        problem = _valid(LinearGaussianProblem.isotropic(
+            cell["m"], cell["q"], cell["r"], sigma0=args.sigma0))
+        try:
+            planned.append((i, problem, filters.step_plan(problem, kind)))
+        except (kalman.DareConvergenceError, np.linalg.LinAlgError) as exc:
+            results[i] = {
+                **cell, "collapse_fraction": float("nan"),
+                "sigma_frob": filters.steady_collapse_stat(problem, kind),
+                "runs": [{"seed": seed, "error": str(exc)}
+                         for seed in seeds]}
+    runs = filters.run_plans([problem for _, problem, _ in planned],
+                             [plan for _, _, plan in planned], args.steps,
+                             args.particles, seeds,
+                             resample_every=args.resample_every)
+    for (i, _, plan), cell_runs in zip(planned, runs):
         summaries = [_run_summary(run, args.collapse_threshold)
-                     for run in runs]
-        fraction = float(np.mean([s["collapsed"] for s in summaries]))
-        sigma = runs[0].sigma_frob
-    return {**cell, "collapse_fraction": fraction, "sigma_frob": sigma,
-            "runs": summaries}
+                     for run in cell_runs]
+        results[i] = {**cells[i], "sigma_frob": plan.sigma_frob,
+                      "collapse_fraction": float(np.mean(
+                          [s["collapsed"] for s in summaries])),
+                      "runs": summaries}
+    return results
 
 
 def _cmd_collapse_sweep(args) -> int:
@@ -532,8 +556,7 @@ def _cmd_collapse_sweep(args) -> int:
     seeds = _require_seeds(args)
     _check_collapse_threshold(args)
     config = _config_dict(args)
-    results = [_sweep_cell(args, kind, seeds, cell)
-               for cell in _sweep_cells(args, seeds)]
+    results = _sweep_runs(args, kind, seeds, _sweep_cells(args, seeds))
 
     header = "eps,m,q,r,collapse_fraction,sigma_frob"
     rows = [",".join([fmt17(c["eps"]), str(c["m"]), fmt17(c["q"]),

@@ -38,19 +38,23 @@ vectorized draw is the particle index, so results do not depend on
 scheduling.  Resampling is systematic (lowest variance of the standard
 schemes).
 
-The seeds of one problem run together: :func:`run_filters` stacks the
-ensembles of S seeds on a leading axis, positions (S, N, m) and
-log-weights (S, N), and the steps, resampling and reports work on every
-row at once.  Each seed draws its noise from its own streams into its
-own row, products are stacked per row and reductions run along each
-row, so a seed's run is bit for bit the same whichever seeds share its
-batch; :func:`run_filter` is the one-seed case.  When each batch holds
-one seed and the problem runs elementwise (below), the batches run on a
-thread per CPU; every other run takes its batches one after another.
-Dense plans already spread their products over BLAS's threads, and
-batches of several seeds are too small to gain from threads.  Since each
-batch draws from its own seeds' streams alone, the results do not depend
-on the thread count.
+Runs go in batches of ensembles stacked on a leading axis, positions
+(R, N, m) and log-weights (R, N); the steps, resampling and reports work
+on every row at once.  A row is a (seed, plan) pair: :func:`run_plans`
+runs the seeds of several plans of one kind and storage form together,
+each plan's factors stacked one per row, and the rows of one seed side
+by side.  The streams hold no plan in their keys, so a seed's rows share
+its draws: each noise is drawn once per seed and batch, and each row
+multiplies it by its own plan's factor (common random numbers across
+the plans).  Products are stacked per row and reductions run along each
+row, so a row's run is bit for bit the same whichever rows share its
+batch; :func:`run_filters` is the one-plan case and :func:`run_filter`
+the one-seed case of that.  When each batch holds one row and the plans
+run elementwise (below), the batches run on a thread per CPU; every
+other run takes its batches one after another.  Dense plans already
+spread their products over BLAS's threads, and batches of several rows
+are too small to gain from threads.  Since each batch draws from its own
+seeds' streams alone, the results do not depend on the thread count.
 
 When every matrix a computation uses is diagonal, it runs on the
 matrices' 1-D diagonals elementwise (see :func:`effdim.model.storage`),
@@ -64,14 +68,15 @@ import contextvars
 import enum
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from ._util import logsumexp
 from .kalman import DareConvergenceError, solve_dare
-from .model import (LinearGaussianProblem, frobenius, inverse, json_object,
-                    mul, pd_inverse, psd_factor, storage, validate)
+from .model import (LinearGaussianProblem, RowDiagonals, frobenius, inverse,
+                    json_object, mul, pd_inverse, psd_factor, storage,
+                    validate)
 
 _TAG_SIM = 0
 _TAG_INIT = 1
@@ -84,11 +89,12 @@ _TAG_RESAMPLE = 3
 # 150 bytes, until the batch takes the next pass's keys.
 STREAM_COLUMNS = 2 ** 12
 
-# Largest S * N * m of one batch of seeds.  A batch pays each step's
-# Python work once for all its seeds: timed on collapse-sweep cells, 8
-# seeds ran 20-40 % faster in batches, and two seeds of N m = 10^5 ran
-# no faster together than apart.  Batches beyond 2^16 elements saved no
-# more time and raised the peak memory.
+# Largest R * N * m of one batch of R rows, a row being a (seed, plan)
+# pair; a batch of several plans counts each row's stacked factors too.
+# A batch pays each step's Python work once for all its rows: timed on
+# collapse-sweep cells, 8 seeds ran 20-40 % faster in batches, and two
+# seeds of N m = 10^5 ran no faster together than apart.  Batches beyond
+# 2^16 elements saved no more time and raised the peak memory.
 BATCH_ELEMENTS = 2 ** 16
 
 
@@ -197,7 +203,9 @@ def _pcg_states(words: np.ndarray) -> list:
 class _Streams:
     """The noise generators of a batch's seeds, one per seed and spawn key.
 
-    Seed s with key k draws from ``_rng(s, *k)``.  ``keys`` are the keys
+    The batch runs each seed on ``repeats`` rows side by side: row i
+    runs ``seeds[i // repeats]``.  Seed s with key k draws from
+    ``_rng(s, *k)``.  ``keys`` are the keys
     the batch takes, in the order it takes them.  When the batch asks for
     the next of them, the PCG64 states of that key and the ones after it,
     for every seed in [0, 2^32), come from one bulk pass of SeedSequence's
@@ -206,8 +214,10 @@ class _Streams:
     seed or key builds its generator with :func:`_rng`.
     """
 
-    def __init__(self, seeds, keys=()):
+    def __init__(self, seeds, keys=(), repeats=1):
         self.seeds = seeds
+        self.repeats = repeats
+        self.rows = len(seeds) * repeats
         self._small = [i for i, seed in enumerate(seeds)
                        if isinstance(seed, int) and 0 <= seed < 2 ** 32]
         self._keys = iter(keys if self._small else ())
@@ -250,13 +260,20 @@ class _Streams:
                 row[i] = next(states)
 
     def generators(self, key, rows=None):
-        """The generators of ``rows`` (default all seeds) for spawn
+        """The generators of the batch's ``rows`` (default all) for spawn
         ``key``, each made as it is drawn from: a seed's generator is valid
-        until the next is taken."""
+        until the next is taken.  A row of the seed of the row before it
+        gets None: it takes that row's draw."""
         if key not in self._states and key == self._next:
             self._derive()
         states = self._states.get(key)
-        for i in range(len(self.seeds)) if rows is None else rows:
+        previous = None
+        for row in range(self.rows) if rows is None else rows:
+            i = row // self.repeats
+            if i == previous:
+                yield None
+                continue
+            previous = i
             if states is None or states[i] is None:
                 yield _rng(self.seeds[i], *key)
             else:
@@ -269,16 +286,22 @@ class _Streams:
 def _generators(seed, positions: np.ndarray):
     """The generator of each ensemble in ``positions``, made as it is
     drawn from: ``seed`` for an (N, m) ensemble, ``seed[s]`` for row s of
-    an (S, N, m) batch.  A run passes its streams' generators."""
-    return map(_rng, seed if positions.ndim == 3 else (seed,))
+    an (R, N, m) batch.  A run passes its streams' generators, where None
+    marks a row that takes the draw of the row before it."""
+    return (None if s is None else _rng(s)
+            for s in (seed if positions.ndim == 3 else (seed,)))
 
 
 def _normals(generators, out: np.ndarray) -> np.ndarray:
     """Standard normals into ``out``, each (N, m) ensemble from the next
-    of ``generators``."""
+    of ``generators``, or, where that is None, a copy of the ensemble
+    before it."""
     rows = out.reshape(-1, out.shape[-2] * out.shape[-1])
-    for rng, row in zip(generators, rows, strict=True):
-        rng.standard_normal(out=row)
+    for i, (rng, row) in enumerate(zip(generators, rows, strict=True)):
+        if rng is None:
+            row[...] = rows[i - 1]
+        else:
+            rng.standard_normal(out=row)
     return out
 
 
@@ -358,32 +381,37 @@ def _model_factors(problem: LinearGaussianProblem) -> tuple:
 
 def _simulate(mu0: np.ndarray, factors: tuple, n_steps: int,
               streams: _Streams) -> list[TrajectoryData]:
-    """One trajectory per seed of ``streams``, the seeds' states stacked
-    as (S, 1, m).
+    """One trajectory per row of ``streams``' batch, the rows' states
+    stacked as (R, 1, m); ``mu0`` is (m,) or one (1, m) row per row.
 
     Each seed draws x^0, then every model noise, then every data noise,
-    from its own stream; the (1, m) rows keep every product a
-    vector-matrix product, as for one seed alone.
+    from its own stream, and the rows of one seed share the draws; the
+    (1, m) rows keep every product a vector-matrix product, as for one
+    seed alone.
     """
     A_T, H_T, L0_T, Lq_T, Lr_T = factors
     seeds = streams.seeds
-    S, m, k = len(seeds), mu0.size, Lr_T.shape[0]
-    x0 = np.empty((S, 1, m))
-    w = np.empty((S, n_steps, m))
-    v = np.empty((S, n_steps, k))
-    for s, rng in enumerate(streams.generators((_TAG_SIM,))):
-        for out in (x0[s], w[s], v[s]):
-            rng.standard_normal(out=out)
-    truth = np.empty((S, n_steps + 1, m))
-    observations = np.empty((S, n_steps, k))
+    R, m, k = streams.rows, mu0.shape[-1], Lr_T.shape[-1]
+    x0 = np.empty((R, 1, m))
+    w = np.empty((R, n_steps, m))
+    v = np.empty((R, n_steps, k))
+    for r, rng in enumerate(streams.generators((_TAG_SIM,))):
+        for out in (x0, w, v):
+            if rng is None:
+                out[r] = out[r - 1]
+            else:
+                rng.standard_normal(out=out[r])
+    truth = np.empty((R, n_steps + 1, m))
+    observations = np.empty((R, n_steps, k))
     x = mu0 + mul(x0, L0_T)
     truth[:, 0] = x[:, 0]
     for n in range(n_steps):
         x = mul(x, A_T) + mul(w[:, n, None], Lq_T)
         truth[:, n + 1] = x[:, 0]
         observations[:, n] = (mul(x, H_T) + mul(v[:, n, None], Lr_T))[:, 0]
-    return [TrajectoryData(truth=truth[s], observations=observations[s],
-                           seed=int(seed)) for s, seed in enumerate(seeds)]
+    return [TrajectoryData(truth=truth[r], observations=observations[r],
+                           seed=int(seeds[r // streams.repeats]))
+            for r in range(R)]
 
 
 def simulate(problem: LinearGaussianProblem, n_steps: int,
@@ -404,10 +432,10 @@ def _prior_factor(problem: LinearGaussianProblem) -> np.ndarray:
 
 def _prior_positions(mu0: np.ndarray, prior_T: np.ndarray, N: int,
                      streams: _Streams) -> np.ndarray:
-    """(S, N, m) draws from N(mu0, Sigma0), row s from seed s of
-    ``streams``."""
+    """(R, N, m) draws from N(mu0, Sigma0), one per row of ``streams``'
+    batch; ``mu0`` is (m,) or one (1, m) row per row."""
     noise = _normals(streams.generators((_TAG_INIT,)),
-                     np.empty((len(streams.seeds), N, mu0.size)))
+                     np.empty((streams.rows, N, mu0.shape[-1])))
     positions = mul(noise, prior_T, out=noise, finite=True)
     positions += mu0
     return positions
@@ -631,7 +659,8 @@ def optimal_step(problem: LinearGaussianProblem, ensemble: ParticleEnsemble,
     finite = np.isfinite(incr).all()
     if plan.G_T is None:
         # Sigma_o (H' (R^{-1} z)) as a row vector, in that association
-        data = mul(mul(mul(z, plan.R_inv.T), plan.H_T.T), plan.Sigma_o.T)
+        data = mul(mul(mul(z, _transpose(plan.R_inv)),
+                       _transpose(plan.H_T)), _transpose(plan.Sigma_o))
         mul(x, plan.mean_T, out=positions, finite=finite)
         positions += data
     else:
@@ -642,6 +671,14 @@ def optimal_step(problem: LinearGaussianProblem, ensemble: ParticleEnsemble,
     return ParticleEnsemble(step=ensemble.step + 1, positions=positions,
                             log_weights=ensemble.log_weights + incr,
                             normalized=False)
+
+
+def _transpose(M):
+    """M' of a plan's factor: a diagonal, or a stack of them, is its own,
+    and a stack of matrices transposes each."""
+    if isinstance(M, RowDiagonals) or M.ndim == 1:
+        return M
+    return np.swapaxes(M, -1, -2)
 
 
 def resample(ensemble: ParticleEnsemble, seed,
@@ -658,8 +695,10 @@ def resample(ensemble: ParticleEnsemble, seed,
     positions = norm.positions
     N, m = positions.shape[-2:]
     cdf = np.cumsum(np.exp(norm.log_weights), axis=-1).reshape(-1, N)
-    offsets = np.array([[rng.random()]
-                        for rng in _generators(seed, positions)])
+    offsets = []
+    for rng in _generators(seed, positions):
+        offsets.append(offsets[-1] if rng is None else [rng.random()])
+    offsets = np.array(offsets)
     points = (np.arange(N) + offsets) / N
     # point p picks the first i with cdf[i] >= p; the clamp absorbs a
     # cdf top that round-off left just below the last point
@@ -678,9 +717,10 @@ def resample(ensemble: ParticleEnsemble, seed,
 
 
 def _reports(weights: np.ndarray, log_weights: np.ndarray, kind,
-             sigma_frob: float, step: int) -> list[CollapseReport]:
-    """One report per row of (S, N) normalized ``weights``: ESS and max
-    weight, and the variance of the row's finite raw ``log_weights``."""
+             sigma_frob, step: int) -> list[CollapseReport]:
+    """One report per row of (R, N) normalized ``weights``: ESS and max
+    weight, and the variance of the row's finite raw ``log_weights``;
+    ``sigma_frob`` is one for all rows or one per row."""
     ess = 1.0 / np.sum(weights ** 2, axis=-1)
     max_weight = np.max(weights, axis=-1)
     finite = np.isfinite(log_weights)
@@ -691,10 +731,11 @@ def _reports(weights: np.ndarray, log_weights: np.ndarray, kind,
             np.var(row[keep], ddof=1) if np.count_nonzero(keep) >= 2
             else np.inf for row, keep in zip(log_weights, finite)])
     kind = FilterKind(kind) if kind is not None else None
+    sigmas = np.broadcast_to(np.asarray(sigma_frob, dtype=float), ess.shape)
     return [CollapseReport(ess=e, max_weight=w, var_log_w=v,
-                           sigma_frob=float(sigma_frob), kind=kind, step=step)
-            for e, w, v in zip(ess.tolist(), max_weight.tolist(),
-                               var_log_w.tolist())]
+                           sigma_frob=sigma, kind=kind, step=step)
+            for e, w, v, sigma in zip(ess.tolist(), max_weight.tolist(),
+                                      var_log_w.tolist(), sigmas.tolist())]
 
 
 def diagnostics(ensemble: ParticleEnsemble, kind=None,
@@ -741,55 +782,125 @@ class FilterRun:
     sigma_frob = property(lambda self: self.plan.sigma_frob)
 
 
-def run_filters(problem: LinearGaussianProblem, kind, n_steps: int, N: int,
-                seeds, resample_every: int = 1,
-                plan: StepPlan | None = None) -> list[FilterRun]:
-    """One seeded filtering run per seed, each over its own simulated
-    trajectory, in the order of ``seeds``.
-
-    The problem is validated once, and every run shares ``plan``; without
-    one, a plan is built once the problem has passed validation.  Seeds
-    run together in batches of at most BATCH_ELEMENTS / (N m) seeds (at
-    least one), and each run is bit for bit the run its seed makes alone.
-    When every batch holds one seed (N m > BATCH_ELEMENTS / 2) and the
-    plan is elementwise, the batches run on min(batches, CPUs) threads;
-    otherwise one after another.  The runs come back in seed order
-    either way, and an exception in one batch cancels those not yet
-    started and propagates.
-    A total-weight underflow does not raise: that seed's run stops with a
-    final report flagged ``degenerate``, and the others run on.
-    """
-    kind = FilterKind(kind)
+def check_run(n_steps: int, N: int, resample_every: int) -> None:
+    """Raise ValueError unless a run takes ``n_steps`` >= 1 steps of
+    ``N`` >= 2 particles, resampled every ``resample_every`` >= 1."""
     if N < 2:
         raise ValueError("N must be >= 2")
     if resample_every < 1:
         raise ValueError("resample_every must be >= 1")
-    if plan is not None and plan.kind is not kind:
-        raise ValueError(f"plan is for the {plan.kind.value} filter")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+
+
+def run_filters(problem: LinearGaussianProblem, kind, n_steps: int, N: int,
+                seeds, resample_every: int = 1,
+                plan: StepPlan | None = None) -> list[FilterRun]:
+    """One seeded filtering run per seed, each over its own simulated
+    trajectory, in the order of ``seeds``: :func:`run_plans` of one plan.
+
+    The problem is validated once, and every run shares ``plan``; without
+    one, a plan is built once the problem has passed validation.
+    """
+    kind = FilterKind(kind)
+    check_run(n_steps, N, resample_every)
+    if plan is not None and plan.kind is not kind:
+        raise ValueError(f"plan is for the {plan.kind.value} filter")
     _check(problem)
     plan = plan or step_plan(problem, kind)
+    return run_plans([problem], [plan], n_steps, N, seeds,
+                     resample_every=resample_every)[0]
+
+
+def _factors(plan: StepPlan) -> dict:
+    """The plan's matrices by field name, ``model`` a tuple of them."""
+    return {f.name: getattr(plan, f.name) for f in fields(StepPlan)
+            if f.name not in ("kind", "sigma_frob")}
+
+
+def _matrices(plan: StepPlan) -> list:
+    """Every matrix of the plan, None for each field it leaves unset."""
+    return [M for value in _factors(plan).values()
+            for M in (value if isinstance(value, tuple) else (value,))]
+
+
+def _form(plan: StepPlan) -> tuple:
+    """What plans share to run in one batch: kind and every matrix's
+    shape, so m, k and storage form."""
+    return plan.kind, tuple(None if M is None else M.shape
+                            for M in _matrices(plan))
+
+
+def run_plans(problems: list, plans: list[StepPlan], n_steps: int, N: int,
+              seeds, resample_every: int = 1) -> list[list[FilterRun]]:
+    """The runs of every seed on each validated problem with its plan in
+    ``plans``: one list per problem, in the order of ``seeds``.
+
+    Plans of one form (:func:`_form`) run together: a batch's rows are
+    (seed, plan) pairs, the rows of one seed side by side, and each draw
+    of a seed serves all its rows.  A batch takes at most BATCH_ELEMENTS
+    / (N m) rows (at least one): the seeds of every plan when that many
+    fit, else one seed on as many plans as fit.  Each run is bit for bit
+    the run its seed makes alone on its plan.  When every batch holds one
+    row (a row over BATCH_ELEMENTS / 2) and the plans are elementwise, the
+    batches of a form run on min(batches, CPUs) threads; otherwise one
+    after another.  The runs come back in seed order either way, and an
+    exception in one batch cancels those not yet started and propagates.
+    A total-weight underflow does not raise: that row's run stops with a
+    final report flagged ``degenerate``, and the others run on.
+    """
+    check_run(n_steps, N, resample_every)
     seeds = [int(seed) for seed in seeds]
-    size = max(1, BATCH_ELEMENTS // (N * problem.m))
-    batches = [seeds[i:i + size] for i in range(0, len(seeds), size)]
+    groups: dict = {}
+    for i, plan in enumerate(plans):
+        groups.setdefault(_form(plan), []).append(i)
+    runs: list = [None] * len(plans)
+    for cells in groups.values():
+        for i, cell_runs in zip(cells, _run_group(
+                [problems[i] for i in cells], [plans[i] for i in cells],
+                n_steps, N, seeds, resample_every)):
+            runs[i] = cell_runs
+    return runs
+
+
+def _run_group(problems: list, plans: list[StepPlan], n_steps: int, N: int,
+               seeds: list[int], resample_every: int) -> list[list]:
+    """:func:`run_plans` of plans of one form, in batches."""
+    # a row holds N m positions, and in a batch of several plans the
+    # row's own factors as well
+    row = N * problems[0].m
+    if len(plans) > 1:
+        row += sum(M.size for M in _matrices(plans[0]) if M is not None)
+    size = max(1, BATCH_ELEMENTS // row)
+    width = min(len(plans), size)
+    depth = max(1, size // len(plans))
+    batches = [(seeds[i:i + depth], j) for i in range(0, len(seeds), depth)
+               for j in range(0, len(plans), width)]
+
+    def run(batch):
+        batch_seeds, j = batch
+        return _run_batch(problems[j:j + width], plans[j:j + width], n_steps,
+                          N, batch_seeds, resample_every)
+
     workers = min(len(batches), _cpu_count())
-    if size > 1 or plan.A_T.ndim != 1 or workers < 2:
-        return [run for batch in batches
-                for run in _run_batch(problem, plan, n_steps, N, batch,
-                                      resample_every)]
-    # each batch runs in a copy of the caller's context, so that its
-    # np.errstate holds in the workers too
-    contexts = [contextvars.copy_context() for _ in batches]
-    pool = ThreadPoolExecutor(workers)
-    try:
-        return [run for runs in pool.map(
-            lambda context, batch: context.run(
-                _run_batch, problem, plan, n_steps, N, batch,
-                resample_every), contexts, batches)
-            for run in runs]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    if size > 1 or plans[0].A_T.ndim != 1 or workers < 2:
+        results = [run(batch) for batch in batches]
+    else:
+        # each batch runs in a copy of the caller's context, so that its
+        # np.errstate holds in the workers too
+        contexts = [contextvars.copy_context() for _ in batches]
+        pool = ThreadPoolExecutor(workers)
+        try:
+            results = list(pool.map(
+                lambda context, batch: context.run(run, batch),
+                contexts, batches))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    runs: list[list] = [[] for _ in plans]
+    for (_, j), result in zip(batches, results):
+        for c, cell_runs in enumerate(result, j):
+            runs[c].extend(cell_runs)
+    return runs
 
 
 def _cpu_count() -> int:
@@ -829,47 +940,76 @@ def _run_keys(n_steps: int, resample_every: int):
             yield (_TAG_RESAMPLE, n)
 
 
-def _run_batch(problem: LinearGaussianProblem, plan: StepPlan, n_steps: int,
-               N: int, seeds: list[int],
-               resample_every: int) -> list[FilterRun]:
-    """The runs of ``seeds`` as one batch of ensembles.
+def _row_plan(plans: list[StepPlan], cells: np.ndarray) -> StepPlan:
+    """The plan of a batch whose row i runs ``plans[cells[i]]``: the one
+    plan itself, else every matrix stacked one per row (a diagonal as
+    :class:`effdim.model.RowDiagonals`) and ``sigma_frob`` one per row."""
+    if len(plans) == 1:
+        return plans[0]
 
-    ``live`` maps the batch's rows to seeds; a seed whose total weight
-    underflows leaves it.  The batch keeps four (S, N, m) buffers, one of
-    which holds the positions; the steps and resampling work in the
-    others.  Every draw comes from the batch's own streams, derived in
-    bulk a block of steps at a time.
+    def rows(*matrices):
+        if matrices[0] is None:
+            return None
+        stack = np.stack(matrices)[cells]
+        return RowDiagonals(stack[:, None]) if stack.ndim == 2 else stack
+
+    stacked = {}
+    for name, value in _factors(plans[0]).items():
+        each = [getattr(plan, name) for plan in plans]
+        stacked[name] = (tuple(map(rows, *each)) if isinstance(value, tuple)
+                         else rows(*each))
+    return StepPlan(kind=plans[0].kind, sigma_frob=np.array(
+        [plan.sigma_frob for plan in plans])[cells], **stacked)
+
+
+def _run_batch(problems: list, plans: list[StepPlan], n_steps: int, N: int,
+               seeds: list[int], resample_every: int) -> list[list]:
+    """The runs of ``seeds`` on each of ``plans`` as one batch of
+    ensembles: one list per plan, in seed order.
+
+    Row s C + c runs seed s on plan c of the C; ``cells`` maps rows to
+    plans and ``live`` lists the rows still running: a row whose total
+    weight underflows leaves it.  The batch keeps four (R, N, m) buffers,
+    one of which holds the positions; the steps and resampling work in
+    the others.  Every draw comes from the batch's own streams, derived
+    in bulk a block of steps at a time, and the rows of a seed share it.
     """
-    kind = plan.kind
+    kind = plans[0].kind
     step_fn = sir_step if kind is FilterKind.SIR else optimal_step
-    streams = _Streams(seeds, _run_keys(n_steps, resample_every))
-    trajectories = _simulate(problem.mu0, plan.model, n_steps, streams)
+    C = len(plans)
+    cells = np.tile(np.arange(C), len(seeds))
+    plan = _row_plan(plans, cells)
+    mu0 = np.stack([problem.mu0 for problem in problems])[cells, None]
+    streams = _Streams(seeds, _run_keys(n_steps, resample_every), C)
+    trajectories = _simulate(mu0, plan.model, n_steps, streams)
     observations = np.stack([t.observations for t in trajectories])
     ensemble = ParticleEnsemble(
-        step=0, positions=_prior_positions(problem.mu0, plan.prior_T, N,
-                                           streams),
-        log_weights=np.full((len(seeds), N), -np.log(N)), normalized=True)
+        step=0, positions=_prior_positions(mu0, plan.prior_T, N, streams),
+        log_weights=np.full((len(cells), N), -np.log(N)), normalized=True)
     buffers = _buffers(ensemble.positions)
-    reports: list[list[CollapseReport]] = [[] for _ in seeds]
-    means = np.empty((len(seeds), n_steps, problem.m))
-    live = np.arange(len(seeds))
+    reports: list[list[CollapseReport]] = [[] for _ in cells]
+    means = np.empty((len(cells), n_steps, problems[0].m))
+    live = np.arange(len(cells))
     for n in range(n_steps):
+        # the plan stands in for the problem
         ensemble = step_fn(
-            problem, ensemble, observations[live, n],
+            None, ensemble, observations[live, n],
             streams.generators((_TAG_STEP, n), live), plan=plan,
             work=_free(buffers, ensemble.positions))
         totals = logsumexp(ensemble.log_weights)
         dead = ~np.isfinite(totals)
         if dead.any():
-            for i in live[dead]:
+            sigmas = np.broadcast_to(plan.sigma_frob, live.shape)
+            for i, sigma in zip(live[dead], sigmas[dead].tolist()):
                 reports[i].append(CollapseReport(
                     ess=1.0, max_weight=1.0, var_log_w=float("inf"),
-                    sigma_frob=plan.sigma_frob, kind=kind, step=n + 1,
+                    sigma_frob=sigma, kind=kind, step=n + 1,
                     degenerate=True))
             keep = ~dead
             live, totals = live[keep], totals[keep]
             if not live.size:
                 break
+            plan = _row_plan(plans, cells[live])
             ensemble = replace(ensemble, positions=ensemble.positions[keep],
                                log_weights=ensemble.log_weights[keep])
             buffers = _buffers(ensemble.positions)
@@ -886,14 +1026,15 @@ def _run_batch(problem: LinearGaussianProblem, plan: StepPlan, n_steps: int,
                 out=_free(buffers, norm.positions)[0])
         else:
             ensemble = norm
-    runs = []
-    for s, seed in enumerate(seeds):
-        degenerate = reports[s][-1].degenerate
-        runs.append(FilterRun(
-            kind=kind, seed=seed, n_particles=N,
-            resample_every=resample_every, reports=reports[s],
-            means=means[s, :len(reports[s]) - degenerate],
-            trajectory=trajectories[s], plan=plan, degenerate=degenerate))
+    runs: list[list] = [[] for _ in plans]
+    for r, trajectory in enumerate(trajectories):
+        s, c = divmod(r, C)
+        degenerate = reports[r][-1].degenerate
+        runs[c].append(FilterRun(
+            kind=kind, seed=seeds[s], n_particles=N,
+            resample_every=resample_every, reports=reports[r],
+            means=means[r, :len(reports[r]) - degenerate],
+            trajectory=trajectory, plan=plans[c], degenerate=degenerate))
     return runs
 
 

@@ -195,8 +195,22 @@ def storage(*matrices) -> tuple:
     return tuple(diagonals)
 
 
+@dataclass(frozen=True)
+class RowDiagonals:
+    """Diagonals stacked one per ensemble of a batch, ``d`` shaped
+    (R, 1, m): :func:`mul` multiplies ensemble r of an (R, N, m) stack by
+    diag(d[r])."""
+
+    d: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return self.d.shape
+
+
 def mul(x, M, out=None, finite=False) -> np.ndarray:
-    """x @ M, where a 1-D M stands for the diagonal matrix diag(M).
+    """x @ M, where a 1-D M stands for the diagonal matrix diag(M), and
+    :class:`RowDiagonals` for one diagonal per ensemble of x.
 
     x is a vector, a stack of row vectors, or a matrix in M's form;
     ``out``, which may be x itself, receives the product.  The
@@ -206,14 +220,19 @@ def mul(x, M, out=None, finite=False) -> np.ndarray:
     knows x to be finite says so with ``finite=True``, which spares the
     scan for inf and NaN.
     """
-    if M.ndim != 1:
+    stacked = M.d if isinstance(M, RowDiagonals) else None
+    if stacked is None and M.ndim != 1:
         return np.matmul(x, M, out=out)
     fix = None
     if not finite and not np.isfinite(x).all():
         rows = np.atleast_2d(x)
         bad = ~np.isfinite(rows).all(axis=-1)
-        fix = bad, rows[bad] @ np.diag(M)
-    out = np.multiply(x, M, out=out)
+        if stacked is None:
+            fix = bad, rows[bad] @ np.diag(M)
+        else:  # each ensemble's rows times its own diagonal
+            fix = bad, np.concatenate([ens[b] @ np.diag(d[0]) for ens, b, d
+                                       in zip(rows, bad, stacked)])
+    out = np.multiply(x, M if stacked is None else stacked, out=out)
     out += 0.0
     if fix is not None:
         np.atleast_2d(out)[fix[0]] = fix[1]

@@ -129,6 +129,9 @@ _GRIDS = [[], ["--grid-points", "2"], ["--grid-points", "40"],
           ["--grid-min", "1e-320", "--grid-max", "1e308",
            "--grid-points", "50"]]
 _RUN = ["--particles", "40", "--steps", "4", "--resample-every", "2"]
+# priors so wide that some particles' first log-weights overflow
+_WIDE_SIGMA0 = {"sir": repr(2e-10 * 1.7e308 / 1.5),
+                "optimal": repr(2e-10 * 1.7e308 / 0.75)}
 
 
 def invocations() -> list[list[str]]:
@@ -180,6 +183,25 @@ def invocations() -> list[list[str]]:
         out.append(["--command", "collapse-sweep", "--kind", kind,
                     "--sweep", "m", "--q", "0.5", "--r", "1", "--dims", "1,5",
                     "--particles", "30", "--steps", "3", "--seeds", "4"])
+        # eps sweeps whose cells run as rows of shared batches: seeds
+        # beyond one word and repeated, and seeds 1 and 7 degenerate
+        out.append(["--command", "collapse-sweep", "--kind", kind, "--m", "3",
+                    "--grid-min", "0.01", "--grid-max", "100",
+                    "--grid-points", "7", "--particles", "30", "--steps", "4",
+                    "--resample-every", "2", "--seeds", f"1,5,{2 ** 32 + 1},5",
+                    "--format", "csv"])
+        out.append(["--command", "collapse-sweep", "--kind", kind, "--m", "1",
+                    "--r", "2e-10", "--sigma0", _WIDE_SIGMA0[kind],
+                    "--grid-min", "1e-3", "--grid-max", "1e300",
+                    "--grid-points", "6", "--particles", "2", "--steps", "4",
+                    "--resample-every", "2",
+                    "--seeds", f"1,2,3,4,5,6,7,8,{2 ** 32 + 1}",
+                    "--out", "run"])
+        # N m above the batch bound: a thread per CPU, one row a batch
+        out.append(["--command", "collapse-sweep", "--kind", kind,
+                    "--m", "66", "--grid-min", "0.1", "--grid-max", "10",
+                    "--grid-points", "3", "--particles", "1000",
+                    "--steps", "2", "--seeds", "1,2", "--out", "run"])
     out.append(["--command", "filter", "--kind", "sir", "--m", "2", "--q", "1",
                 "--r", "1", "--steps", "2"])
     out.append(["--command", "nope"])

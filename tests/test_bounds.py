@@ -110,6 +110,22 @@ def test_upper_bound_inapplicable_expansive_a_rank_deficient_h():
         dare_upper_bound(problem)
 
 
+@pytest.mark.parametrize("A, H, name", [
+    (0.5, 1e200, "H'R\\^-1 H overflows"),  # H'R^-1 H is inf, full rank
+    (1e200, 1.0, "AA' overflows"),
+])
+def test_upper_bound_names_an_overflowing_spectrum(A, H, name):
+    # the NaN spectrum of an inf matrix must not pass for rank deficiency
+    eye = np.eye(2)
+    problem = LinearGaussianProblem(A=A * eye, Q=eye, H=H * eye, R=eye,
+                                    mu0=np.zeros(2), Sigma0=eye)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BoundInapplicableError, match=name):
+            dare_upper_bound(problem)
+        with pytest.raises(BoundInapplicableError, match=name):
+            p_upper_bound(problem)
+
+
 def test_p_upper_scalar_hand_chain():
     problem = LinearGaussianProblem.isotropic(1, 1.0, 1.0)
     db = p_upper_bound(problem)

@@ -17,7 +17,7 @@ from effdim.balance import g_feasibility, g_optimal, g_sir
 from effdim.cli import _render, main
 from effdim.model import LinearGaussianProblem, save_problem
 from effdim.filters import simulate
-from util import random_problem, trajectory_to_json
+from util import batch_widths, random_problem, trajectory_to_json
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -533,6 +533,136 @@ def test_collapse_sweep_records_a_numerical_failure_per_cell(tmp_path,
     for cell in (cells[0], cells[2]):
         assert [run["seed"] for run in cell["runs"]] == [1, 2]
         assert "error" not in cell["runs"][0]
+
+
+_SWEEP_RUN = ["--particles", "30", "--steps", "4"]
+_WIDE_SIGMA0 = {"sir": 2e-10 * 1.7e308 / 1.5, "optimal": 2e-10 * 1.7e308 / 0.75}
+
+
+def _eps_sweep_cases(kind) -> dict:
+    """Eps sweeps whose cells run as rows of shared batches."""
+    iso = ["--m", "4", "--grid-min", "0.1", "--grid-max", "10",
+           "--grid-points", "5"]
+    return {
+        "plain": [*iso, *_SWEEP_RUN, "--seeds", "1,2,3"],
+        "resample-every-3": [*iso, *_SWEEP_RUN, "--resample-every", "3",
+                             "--seeds", "4,5"],
+        "beyond-one-word": [*iso, *_SWEEP_RUN,
+                            "--seeds", f"{2 ** 32},7,{2 ** 40 + 3}"],
+        "repeated-seed": [*iso, *_SWEEP_RUN, "--seeds", "5,5,2,5"],
+        # a prior so wide that the weights of seeds 1 and 7 overflow at
+        # the first step: in every cell for sir, in the first for optimal
+        "degenerate": ["--m", "1", "--r", "2e-10",
+                       "--sigma0", repr(_WIDE_SIGMA0[kind]),
+                       "--grid-min", "1e-3", "--grid-max", "1e300",
+                       "--grid-points", "6", "--particles", "2",
+                       "--steps", "4", "--resample-every", "2",
+                       "--seeds", f"1,2,3,4,5,6,7,8,{2 ** 32 + 1}"],
+    }
+
+
+def _sweep_files(directory, monkeypatch, argv) -> tuple:
+    """The .json and .csv bytes of the sweep ``argv``, run in
+    ``directory`` with the output stem "sweep" (the files embed it)."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    assert run_cli(*argv, "--out", "sweep") == 0
+    return tuple((directory / f"sweep{ext}").read_bytes()
+                 for ext in (".json", ".csv"))
+
+
+def _cells_alone(monkeypatch):
+    """Make every sweep cell run on its own, as a one-cell sweep does."""
+    run_plans = filters.run_plans
+
+    def alone(problems, plans, *args, **kwargs):
+        return [run_plans([problem], [plan], *args, **kwargs)[0]
+                for problem, plan in zip(problems, plans)]
+
+    monkeypatch.setattr(filters, "run_plans", alone)
+
+
+@pytest.mark.parametrize("case", sorted(_eps_sweep_cases("sir")))
+@pytest.mark.parametrize("kind", ["sir", "optimal"])
+def test_eps_sweep_cells_equal_one_cell_sweeps(kind, case, tmp_path,
+                                               monkeypatch):
+    argv = ["--command", "collapse-sweep", "--kind", kind,
+            *_eps_sweep_cases(kind)[case]]
+    widths = batch_widths(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shared = _sweep_files(tmp_path / "shared", monkeypatch, argv)
+        assert max(widths) > 1  # cells ran as rows of one batch
+        _cells_alone(monkeypatch)
+        assert shared == _sweep_files(tmp_path / "alone", monkeypatch, argv)
+    if case == "degenerate":
+        cells = json.loads(shared[0])["cells"]
+        dead = [[run["seed"] for run in cell["runs"] if run["degenerate"]]
+                for cell in cells]
+        assert dead[0] == [1, 7]
+        assert (dead[1] == [1, 7]) == (kind == "sir")
+
+
+@pytest.mark.parametrize("kind", ["sir", "optimal"])
+def test_eps_sweep_cell_whose_plan_fails_leaves_the_others_alone(
+        kind, tmp_path, monkeypatch):
+    step_plan = filters.step_plan
+
+    def failing(problem, kind, sigma_frob=None):
+        if problem.Q[0, 0] == 1.0:  # the middle cell of three
+            raise np.linalg.LinAlgError("singular HQH'+R")
+        return step_plan(problem, kind, sigma_frob)
+
+    monkeypatch.setattr(filters, "step_plan", failing)
+    argv = ["--command", "collapse-sweep", "--kind", kind, "--m", "3",
+            "--grid-min", "0.01", "--grid-max", "100", "--grid-points", "3",
+            *_SWEEP_RUN, "--seeds", "1,2"]
+    widths = batch_widths(monkeypatch)
+    shared = _sweep_files(tmp_path / "shared", monkeypatch, argv)
+    assert widths == [2]
+    _cells_alone(monkeypatch)
+    assert shared == _sweep_files(tmp_path / "alone", monkeypatch, argv)
+    cells = json.loads(shared[0])["cells"]
+    assert cells[1]["runs"] == [{"seed": 1, "error": "singular HQH'+R"},
+                                {"seed": 2, "error": "singular HQH'+R"}]
+    assert math.isnan(cells[1]["collapse_fraction"])
+    for cell in (cells[0], cells[2]):
+        assert [run["seed"] for run in cell["runs"]] == [1, 2]
+
+
+def _counting_draws(monkeypatch) -> list:
+    """A one-item list counting the (N, m) blocks of standard normals the
+    filters draw from now on; a block copied to another row is no draw."""
+    count = [0]
+    normals = filters._normals
+
+    def counting(generators, out):
+        def counted():
+            for rng in generators:
+                count[0] += rng is not None
+                yield rng
+        return normals(counted(), out)
+
+    monkeypatch.setattr(filters, "_normals", counting)
+    return count
+
+
+def test_eps_sweep_draws_each_seeds_noise_once(tmp_path, monkeypatch):
+    # the benchmark's optimal eps sweep: 9 cells, 8 seeds, 20 steps
+    count = _counting_draws(monkeypatch)
+    seeds = ",".join(map(str, range(11, 19)))
+    assert run_cli("--command", "collapse-sweep", "--kind", "optimal",
+                   "--m", "20", "--grid-min", "0.01", "--grid-max", "100",
+                   "--grid-points", "9", "--particles", "200",
+                   "--steps", "20", "--seeds", seeds,
+                   "--out", str(tmp_path / "eps")) == 0
+    assert count[0] == 8 * (1 + 20)  # the prior, then each step's move
+    # an m sweep's cells differ in m, so each still draws its own
+    count[0] = 0
+    assert run_cli("--command", "collapse-sweep", "--kind", "sir",
+                   "--sweep", "m", "--dims", "5,10,20,50", "--q", "1",
+                   "--r", "1", "--particles", "100", "--steps", "5",
+                   "--seeds", seeds, "--out", str(tmp_path / "m")) == 0
+    assert count[0] == 4 * 8 * (1 + 5)
 
 
 def test_filter_validates_and_factors_once_per_problem(tmp_path,

@@ -17,12 +17,12 @@ from effdim._util import logsumexp
 from effdim.filters import (FilterKind, ParticleEnsemble, WeightCollapseError,
                             collapse_stat, diagnostics, init_ensemble,
                             optimal_step, resample, run_filter, run_filters,
-                            simulate, sir_step, step_plan,
+                            run_plans, simulate, sir_step, step_plan,
                             trajectory_from_json)
 from effdim.kalman import isotropic_steady_p, solve_dare
 from effdim.model import (PD_COND_LIMIT, LinearGaussianProblem, pd_inverse,
                           psd_factor)
-from util import (dense_path, kalman_filter_means,
+from util import (batch_widths, dense_path, kalman_filter_means,
                   optimal_log_weight_increment, random_problem,
                   serial_run_filter, trajectory_to_json)
 
@@ -835,6 +835,109 @@ def test_resample_into_out_buffer():
     got = resample(ens, [1, 2], out=out)
     assert got.positions is out
     np.testing.assert_array_equal(out, resample(ens, [1, 2]).positions)
+
+
+# ---------------------------------------------------------------------------
+# several plans run as rows of one batch
+
+
+def _dense_problems() -> list:
+    """Dense, m = 4 and k = 3, PD Q: one form."""
+    return [random_problem(np.random.default_rng(seed), m=4, k=3)
+            for seed in (1, 2, 3)]
+
+
+def _diagonal_problems() -> list:
+    """Diagonal, m = 3: one form."""
+    base = _diagonal_problem()
+    return [base, LinearGaussianProblem.isotropic(3, 0.7, 0.3, sigma0=0.45),
+            replace(base, A=-0.5 * base.A, Q=3.0 * base.Q, mu0=-base.mu0)]
+
+
+def _mixed_problems() -> list:
+    """Three forms, interleaved: dense PD Q, diagonal, dense rank-2 Q."""
+    dense, diagonal = _dense_problems(), _diagonal_problems()
+    return [dense[0], diagonal[0], _general_problem(False), dense[1],
+            diagonal[1], _general_problem(False), dense[2]]
+
+
+def _assert_runs_equal(runs, alone):
+    for a, b in zip(alone, runs, strict=True):
+        assert (a.seed, a.plan, a.degenerate) == (b.seed, b.plan,
+                                                  b.degenerate)
+        assert _bits(a.reports) == _bits(b.reports)
+        assert a.means.tobytes() == b.means.tobytes()
+        assert a.trajectory.truth.tobytes() == b.trajectory.truth.tobytes()
+        assert (a.trajectory.observations.tobytes()
+                == b.trajectory.observations.tobytes())
+
+
+@pytest.mark.parametrize("resample_every", [1, 2])
+@pytest.mark.parametrize("problems", [_dense_problems, _diagonal_problems,
+                                      _mixed_problems],
+                         ids=["dense", "diagonal", "mixed"])
+@pytest.mark.parametrize("kind", ["sir", "optimal"])
+def test_plans_run_together_equal_each_plan_alone(kind, problems,
+                                                  resample_every,
+                                                  monkeypatch):
+    problems = problems()
+    plans = [step_plan(problem, kind) for problem in problems]
+    seeds = [3, 2 ** 32 + 1, 3, 8]
+    widths = batch_widths(monkeypatch)
+    together = run_plans(problems, plans, 5, 40, seeds,
+                         resample_every=resample_every)
+    # one batch per form, holding all its plans
+    forms = {filters._form(plan) for plan in plans}
+    assert sorted(widths) == sorted(
+        sum(filters._form(plan) == form for plan in plans) for form in forms)
+    for problem, plan, runs in zip(problems, plans, together, strict=True):
+        _assert_runs_equal(runs, run_filters(
+            problem, kind, 5, 40, seeds, resample_every=resample_every,
+            plan=plan))
+
+
+@pytest.mark.parametrize("kind", ["sir", "optimal"])
+def test_plans_split_across_batches_equal_each_plan_alone(kind,
+                                                          monkeypatch):
+    problems = _diagonal_problems() * 2
+    plans = [step_plan(problem, kind) for problem in problems]
+    seeds = [4, 5, 6]
+    widths = batch_widths(monkeypatch)
+    # room for four rows: four plans of a seed, then its other two
+    row = 30 * 3 + sum(M.size for M in filters._matrices(plans[0])
+                       if M is not None)
+    monkeypatch.setattr(filters, "BATCH_ELEMENTS", 4 * row)
+    together = run_plans(problems, plans, 4, 30, seeds, resample_every=2)
+    assert widths == [4, 2] * len(seeds)
+    for problem, plan, runs in zip(problems, plans, together, strict=True):
+        _assert_runs_equal(runs, run_filters(problem, kind, 4, 30, seeds,
+                                             resample_every=2, plan=plan))
+
+
+@pytest.mark.parametrize("kind", ["sir", "optimal"])
+def test_plans_with_degenerate_rows_equal_each_plan_alone(kind):
+    # seeds 1 and 7 overflow at the first step on the first plan; the
+    # others have narrower priors, so a seed's rows leave the batch apart
+    base = _overflowing_problem(kind)
+    problems = [base, replace(base, Sigma0=[[1.0]]),
+                replace(base, Sigma0=0.5 * base.Sigma0)]
+    plans = [step_plan(problem, kind) for problem in problems]
+    seeds = list(range(1, 9))
+    with np.errstate(over="ignore", invalid="ignore"):
+        together = run_plans(problems, plans, 4, 2, seeds, resample_every=2)
+        alone = [run_filters(problem, kind, 4, 2, seeds, resample_every=2,
+                             plan=plan)
+                 for problem, plan in zip(problems, plans)]
+    dead = [[run.seed for run in runs if run.degenerate] for runs in alone]
+    assert dead[0] == [1, 7] and dead != [[1, 7]] * 3
+    for runs, want in zip(together, alone, strict=True):
+        _assert_runs_equal(runs, want)
+
+
+def test_run_plans_of_no_plan_checks_its_arguments():
+    assert run_plans([], [], 3, 10, [1]) == []
+    with pytest.raises(ValueError, match="N must be >= 2"):
+        run_plans([], [], 3, 1, [1])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from effdim import model
+from effdim import filters, model
 from effdim.filters import (_TAG_RESAMPLE, _TAG_STEP, CollapseReport,
                             FilterKind, TrajectoryData, WeightCollapseError,
                             _log_likelihood, init_ensemble, optimal_step,
@@ -176,3 +176,16 @@ def serial_run_filter(problem: LinearGaussianProblem, kind, n_steps: int,
         else:
             ensemble = norm
     return reports, np.reshape(means, (-1, problem.m)), trajectory
+
+
+def batch_widths(monkeypatch) -> list:
+    """The number of plans of each batch the filters run from now on."""
+    widths = []
+    run_batch = filters._run_batch
+
+    def spy(problems, plans, *args):
+        widths.append(len(plans))
+        return run_batch(problems, plans, *args)
+
+    monkeypatch.setattr(filters, "_run_batch", spy)
+    return widths
