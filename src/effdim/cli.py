@@ -93,6 +93,9 @@ def _resolve_problem(args) -> LinearGaussianProblem:
         except FileNotFoundError as exc:
             raise InputError(f"problem file not found: {args.problem}") \
                 from exc
+        except OSError as exc:
+            raise InputError(f"cannot read problem file {args.problem}: "
+                             f"{exc.strerror}") from exc
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     if args.m is not None and args.q is not None and args.r is not None:
@@ -278,8 +281,11 @@ def _json_text(config: dict, payload: dict) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _emit_single(args, config: dict, payload: dict, csv_lines,
@@ -585,6 +591,9 @@ def _cmd_smooth(args) -> int:
         except FileNotFoundError as exc:
             raise InputError(
                 f"trajectory file not found: {args.trajectory}") from exc
+        except OSError as exc:
+            raise InputError(f"cannot read trajectory file "
+                             f"{args.trajectory}: {exc.strerror}") from exc
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         traj_source = {"trajectory_path": args.trajectory}

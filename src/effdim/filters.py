@@ -29,14 +29,9 @@ draws the noise of stage ``tag`` at step n from
 
 with tag 2 for the move and tag 3 for resampling; the truth and data
 come from spawn_key=(0,) and the initial ensemble from spawn_key=(1,).
-For seeds in [0, 2^32) a run derives the PCG64 states of these
-generators in bulk, a block of keys at a time as it reaches them, with
-SeedSequence's hashing as uint32 array arithmetic and the setseq seeding
-of PCG64, and sets them in turn on one generator; the states, and so the
-draws, are the ones numpy's own seeding gives.  The row index of each
-vectorized draw is the particle index, so results do not depend on
-scheduling.  Resampling is systematic (lowest variance of the standard
-schemes).
+The row index of each vectorized draw is the particle index, so results
+do not depend on scheduling.  Resampling is systematic (lowest variance
+of the standard schemes).
 
 Runs go in batches of ensembles stacked on a leading axis, positions
 (R, N, m) and log-weights (R, N); the steps, resampling and reports work
@@ -83,12 +78,6 @@ _TAG_INIT = 1
 _TAG_STEP = 2
 _TAG_RESAMPLE = 3
 
-# Most (seed, key) generators one bulk pass derives (see _Streams).  A
-# pass costs about as much as ten generators made one by one, plus a
-# quarter of one for each state it derives, and holds each state, some
-# 150 bytes, until the batch takes the next pass's keys.
-STREAM_COLUMNS = 2 ** 12
-
 # Largest R * N * m of one batch of R rows, a row being a (seed, plan)
 # pair; a batch of several plans counts each row's stacked factors too.
 # A batch pays each step's Python work once for all its rows: timed on
@@ -119,168 +108,28 @@ def _rng(seed, *key) -> np.random.Generator:
                                spawn_key=tuple(int(k) for k in key)))
 
 
-# numpy's SeedSequence: the hash constants of its pool mixing (A) and of
-# its output (B), its mixing multipliers, and its shift
-_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
-_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
-_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
-    """The first ``count`` hash constants start * mult^i mod 2^32, as a
-    (count, 1) uint32 column."""
-    out = [start]
-    for _ in range(count - 1):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)[:, None]
-
-
-def _seed_words(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``SeedSequence(...).generate_state(4, np.uint64)`` of each column of
-    ``entropy``, an (L, K) uint32 array of assembled entropy.
-
-    Column k holds ``lengths[k]`` >= 4 words, in its leading rows, and
-    the lengths do not increase from column to column.  SeedSequence's
-    pool mixing and output hashing run on every column at once, as uint32
-    array arithmetic, which wraps modulo 2^32.  Each hash takes the next
-    constant of a fixed sequence, so the hashes of one word into the
-    several words of the pool are one array operation.  Returns (K, 4)
-    uint64 words.
-    """
-    consts = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy) + 1)
-    used = 0
-
-    def hashmix(values, count):
-        # ``count`` hashes of ``values``, with the next count constants
-        nonlocal used
-        out = values ^ consts[used:used + count]
-        out *= consts[used + 1:used + count + 1]
-        out ^= out >> _XSHIFT
-        used += count
-        return out
-
-    def mix(x, y):
-        out = x * _MIX_MULT_L
-        out -= y * _MIX_MULT_R
-        out ^= out >> _XSHIFT
-        return out
-
-    pool = hashmix(entropy[:4], 4)
-    for src in range(4):
-        dst = [i for i in range(4) if i != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
-    for word in range(4, len(entropy)):
-        cols = np.count_nonzero(lengths > word)
-        pool[:, :cols] = mix(pool[:, :cols], hashmix(entropy[word, :cols], 4))
-    consts = _hash_constants(_INIT_B, _MULT_B, 9)
-    state = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ consts[:8]
-    state *= consts[1:]
-    state ^= state >> _XSHIFT
-    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(
-        np.uint64)
-
-
-def _pcg_states(words: np.ndarray) -> list:
-    """PCG64's (state, inc) from each row of (K, 4) seed words.
-
-    The setseq seeding of ``PCG64.__init__``: initstate is words 0-1 and
-    initseq words 2-3, high word first; inc = (initseq << 1) | 1 and
-    state = ((inc + initstate) MULT + inc) mod 2^128.
-    """
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in words.tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        states.append(((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc)
-                       & _MASK128, inc))
-    return states
-
-
 class _Streams:
     """The noise generators of a batch's seeds, one per seed and spawn key.
 
     The batch runs each seed on ``repeats`` rows side by side: row i
-    runs ``seeds[i // repeats]``.  Seed s with key k draws from
-    ``_rng(s, *k)``.  ``keys`` are the keys
-    the batch takes, in the order it takes them.  When the batch asks for
-    the next of them, the PCG64 states of that key and the ones after it,
-    for every seed in [0, 2^32), come from one bulk pass of SeedSequence's
-    hashing (:func:`_seed_words`), STREAM_COLUMNS (seed, key) states at a
-    time, and are set in turn on the batch's one generator.  Any other
-    seed or key builds its generator with :func:`_rng`.
+    runs ``seeds[i // repeats]``, and seed s with key k draws from
+    ``_rng(s, *k)``.
     """
 
-    def __init__(self, seeds, keys=(), repeats=1):
+    def __init__(self, seeds, repeats=1):
         self.seeds = seeds
         self.repeats = repeats
         self.rows = len(seeds) * repeats
-        self._small = [i for i, seed in enumerate(seeds)
-                       if isinstance(seed, int) and 0 <= seed < 2 ** 32]
-        self._keys = iter(keys if self._small else ())
-        self._next = next(self._keys, None)
-        self._states = {}
-        if self._next is not None:
-            self._bit_generator = np.random.PCG64(0)
-            self._generator = np.random.Generator(self._bit_generator)
-            self._state = {"bit_generator": "PCG64",
-                           "state": {"state": 0, "inc": 0},
-                           "has_uint32": 0, "uinteger": 0}
-
-    def _derive(self) -> None:
-        """Replace the derived states with those of the next keys."""
-        small = self._small
-        keys = [self._next]
-        for key in self._keys:
-            if len(keys) * len(small) >= STREAM_COLUMNS:
-                self._next = key
-                break
-            keys.append(key)
-        else:
-            self._next = None
-        # SeedSequence pads a one-word entropy to its pool of 4 words
-        # before the spawn key; the longest keys come first
-        keys.sort(key=len, reverse=True)
-        width = len(keys[0])
-        entropy = np.zeros((4 + width, len(keys), len(small)),
-                           dtype=np.uint32)
-        entropy[0] = [self.seeds[i] for i in small]
-        entropy[4:] = np.array([key + (0,) * (width - len(key))
-                                for key in keys], dtype=np.uint32).T[..., None]
-        lengths = np.repeat([4 + len(key) for key in keys], len(small))
-        states = iter(_pcg_states(_seed_words(
-            entropy.reshape(len(entropy), -1), lengths)))
-        self._states = {}
-        for key in keys:
-            row = self._states[key] = [None] * len(self.seeds)
-            for i in small:
-                row[i] = next(states)
 
     def generators(self, key, rows=None):
         """The generators of the batch's ``rows`` (default all) for spawn
-        ``key``, each made as it is drawn from: a seed's generator is valid
-        until the next is taken.  A row of the seed of the row before it
-        gets None: it takes that row's draw."""
-        if key not in self._states and key == self._next:
-            self._derive()
-        states = self._states.get(key)
+        ``key``, each made as it is drawn from.  A row of the seed of the
+        row before it gets None: it takes that row's draw."""
         previous = None
         for row in range(self.rows) if rows is None else rows:
             i = row // self.repeats
-            if i == previous:
-                yield None
-                continue
+            yield None if i == previous else _rng(self.seeds[i], *key)
             previous = i
-            if states is None or states[i] is None:
-                yield _rng(self.seeds[i], *key)
-            else:
-                self._state["state"]["state"], \
-                    self._state["state"]["inc"] = states[i]
-                self._bit_generator.state = self._state
-                yield self._generator
 
 
 def _generators(seed, positions: np.ndarray):
@@ -930,16 +779,6 @@ def _free(buffers: list, positions: np.ndarray) -> list:
     return [b for b in buffers if b is not positions]
 
 
-def _run_keys(n_steps: int, resample_every: int):
-    """The spawn keys of a run, in the order it draws from them."""
-    yield (_TAG_SIM,)
-    yield (_TAG_INIT,)
-    for n in range(n_steps):
-        yield (_TAG_STEP, n)
-        if (n + 1) % resample_every == 0:
-            yield (_TAG_RESAMPLE, n)
-
-
 def _row_plan(plans: list[StepPlan], cells: np.ndarray) -> StepPlan:
     """The plan of a batch whose row i runs ``plans[cells[i]]``: the one
     plan itself, else every matrix stacked one per row (a diagonal as
@@ -971,8 +810,8 @@ def _run_batch(problems: list, plans: list[StepPlan], n_steps: int, N: int,
     plans and ``live`` lists the rows still running: a row whose total
     weight underflows leaves it.  The batch keeps four (R, N, m) buffers,
     one of which holds the positions; the steps and resampling work in
-    the others.  Every draw comes from the batch's own streams, derived
-    in bulk a block of steps at a time, and the rows of a seed share it.
+    the others.  Every draw comes from the batch's own streams, and the
+    rows of a seed share it.
     """
     kind = plans[0].kind
     step_fn = sir_step if kind is FilterKind.SIR else optimal_step
@@ -980,7 +819,7 @@ def _run_batch(problems: list, plans: list[StepPlan], n_steps: int, N: int,
     cells = np.tile(np.arange(C), len(seeds))
     plan = _row_plan(plans, cells)
     mu0 = np.stack([problem.mu0 for problem in problems])[cells, None]
-    streams = _Streams(seeds, _run_keys(n_steps, resample_every), C)
+    streams = _Streams(seeds, C)
     trajectories = _simulate(mu0, plan.model, n_steps, streams)
     observations = np.stack([t.observations for t in trajectories])
     ensemble = ParticleEnsemble(

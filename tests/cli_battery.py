@@ -129,6 +129,7 @@ _GRIDS = [[], ["--grid-points", "2"], ["--grid-points", "40"],
           ["--grid-min", "1e-320", "--grid-max", "1e308",
            "--grid-points", "50"]]
 _RUN = ["--particles", "40", "--steps", "4", "--resample-every", "2"]
+_STRADDLING_SEEDS = f"0,{2 ** 32 - 1},{2 ** 32},{2 ** 64 + 5}"
 # priors so wide that some particles' first log-weights overflow
 _WIDE_SIGMA0 = {"sir": repr(2e-10 * 1.7e308 / 1.5),
                 "optimal": repr(2e-10 * 1.7e308 / 0.75)}
@@ -176,6 +177,16 @@ def invocations() -> list[list[str]]:
         out.append(["--command", "filter", "--kind", kind, "--m", "2",
                     "--q", "1", "--r", "1", "--particles", "2", "--steps", "3",
                     "--seeds", "1", "--out", "run"])
+        # seeds on both sides of 2^32 and of 2^64, and a one-step run
+        for fmt in ("json", "csv"):
+            for source in (["--m", "3", "--q", "0.5", "--r", "1"],
+                           ["--problem", "dense.json"]):
+                out.append(["--command", "filter", "--kind", kind, *source,
+                            *_RUN, "--seeds", _STRADDLING_SEEDS,
+                            "--format", fmt])
+            out.append(["--command", "filter", "--kind", kind,
+                        "--problem", "diagonal.json", "--particles", "40",
+                        "--steps", "1", "--seeds", "9", "--format", fmt])
         out.append(["--command", "collapse-sweep", "--kind", kind, "--m", "4",
                     "--grid-min", "0.1", "--grid-max", "10",
                     "--grid-points", "3", "--particles", "30", "--steps", "3",
@@ -217,6 +228,16 @@ def invocations() -> list[list[str]]:
                 "--trajectory", "trajectory.json", "--out", "run"])
     out.append(["--command", "smooth", "--problem", "dense.json",
                 "--trajectory", "trajectory-missing.json"])
+    # files that cannot be read or written: a directory as an input, and
+    # outputs into a directory that does not exist
+    out.append(["--command", "effdim", "--problem", "."])
+    out.append(["--command", "smooth", "--problem", "dense.json",
+                "--trajectory", "."])
+    out.append(["--command", "effdim", "--m", "1", "--q", "1", "--r", "1",
+                "--out", "missing/out.json"])
+    out.append(["--command", "filter", "--kind", "sir", "--m", "2",
+                "--q", "1", "--r", "1", "--steps", "2", "--seeds", "1",
+                "--out", "missing/run"])
     return out
 
 

@@ -1070,6 +1070,40 @@ def test_edge_inputs_exit_0_2_or_3(argv, code, tmp_path, monkeypatch,
         assert not out.exists()
 
 
+# a problem or trajectory file that is missing or cannot be read, and an
+# output that cannot be written, end in an input error (2) as well
+_RUN_ARGV = ["--m", "2", "--q", "1", "--r", "1", "--particles", "10",
+             "--steps", "2", "--seeds", "1"]
+_FILE_ERROR_ARGV = [
+    (["--command", "effdim", "--problem", "absent.json"],
+     "problem file not found: absent.json"),
+    (["--command", "smooth", "--problem", "small-noise.json",
+      "--trajectory", "absent.json"],
+     "trajectory file not found: absent.json"),
+    (["--command", "effdim", "--problem", "."],
+     "cannot read problem file .: "),
+    (["--command", "smooth", "--problem", "small-noise.json",
+      "--trajectory", "."], "cannot read trajectory file .: "),
+    (["--command", "effdim", "--m", "1", "--q", "1", "--r", "1",
+      "--out", "missing/x.json"], "cannot write missing/x.json: "),
+    (["--command", "effdim", "--m", "1", "--q", "1", "--r", "1",
+      "--out", "."], "cannot write .: "),
+    (["--command", "filter", "--kind", "sir", *_RUN_ARGV,
+      "--out", "missing/run"], "cannot write missing/run.csv: "),
+]
+
+
+@pytest.mark.parametrize("argv,message", _FILE_ERROR_ARGV,
+                         ids=[" ".join(a[1:]) for a, _ in _FILE_ERROR_ARGV])
+def test_file_errors_exit_2(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    save_problem(_SMALL_NOISE, "small-noise.json")
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "effdim: input error: " + message)
+    assert [p.name for p in tmp_path.iterdir()] == ["small-noise.json"]
+
+
 def test_effdim_and_bounds_take_what_the_dare_takes(tmp_path, capsys):
     # the DARE needs neither k <= m nor a nonsingular R, which the filters
     # do: effdim solves both, and bounds, which inverts R, fails

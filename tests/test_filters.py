@@ -1,4 +1,3 @@
-import itertools
 import os
 import threading
 import time
@@ -1059,92 +1058,61 @@ def test_failing_batch_propagates_and_cancels_the_rest(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# a run's noise streams, derived in bulk: numpy's own seeding is the oracle
+# a run's noise streams: numpy's own seeding is the oracle
 
-# seeds at the ends of the one-word range and spread between them; with
-# tags 0-3 and steps up to 10^4 they make 1 040 keys
-_STREAM_SEEDS = ([0, 1, 2 ** 31 - 1, 2 ** 32 - 1]
-                 + np.random.default_rng(2013).integers(
-                     2, 2 ** 32 - 1, size=16).tolist())
+# seeds at the ends of the one-word range and beyond it; with tags 0-3
+# and steps up to 10^4 they make 308 (seed, key) streams
+_STREAM_SEEDS = [0, 1, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3,
+                 2 ** 64 + 5]
 _STREAM_KEYS = ([(tag,) for tag in range(4)]
                 + [(tag, n) for tag in range(4)
                    for n in (0, 1, 2, 3, 19, 20, 293, 999, 4096, 10 ** 4)])
 
 
-def test_bulk_seed_words_equal_seed_sequence():
-    # one column per (key, seed), the longer keys first; SeedSequence pads
-    # a one-word entropy to its 4-word pool before the spawn key
-    pairs = [(key, seed)
-             for key in sorted(_STREAM_KEYS, key=len, reverse=True)
-             for seed in _STREAM_SEEDS]
-    entropy = np.array([[seed, 0, 0, 0, *key] + [0] * (2 - len(key))
-                        for key, seed in pairs], dtype=np.uint32).T
-    lengths = np.array([4 + len(key) for key, _ in pairs])
-    words = filters._seed_words(entropy, lengths)
-    assert words.dtype == np.uint64 and words.shape == (len(pairs), 4)
-    states = filters._pcg_states(words)
-    for (key, seed), row, (state, inc) in zip(pairs, words, states,
-                                              strict=True):
-        sequence = np.random.SeedSequence(seed, spawn_key=key)
-        want = sequence.generate_state(4, np.uint64)
-        assert row.tobytes() == want.tobytes(), (seed, key)
-        pcg = np.random.PCG64(sequence).state["state"]
-        assert (state, inc) == (pcg["state"], pcg["inc"]), (seed, key)
+def _draws(rng) -> tuple:
+    return rng.standard_normal(257).tobytes(), rng.random()
+
+
+def _oracle_draws(seed, key) -> tuple:
+    return _draws(np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def test_bulk_streams_equal_default_rng():
-    streams = filters._Streams(_STREAM_SEEDS, _STREAM_KEYS)
+    # each seed on two rows side by side: the second takes the first's draw
+    streams = filters._Streams(_STREAM_SEEDS, repeats=2)
+    assert streams.rows == 2 * len(_STREAM_SEEDS)
     for key in _STREAM_KEYS:
-        for seed, rng in zip(_STREAM_SEEDS, streams.generators(key),
-                             strict=True):
-            want = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=key))
-            assert (rng.standard_normal(257).tobytes()
-                    == want.standard_normal(257).tobytes()), (seed, key)
-            assert rng.random() == want.random(), (seed, key)
+        rngs = list(streams.generators(key))
+        assert rngs[1::2] == [None] * len(_STREAM_SEEDS)
+        for seed, rng in zip(_STREAM_SEEDS, rngs[::2], strict=True):
+            assert _draws(rng) == _oracle_draws(seed, key), (seed, key)
+    # the rows still live in a batch: rows 8 and 9 are seed 2 ** 32's
+    rows = [1, 2, 5, 8, 9, 13]
+    for key in ((0,), (3, 10 ** 4)):
+        rngs = list(streams.generators(key, rows=rows))
+        assert [rng is None for rng in rngs] == [False] * 4 + [True, False]
+        for row, rng in zip(rows, rngs):
+            if rng is not None:
+                seed = _STREAM_SEEDS[row // 2]
+                assert _draws(rng) == _oracle_draws(seed, key), (seed, key)
 
 
 def test_streams_of_other_seeds_and_keys_are_made_by_rng():
     seeds = [2 ** 32, 7, 2 ** 64 + 5]
-    keys = [(2, n) for n in range(12)]
-    streams = filters._Streams(seeds, keys)
-    # every seed on its own stream, whether derived in bulk or not, and a
-    # key the batch did not derive
-    for key in (keys[0], keys[-1], (2, len(keys))):
+    streams = filters._Streams(seeds)
+    # every seed on its own stream, whichever rows are asked for
+    for key in ((2, 0), (2, 11), (2, 12)):
         draws = [rng.standard_normal(5).tobytes()
                  for rng in streams.generators(key, rows=[2, 0, 1])]
         want = [np.random.default_rng(np.random.SeedSequence(
             entropy=seeds[i], spawn_key=key)).standard_normal(5).tobytes()
             for i in (2, 0, 1)]
         assert draws == want
-    assert streams._states  # seed 7 was derived in bulk
-
-
-def _held_states(streams) -> int:
-    return sum(state is not None for row in streams._states.values()
-               for state in row)
-
-
-def test_streams_of_a_long_run_hold_one_block_of_states():
-    # a million steps: the keys are derived as the run reaches them, never
-    # more than STREAM_COLUMNS (seed, key) states at once
-    seeds = list(range(1, 9))
-    streams = filters._Streams(seeds, filters._run_keys(10 ** 6, 1))
-    keys = list(itertools.islice(filters._run_keys(10 ** 6, 1), 1500))
-    for i, key in enumerate(keys):
-        draws = [rng.random() for rng in streams.generators(key)]
-        assert 0 < _held_states(streams) <= filters.STREAM_COLUMNS
-        if i % 97 == 0 or i in (511, 512, 513, 1023, 1024):
-            assert draws == [np.random.default_rng(np.random.SeedSequence(
-                entropy=seed, spawn_key=key)).random() for seed in seeds]
-    assert len(keys) * len(seeds) > 2 * filters.STREAM_COLUMNS
 
 
 @pytest.mark.parametrize("kind", ["sir", "optimal"])
-def test_runs_across_stream_blocks_equal_serial_oracle(kind, monkeypatch):
-    # two or three keys to a block, so that blocks end between a step's
-    # move and its resampling and between steps
-    monkeypatch.setattr(filters, "STREAM_COLUMNS", 6)
+def test_runs_of_seeds_within_and_beyond_one_word_equal_serial_oracle(kind):
     problem = _BATCH_PROBLEMS["diagonal"]()
     seeds = [4, 2 ** 32 + 4, 11]
     for resample_every in (1, 2):
@@ -1169,7 +1137,7 @@ def test_seed_alone_equals_seed_among_seeds_beyond_one_word(kind):
     seeds = [2 ** 32, 2 ** 40 + 3, 2 ** 33, 5, 2 ** 63, 2 ** 32 + 1,
              2 ** 64 + 7, 2 ** 35]
     assert len(seeds) * 60 * problem.m <= filters.BATCH_ELEMENTS
-    # in the batch seed 5 is the one seed derived in bulk
+    # in the batch seed 5 is the one seed below 2^32
     alone = run_filter(problem, kind, 6, 60, 5, resample_every=2)
     runs = run_filters(problem, kind, 6, 60, seeds, resample_every=2)
     together = runs[seeds.index(5)]
