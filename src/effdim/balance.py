@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import fmt17
 from .model import LinearGaussianProblem, frobenius
 from .kalman import (DARE_MAX_ITER, DARE_TOL, _check_domain, positive_root,
                      solve_dare)
@@ -256,7 +255,6 @@ def build_max_dim_curve(eps_grid, kind, constant: float = 1.0) -> MaxDimCurve:
 
 @dataclass(frozen=True)
 class ConditionCheck:
-    name: str
     lhs: float
     rhs: float
     holds: bool
@@ -290,62 +288,12 @@ def general_sufficient_conditions(problem: LinearGaussianProblem,
     h2 = frobenius(problem.H) ** 2
     q_f = frobenius(problem.Q)
     r_f = frobenius(problem.R)
-    feas = ConditionCheck("feasibility", p_f, constant, p_f <= constant)
+    feas = ConditionCheck(p_f, constant, p_f <= constant)
     opt_lhs = a2 * h2 * p_f
     opt_rhs = h2 * q_f + r_f
-    opt = ConditionCheck("optimal_filter", opt_lhs, opt_rhs, opt_lhs <= opt_rhs)
+    opt = ConditionCheck(opt_lhs, opt_rhs, opt_lhs <= opt_rhs)
     sir_lhs = h2 * (q_f + a2 * p_f)
-    sir = ConditionCheck("sir_filter", sir_lhs, r_f, sir_lhs <= r_f)
+    sir = ConditionCheck(sir_lhs, r_f, sir_lhs <= r_f)
     return SufficientConditions(feasibility=feas, optimal_filter=opt,
                                 sir_filter=sir, eff_dim=p_f)
 
-
-# ---------------------------------------------------------------------------
-# Export: CSV carries the grid (columns q, r, g), JSON the level-set polylines.
-
-def map_to_csv(bm: BalanceMap) -> str:
-    lines = ["q,r,g"]
-    for i, q in enumerate(bm.q_grid):
-        for j, r in enumerate(bm.r_grid):
-            lines.append(f"{fmt17(q)},{fmt17(r)},{fmt17(bm.values[i, j])}")
-    return "\n".join(lines) + "\n"
-
-
-def map_to_dict(bm: BalanceMap) -> dict:
-    """The JSON document of ``bm``; grids, values and level-set points
-    stay float64 arrays, which the CLI writes as their lists."""
-    return {
-        "kind": bm.kind.value,
-        "q_grid": bm.q_grid,
-        "r_grid": bm.r_grid,
-        "values": bm.values,
-        "level_sets": [
-            {"m": ls.m, "level": ls.level, "points": ls.points}
-            for ls in bm.level_sets
-        ],
-    }
-
-
-def curve_to_csv(curve: MaxDimCurve) -> str:
-    lines = ["eps,m_max"]
-    for eps, m in zip(curve.eps_grid, curve.m_max):
-        lines.append(f"{fmt17(eps)},{fmt17(m)}")
-    return "\n".join(lines) + "\n"
-
-
-def curve_to_dict(curve: MaxDimCurve) -> dict:
-    """The JSON document of ``curve``, its arrays as float64 arrays."""
-    return {"kind": curve.kind.value, "eps_grid": curve.eps_grid,
-            "m_max": curve.m_max}
-
-
-def conditions_to_dict(conds: SufficientConditions) -> dict:
-    def one(c: ConditionCheck) -> dict:
-        return {"lhs": c.lhs, "rhs": c.rhs, "holds": c.holds}
-
-    return {
-        "eff_dim": conds.eff_dim,
-        "feasibility": one(conds.feasibility),
-        "optimal_filter": one(conds.optimal_filter),
-        "sir_filter": one(conds.sir_filter),
-    }

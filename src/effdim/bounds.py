@@ -166,15 +166,3 @@ def p_upper_bound(problem: LinearGaussianProblem,
                       P_upper=P_u, eff_dim_upper=frobenius(P_u), eta=eta,
                       q_regularized=regularized)
 
-
-def bounds_to_dict(bounds: DareBounds) -> dict:
-    """The JSON document of ``bounds``; the matrices stay float64 arrays,
-    which the CLI writes as their lists."""
-    return {
-        "X_lower": bounds.X_lower.a,
-        "X_upper": bounds.X_upper.a,
-        "P_upper": bounds.P_upper.a,
-        "eff_dim_upper": bounds.eff_dim_upper,
-        "eta": bounds.eta,
-        "q_regularized": bounds.q_regularized,
-    }

@@ -6,12 +6,17 @@ file (``--problem``) or inline isotropic parameters (``--m --q --r
 is no wall-clock default), and every output file embeds the resolved
 configuration, so identical invocations produce byte-identical outputs.
 
+Each command writes its documents here: a JSON document renders a result
+dataclass as the object of its fields (:func:`_render`), and every
+command's CSV rows are built in this module.
+
 Exit status: 0 success, 2 input error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -21,7 +26,8 @@ import numpy as np
 
 from . import balance, bounds, filters, kalman, smoothing
 from ._util import fmt17
-from .model import LinearGaussianProblem, load_problem, validate
+from .model import (LinearGaussianProblem, SymMatrix, problem_from_json,
+                    validate)
 
 COMMANDS = ("effdim", "bounds", "map", "maxdim", "filter", "smooth",
             "collapse-sweep")
@@ -86,18 +92,23 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return values
 
 
+def _read(path: str, parse, what: str):
+    """``parse`` of the ``what`` file at ``path``, or an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except FileNotFoundError as exc:
+        raise InputError(f"{what} file not found: {path}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path}: "
+                         f"{exc.strerror}") from exc
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _resolve_problem(args) -> LinearGaussianProblem:
     if args.problem is not None:
-        try:
-            return load_problem(args.problem)
-        except FileNotFoundError as exc:
-            raise InputError(f"problem file not found: {args.problem}") \
-                from exc
-        except OSError as exc:
-            raise InputError(f"cannot read problem file {args.problem}: "
-                             f"{exc.strerror}") from exc
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        return _read(args.problem, problem_from_json, "problem")
     if args.m is not None and args.q is not None and args.r is not None:
         if args.m < 1:
             raise InputError("--m must be >= 1")
@@ -136,9 +147,9 @@ def _check_collapse_threshold(args) -> None:
         raise InputError("--collapse-threshold must be finite")
 
 
-def _csv_text(config: dict, header: str, rows: list[str]) -> str:
+def _csv_text(config: dict, lines: list[str]) -> str:
     head = "# config: " + json.dumps(config, sort_keys=True)
-    return "\n".join([head, header] + rows) + "\n"
+    return "\n".join([head, *lines]) + "\n"
 
 
 def _spell_non_finite(text: str) -> str:
@@ -239,13 +250,20 @@ def _array_text(a: np.ndarray, pad: str) -> str:
     return texts[0]
 
 
+def _fields(result) -> dict:
+    """The fields of the dataclass instance ``result``, by name."""
+    return {f.name: getattr(result, f.name)
+            for f in dataclasses.fields(result)}
+
+
 def _render(value, pad: str) -> str:
     """``value`` exactly as ``json.dumps(indent=2, sort_keys=True)`` writes
     it when nested at indent ``pad``, a float64 ``np.ndarray`` as its
-    ``tolist()``.  json's indented encoder is pure Python before 3.13;
-    most of its time goes to per-item overhead, so a float64 array is
-    written by :func:`_array_text`, and each list or object copies its
-    items' text once."""
+    ``tolist()``, a :class:`SymMatrix` as its array and any other
+    dataclass instance as the object of its fields.  json's indented
+    encoder is pure Python before 3.13; most of its time goes to per-item
+    overhead, so a float64 array is written by :func:`_array_text`, and
+    each list or object copies its items' text once."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -271,6 +289,10 @@ def _render(value, pad: str) -> str:
         return _list_text([f"{encode_basestring_ascii(_json_key(key))}: "
                            f"{_render(item, inner)}"
                            for key, item in sorted(value.items())], pad, "{}")
+    if isinstance(value, SymMatrix):
+        return _render(value.a, pad)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return _render(_fields(value), pad)
     raise TypeError(f"Object of type {value.__class__.__name__} "
                     "is not JSON serializable")
 
@@ -288,36 +310,24 @@ def _write(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _emit_single(args, config: dict, payload: dict, csv_lines,
-                 summary: str) -> None:
-    """One-file commands: write/print csv or json per --format.
-
-    ``csv_lines()`` returns the csv header and rows; it runs only under
-    ``--format csv``.
-    """
-    if args.format == "csv":
-        lines = csv_lines()
-        text = _csv_text(config, lines[0], lines[1:])
-    else:
-        text = _json_text(config, payload)
+def _emit(args, config: dict, payload: dict, csv_lines,
+          summary: str | None = None) -> None:
+    """Write a command's json (``payload``) and csv (header and rows from
+    ``csv_lines()``, called only when the csv is written).  Without --out,
+    the --format document goes to stdout; with a ``summary``, --out names
+    that one file; without one, it is a stem for .csv and .json."""
+    if args.out and summary is None:
+        _write(args.out + ".csv", _csv_text(config, csv_lines()))
+        _write(args.out + ".json", _json_text(config, payload))
+        print(f"wrote {args.out}.csv and {args.out}.json")
+        return
+    text = (_csv_text(config, csv_lines()) if args.format == "csv"
+            else _json_text(config, payload))
     if args.out:
         _write(args.out, text)
         print(summary)
     else:
         sys.stdout.write(text)
-
-
-def _emit_pair(args, config: dict, payload: dict, csv_header: str,
-               csv_rows: list[str]) -> None:
-    """Run commands: --out is a stem for .csv and .json, else print --format."""
-    csv_text = _csv_text(config, csv_header, csv_rows)
-    if args.out:
-        _write(args.out + ".csv", csv_text)
-        _write(args.out + ".json", _json_text(config, payload))
-        print(f"wrote {args.out}.csv and {args.out}.json")
-    else:
-        sys.stdout.write(csv_text if args.format == "csv"
-                         else _json_text(config, payload))
 
 
 def _valid(problem: LinearGaussianProblem,
@@ -340,7 +350,7 @@ def _cmd_effdim(args) -> int:
     state = kalman.solve_dare(problem, **dare)
     stats = kalman.spread_stats(state.P)
     payload = {
-        "steady_state": kalman.steady_state_to_dict(state),
+        "steady_state": state,
         "spread": {"mean_y": stats.mean_y, "var_y": stats.var_y,
                    "e_hat": stats.e_hat, "v_hat": stats.v_hat},
     }
@@ -356,7 +366,7 @@ def _cmd_effdim(args) -> int:
     print(f"mean_y = {fmt17(stats.mean_y)}  var_y = {fmt17(stats.var_y)}  "
           f"e_hat = {fmt17(stats.e_hat)}  v_hat = {fmt17(stats.v_hat)}")
     print(f"dare residual = {fmt17(state.residual)}")
-    _emit_single(args, config, payload, lambda: [header, row], summary)
+    _emit(args, config, payload, lambda: [header, row], summary)
     return 0
 
 
@@ -365,15 +375,14 @@ def _cmd_bounds(args) -> int:
     problem = _dare_problem(args)
     state = kalman.solve_dare(problem, **dare)
     db = bounds.p_upper_bound(problem)
-    payload = {"steady_state": kalman.steady_state_to_dict(state),
-               "bounds": bounds.bounds_to_dict(db)}
+    payload = {"steady_state": state, "bounds": db}
     config = _config_dict(args)
     header = "eff_dim,eff_dim_upper,eta"
     row = ",".join(fmt17(x) for x in (state.eff_dim, db.eff_dim_upper, db.eta))
     print(f"eff_dim = {fmt17(state.eff_dim)} <= "
           f"eff_dim_upper = {fmt17(db.eff_dim_upper)} (eta {fmt17(db.eta)})")
-    _emit_single(args, config, payload, lambda: [header, row],
-                 f"wrote bounds for eff_dim {fmt17(state.eff_dim)}")
+    _emit(args, config, payload, lambda: [header, row],
+          f"wrote bounds for eff_dim {fmt17(state.eff_dim)}")
     return 0
 
 
@@ -393,6 +402,19 @@ def _grid(args) -> np.ndarray:
             from exc
 
 
+def _map_csv_lines(bm: balance.BalanceMap) -> list[str]:
+    """The csv of a map: its grid, a row (q, r, g) per point."""
+    return ["q,r,g"] + [f"{fmt17(q)},{fmt17(r)},{fmt17(bm.values[i, j])}"
+                        for i, q in enumerate(bm.q_grid)
+                        for j, r in enumerate(bm.r_grid)]
+
+
+def _curve_csv_lines(curve: balance.MaxDimCurve) -> list[str]:
+    """The csv of a max-dimension curve: a row (eps, m_max) per ratio."""
+    return ["eps,m_max"] + [f"{fmt17(eps)},{fmt17(m)}"
+                            for eps, m in zip(curve.eps_grid, curve.m_max)]
+
+
 def _cmd_map(args) -> int:
     kind = _map_kind(args, ("feasibility", "optimal", "sir", "strong"),
                      default="feasibility")
@@ -404,12 +426,10 @@ def _cmd_map(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     config = _config_dict(args)
-    payload = balance.map_to_dict(bm)
     print(f"{kind} map: {len(bm.level_sets)} level-set polylines for "
           f"dims {dims}")
-    _emit_single(args, config, payload,
-                 lambda: balance.map_to_csv(bm).splitlines(),
-                 f"wrote {kind} map")
+    _emit(args, config, _fields(bm), lambda: _map_csv_lines(bm),
+          f"wrote {kind} map")
     return 0
 
 
@@ -422,12 +442,10 @@ def _cmd_maxdim(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     config = _config_dict(args)
-    payload = balance.curve_to_dict(curve)
     print(f"max dimension curve ({kind}): min m_max = "
           f"{fmt17(float(np.min(curve.m_max)))}")
-    _emit_single(args, config, payload,
-                 lambda: balance.curve_to_csv(curve).splitlines(),
-                 f"wrote {kind} max-dimension curve")
+    _emit(args, config, _fields(curve), lambda: _curve_csv_lines(curve),
+          f"wrote {kind} max-dimension curve")
     return 0
 
 
@@ -491,12 +509,12 @@ def _cmd_filter(args) -> int:
         "collapse_fraction": fraction,
         "runs": summaries,
     }
-    header = "seed,step,ess,max_weight,var_log_w,mean_error_norm"
-    rows = [row for run in runs for row in _filter_csv_rows(run)]
     print(f"{kind} filter: collapse fraction {fraction:.3f} over "
           f"{len(seeds)} seeds (threshold {args.collapse_threshold}, "
           f"sigma_frob {fmt17(runs[0].sigma_frob)})")
-    _emit_pair(args, config, payload, header, rows)
+    _emit(args, config, payload, lambda: [
+        "seed,step,ess,max_weight,var_log_w,mean_error_norm",
+        *(row for run in runs for row in _filter_csv_rows(run))])
     return 0
 
 
@@ -563,17 +581,15 @@ def _cmd_collapse_sweep(args) -> int:
     _check_collapse_threshold(args)
     config = _config_dict(args)
     results = _sweep_runs(args, kind, seeds, _sweep_cells(args, seeds))
-
-    header = "eps,m,q,r,collapse_fraction,sigma_frob"
-    rows = [",".join([fmt17(c["eps"]), str(c["m"]), fmt17(c["q"]),
-                      fmt17(c["r"]), fmt17(c["collapse_fraction"]),
-                      fmt17(c["sigma_frob"])]) for c in results]
-    payload = {"kind": kind, "cells": results}
     for c in results:
         print(f"eps={fmt17(c['eps'])} m={c['m']}: collapse fraction "
               f"{c['collapse_fraction']:.3f} (sigma_frob "
               f"{fmt17(c['sigma_frob'])})")
-    _emit_pair(args, config, payload, header, rows)
+    _emit(args, config, {"kind": kind, "cells": results}, lambda: [
+        "eps,m,q,r,collapse_fraction,sigma_frob",
+        *(",".join([fmt17(c["eps"]), str(c["m"]), fmt17(c["q"]),
+                    fmt17(c["r"]), fmt17(c["collapse_fraction"]),
+                    fmt17(c["sigma_frob"])]) for c in results)])
     return 0
 
 
@@ -583,19 +599,10 @@ def _cmd_smooth(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     dare = _dare_options(args)
-    problem = _resolve_problem(args)
+    problem = _valid(_resolve_problem(args))
     if args.trajectory is not None:
-        try:
-            with open(args.trajectory, "r", encoding="utf-8") as fh:
-                trajectory = filters.trajectory_from_json(fh.read())
-        except FileNotFoundError as exc:
-            raise InputError(
-                f"trajectory file not found: {args.trajectory}") from exc
-        except OSError as exc:
-            raise InputError(f"cannot read trajectory file "
-                             f"{args.trajectory}: {exc.strerror}") from exc
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        trajectory = _read(args.trajectory, filters.trajectory_from_json,
+                           "trajectory")
         traj_source = {"trajectory_path": args.trajectory}
     else:
         seeds = _require_seeds(args)
@@ -623,19 +630,18 @@ def _cmd_smooth(args) -> int:
         "trajectory_source": traj_source,
         "n_data": n,
         "frob_cov": posterior.frob_cov,
-        "smoother_condition": {"lhs": condition.lhs, "rhs": condition.rhs,
-                               "holds": condition.holds},
-        "balance_verdicts": balance.conditions_to_dict(conditions),
+        "smoother_condition": condition,
+        "balance_verdicts": conditions,
         "mode_final": mode[-1],
     }
-    header = "step," + ",".join(f"x{i}" for i in range(problem.m))
-    rows = [",".join([str(i)] + [fmt17(v) for v in mode[i]])
-            for i in range(n + 1)]
     print(f"weak 4D-Var mode over {n} data sets: frob_cov = "
           f"{fmt17(posterior.frob_cov)}")
     print(f"smoother condition: lhs {fmt17(condition.lhs)} <= rhs "
           f"{fmt17(condition.rhs)}: {condition.holds}")
-    _emit_pair(args, config, payload, header, rows)
+    _emit(args, config, payload, lambda: [
+        "step," + ",".join(f"x{i}" for i in range(problem.m)),
+        *(",".join([str(i)] + [fmt17(v) for v in mode[i]])
+          for i in range(n + 1))])
     return 0
 
 

@@ -339,15 +339,3 @@ def effective_dimension(problem: LinearGaussianProblem, tol: float = DARE_TOL,
     """||P||_F at steady state; propagates DARE failures."""
     return solve_dare(problem, tol=tol, max_iter=max_iter).eff_dim
 
-
-def steady_state_to_dict(state: SteadyState) -> dict:
-    """The JSON document of ``state``; X, K and P stay float64 arrays,
-    which the CLI writes as their lists."""
-    return {
-        "X": state.X.a,
-        "K": state.K,
-        "P": state.P.a,
-        "eff_dim": state.eff_dim,
-        "iterations": state.iterations,
-        "residual": state.residual,
-    }

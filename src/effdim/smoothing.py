@@ -172,7 +172,7 @@ def smoother_condition(problem: LinearGaussianProblem) -> ConditionCheck:
     (R,) = storage(problem.R)
     rhs = float(np.abs(R).max() if R.ndim == 1 and np.isfinite(R).all()
                 else np.linalg.norm(problem.R, 2))
-    return ConditionCheck("sir_smoother", lhs, rhs, lhs <= rhs)
+    return ConditionCheck(lhs, rhs, lhs <= rhs)
 
 
 def _weak_inverses(problem: LinearGaussianProblem) -> tuple:

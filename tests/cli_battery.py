@@ -100,8 +100,24 @@ PROBLEMS = {
     "overflowing-h": _problem(0.5 * _EYE2, _EYE2, 1e200 * _EYE2, _EYE2,
                               np.zeros(2), _EYE2),
 }
+# invalid 2x2 problems for the smoother's --trajectory and --seeds paths
+_ASYMMETRIC = [[1.0, 0.5], [0.0, 1.0]]
+SMOOTH_INVALID = {
+    "smooth-nan-mu0": _problem(0.5 * _EYE2, _EYE2, _EYE2, _EYE2,
+                               [np.nan, 0.0], _EYE2),
+    "smooth-asymmetric-sigma0": _problem(0.5 * _EYE2, _EYE2, _EYE2, _EYE2,
+                                         np.zeros(2), _ASYMMETRIC),
+    "smooth-nan-a": _problem([[np.nan, 0.0], [0.0, 0.5]], _EYE2, _EYE2,
+                             _EYE2, np.zeros(2), _EYE2),
+    "smooth-negative-r": _problem(0.5 * _EYE2, _EYE2, _EYE2, -_EYE2,
+                                  np.zeros(2), _EYE2),
+    "smooth-asymmetric-q": _problem(0.5 * _EYE2, _ASYMMETRIC, _EYE2, _EYE2,
+                                    np.zeros(2), _EYE2),
+}
 # problem files that are not problems, and trajectories for the smoother
 RAW_FILES = {
+    **{name + ".json": json.dumps(doc)
+       for name, doc in SMOOTH_INVALID.items()},
     "missing-key.json": json.dumps({"A": [[1.0]], "Q": [[1.0]]}),
     "not-object.json": "[1, 2]",
     "not-json.json": "{not json",
@@ -109,6 +125,9 @@ RAW_FILES = {
         "truth": [[0.0, 0.0, 0.0], [0.1, -0.2, 0.3], [0.2, 0.1, -0.1]],
         "observations": [[0.1, -0.1], [0.3, 0.0]], "seed": 7}),
     "trajectory-missing.json": json.dumps({"truth": [[0.0]], "seed": 1}),
+    "trajectory2.json": json.dumps({
+        "truth": [[0.0, 0.0], [0.1, -0.2], [0.2, 0.1]],
+        "observations": [[0.1, -0.1], [0.3, 0.0]], "seed": 7}),
 }
 
 # --- invocations -----------------------------------------------------------
@@ -228,6 +247,11 @@ def invocations() -> list[list[str]]:
                 "--trajectory", "trajectory.json", "--out", "run"])
     out.append(["--command", "smooth", "--problem", "dense.json",
                 "--trajectory", "trajectory-missing.json"])
+    for name in SMOOTH_INVALID:
+        for source in (["--trajectory", "trajectory2.json"],
+                       ["--seeds", "1", "--steps", "2"]):
+            out.append(["--command", "smooth", "--problem", name + ".json",
+                        *source, "--out", "run"])
     # files that cannot be read or written: a directory as an input, and
     # outputs into a directory that does not exist
     out.append(["--command", "effdim", "--problem", "."])

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effdim.balance import (LEVEL_TOL, MapKind, build_map,
-                            build_max_dim_curve, curve_to_csv, g_feasibility,
-                            g_optimal, g_sir, g_strong,
-                            general_sufficient_conditions, log_grid,
-                            map_to_csv, map_to_dict, max_dimension)
+                            build_max_dim_curve, g_feasibility, g_optimal,
+                            g_sir, g_strong, general_sufficient_conditions,
+                            log_grid, max_dimension)
 from effdim.kalman import isotropic_steady_p
 from effdim.model import LinearGaussianProblem
 
@@ -244,24 +243,6 @@ def test_general_conditions_sir_unrealistic_at_unit_noise():
     assert not conds.sir_filter.holds
     # lhs = m(q sqrt(m) + m ||P||_F), rhs = sqrt(m) r
     assert conds.sir_filter.lhs > conds.sir_filter.rhs
-
-
-def test_map_exports():
-    grid = log_grid(1e-2, 1e2, 10)
-    bm = build_map(MapKind.FEASIBILITY, grid, grid, dims=[10])
-    csv = map_to_csv(bm)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "q,r,g"
-    assert len(lines) == 1 + 100
-    q, r, g = (float(tok) for tok in lines[1].split(","))
-    assert g == pytest.approx(g_feasibility(q, r), rel=1e-15)
-    doc = map_to_dict(bm)
-    assert doc["kind"] == "feasibility"
-    assert doc["level_sets"][0]["m"] == 10
-    curve = build_max_dim_curve(grid, MapKind.SIR)
-    lines = curve_to_csv(curve).strip().split("\n")
-    assert lines[0] == "eps,m_max"
-    assert len(lines) == 11
 
 
 def _random_log_grid(rng) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from effdim import balance, filters, model
+from effdim import (balance, bounds, cli, filters, kalman, model,
+                    smoothing)
 from effdim.balance import g_feasibility, g_optimal, g_sir
 from effdim.cli import _render, main
-from effdim.model import LinearGaussianProblem, save_problem
+from effdim.model import LinearGaussianProblem, SymMatrix, save_problem
 from effdim.filters import simulate
 from util import batch_widths, random_problem, trajectory_to_json
 
@@ -335,7 +337,7 @@ def _no_csv(*_args, **_kwargs):
 
 
 def test_map_default_format_renders_no_csv(tmp_path, monkeypatch):
-    monkeypatch.setattr(balance, "map_to_csv", _no_csv)
+    monkeypatch.setattr(cli, "_map_csv_lines", _no_csv)
     out = tmp_path / "map.json"
     assert run_cli("--command", "map", "--grid-points", "12",
                    "--out", str(out)) == 0
@@ -343,11 +345,36 @@ def test_map_default_format_renders_no_csv(tmp_path, monkeypatch):
 
 
 def test_maxdim_default_format_renders_no_csv(tmp_path, monkeypatch):
-    monkeypatch.setattr(balance, "curve_to_csv", _no_csv)
+    monkeypatch.setattr(cli, "_curve_csv_lines", _no_csv)
     out = tmp_path / "maxdim.json"
     assert run_cli("--command", "maxdim", "--kind", "sir", "--grid-points",
                    "4", "--out", str(out)) == 0
     assert len(json.loads(out.read_text())["m_max"]) == 4
+
+
+def test_map_and_maxdim_documents(tmp_path, capsys):
+    grid = ["--grid-min", "1e-2", "--grid-max", "1e2", "--grid-points", "10"]
+    argv = ["--command", "map", "--kind", "feasibility", *grid,
+            "--dims", "10"]
+    assert run_cli(*argv, "--format", "csv",
+                   "--out", str(tmp_path / "map.csv")) == 0
+    lines = (tmp_path / "map.csv").read_text().splitlines()
+    assert lines[0].startswith("# config: ")
+    assert lines[1] == "q,r,g"
+    assert len(lines) == 2 + 100
+    q, r, g = (float(tok) for tok in lines[2].split(","))
+    assert g == pytest.approx(g_feasibility(q, r), rel=1e-15)
+    assert run_cli(*argv, "--out", str(tmp_path / "map.json")) == 0
+    doc = json.loads((tmp_path / "map.json").read_text())
+    assert doc["kind"] == "feasibility"
+    assert doc["level_sets"][0]["m"] == 10
+    assert run_cli("--command", "maxdim", "--kind", "sir", *grid,
+                   "--format", "csv", "--out",
+                   str(tmp_path / "maxdim.csv")) == 0
+    lines = (tmp_path / "maxdim.csv").read_text().splitlines()
+    assert lines[1] == "eps,m_max"
+    assert len(lines) == 2 + 10
+    capsys.readouterr()
 
 
 _SMOOTH = ["--command", "smooth", "--m", "2", "--q", "1", "--r", "1",
@@ -803,6 +830,60 @@ def test_renderer_writes_array_layouts_as_their_lists(a):
     assert _render(a, "  ") == _render(a.tolist(), "  ")
 
 
+def _field_doc(value):
+    """A result as the json document of its fields: the oracle for
+    _render of a result dataclass."""
+    if isinstance(value, SymMatrix):
+        return value.a.tolist()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [_field_doc(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _field_doc(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    return value
+
+
+def _result(name):
+    problem = random_problem(np.random.default_rng(5), 3)
+    grid = balance.log_grid(1e-2, 1e2, 12)
+    return {
+        "SteadyState": lambda: kalman.solve_dare(problem),
+        "DareBounds": lambda: bounds.p_upper_bound(problem),
+        "BalanceMap": lambda: balance.build_map("feasibility", grid, grid,
+                                                [3, 30]),
+        "MaxDimCurve": lambda: balance.build_max_dim_curve(grid, "optimal"),
+        "SufficientConditions":
+            lambda: balance.general_sufficient_conditions(problem),
+        "ConditionCheck": lambda: smoothing.smoother_condition(problem),
+    }[name]()
+
+
+# the keys of each result's document, which are its fields
+_RESULT_KEYS = {
+    "SteadyState": {"X", "K", "P", "eff_dim", "iterations", "residual"},
+    "DareBounds": {"X_lower", "X_upper", "P_upper", "eff_dim_upper", "eta",
+                   "q_regularized"},
+    "BalanceMap": {"kind", "q_grid", "r_grid", "values", "level_sets"},
+    "MaxDimCurve": {"kind", "eps_grid", "m_max"},
+    "SufficientConditions": {"eff_dim", "feasibility", "optimal_filter",
+                             "sir_filter"},
+    "ConditionCheck": {"holds", "lhs", "rhs"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RESULT_KEYS))
+def test_renderer_writes_a_result_as_its_fields(name):
+    result = _result(name)
+    assert type(result).__name__ == name
+    assert name != "BalanceMap" or result.level_sets
+    doc = _field_doc(result)
+    assert set(doc) == _RESULT_KEYS[name]
+    assert _render(result, "") == json.dumps(doc, indent=2, sort_keys=True)
+    assert _render({"a": [result]}, "  ") == _render({"a": [doc]}, "  ")
+
+
 _CANONICAL_ARGV = {
     "effdim": ["--command", "effdim", "--m", "5", "--q", "0.1", "--r", "1"],
     "bounds": ["--command", "bounds", "--m", "5", "--q", "0.1", "--r", "1"],
@@ -1035,6 +1116,26 @@ def test_seeded_outputs_match_their_golden_digests(name, tmp_path,
 _SMALL_NOISE = LinearGaussianProblem(
     A=0.5 * np.eye(2), Q=1e-10 * np.eye(2), H=np.eye(2), R=1e10 * np.eye(2),
     mu0=np.zeros(2), Sigma0=np.eye(2))
+
+
+# invalid 2x2 problems, which smooth rejects on its --trajectory path as
+# on its --seeds path
+def _invalid(**matrices) -> LinearGaussianProblem:
+    eye = np.eye(2)
+    return LinearGaussianProblem(**{"A": 0.5 * eye, "Q": eye, "H": eye,
+                                    "R": eye, "mu0": np.zeros(2),
+                                    "Sigma0": eye, **matrices})
+
+
+_ASYMMETRIC = np.array([[1.0, 0.5], [0.0, 1.0]])
+_INVALID = {"nan-mu0": _invalid(mu0=np.array([np.nan, 0.0])),
+            "asymmetric-sigma0": _invalid(Sigma0=_ASYMMETRIC),
+            "nan-a": _invalid(A=np.array([[np.nan, 0.0], [0.0, 0.5]])),
+            "negative-r": _invalid(R=-np.eye(2)),
+            "asymmetric-q": _invalid(Q=_ASYMMETRIC)}
+_TRAJECTORY_2D = json.dumps({"truth": [[0.0, 0.0], [0.1, -0.2], [0.2, 0.1]],
+                             "observations": [[0.1, -0.1], [0.3, 0.0]],
+                             "seed": 7})
 _EDGE_ARGV = [
     (["--command", "effdim", "--m", "1", "--q", "1e-300", "--r", "1"], 0),
     (["--command", "effdim", "--m", "3", "--q", "1e-300", "--r", "1"], 0),
@@ -1048,6 +1149,8 @@ _EDGE_ARGV = [
     *[(["--command", command, "--m", "2", "--q", q, "--r", r], 2)
       for command in ("effdim", "bounds")
       for q, r in (("1", "-1"), ("-1", "1"), ("nan", "1"))],
+    *[(["--command", "smooth", "--problem", name + ".json",
+        "--trajectory", "trajectory.json"], 2) for name in _INVALID],
 ]
 
 
@@ -1057,6 +1160,9 @@ def test_edge_inputs_exit_0_2_or_3(argv, code, tmp_path, monkeypatch,
                                    capsys):
     monkeypatch.chdir(tmp_path)
     save_problem(_SMALL_NOISE, "small-noise.json")
+    for name, problem in _INVALID.items():
+        save_problem(problem, name + ".json")
+    (tmp_path / "trajectory.json").write_text(_TRAJECTORY_2D)
     out = tmp_path / "out.json"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

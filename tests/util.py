@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
 import json
 from contextlib import contextmanager
 
@@ -10,8 +11,8 @@ from effdim.filters import (_TAG_RESAMPLE, _TAG_STEP, CollapseReport,
                             FilterKind, TrajectoryData, WeightCollapseError,
                             _log_likelihood, init_ensemble, optimal_step,
                             resample, simulate, sir_step, step_plan)
-from effdim.kalman import SteadyState, steady_state_to_dict
-from effdim.model import LinearGaussianProblem
+from effdim.kalman import SteadyState
+from effdim.model import LinearGaussianProblem, SymMatrix
 
 
 def random_spd(rng, m, scale=1.0):
@@ -128,9 +129,14 @@ def trajectory_to_json(trajectory: TrajectoryData, indent: int = 2) -> str:
     return json.dumps(doc, indent=indent)
 
 
+def _tolist(value):
+    """A SymMatrix or an array as its nested lists, for json's default."""
+    return (value.a if isinstance(value, SymMatrix) else value).tolist()
+
+
 def steady_state_to_json(state: SteadyState, indent: int = 2) -> str:
-    return json.dumps(steady_state_to_dict(state), indent=indent,
-                      default=np.ndarray.tolist)
+    doc = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
+    return json.dumps(doc, indent=indent, default=_tolist)
 
 
 def serial_run_filter(problem: LinearGaussianProblem, kind, n_steps: int,
