@@ -42,7 +42,7 @@ import numpy as np
 from .kalman import positive_root
 from .model import (PD_COND_LIMIT, LinearGaussianProblem, SymMatrix, dense,
                     eigenvalues, frobenius, identity, inverse, mul,
-                    on_storage, pd_inverse, solve, storage)
+                    pd_inverse, solve, storage)
 
 Q_REGULARIZATION = 1e-12  # scale of trace(Q)/m added to a singular Q
 
@@ -133,13 +133,13 @@ def _dense_sym(M) -> SymMatrix:
 
 def dare_lower_bound(problem: LinearGaussianProblem) -> SymMatrix:
     """Komaroff-type lower bound X_l = A (Q^{-1} + H'R^{-1}H)^{-1} A' + Q."""
-    return _dense_sym(on_storage(_lower, problem.A, problem.Q, problem.H,
-                                 problem.R))
+    return _dense_sym(_lower(*storage(problem.A, problem.Q, problem.H,
+                                      problem.R)))
 
 
 def dare_upper_bound(problem: LinearGaussianProblem) -> tuple[SymMatrix, float]:
     """Kwon-type upper bound; returns (X_u, eta)."""
-    X_u, eta = on_storage(_upper, problem.A, problem.Q, problem.H, problem.R)
+    X_u, eta = _upper(*storage(problem.A, problem.Q, problem.H, problem.R))
     return _dense_sym(X_u), eta
 
 
@@ -151,7 +151,7 @@ def p_upper_bound(problem: LinearGaussianProblem,
     Q_REGULARIZATION * trace(Q)/m on the diagonal and the result is
     flagged ``q_regularized``; otherwise a singular Q raises.  A problem
     whose A, Q, H and R are all diagonal is bounded on their diagonals
-    (see :func:`effdim.model.on_storage`); the result is dense either way.
+    (see :func:`effdim.model.storage`); the result is dense either way.
     """
     work = problem
     regularized = False
@@ -159,8 +159,7 @@ def p_upper_bound(problem: LinearGaussianProblem,
         Q_reg, regularized = _regularized_q(problem)
         if regularized:
             work = replace(problem, Q=Q_reg)
-    X_l, X_u, eta, P_u = on_storage(_sandwich, work.A, work.Q, work.H,
-                                    work.R)
+    X_l, X_u, eta, P_u = _sandwich(*storage(work.A, work.Q, work.H, work.R))
     P_u = _dense_sym(P_u)
     return DareBounds(X_lower=_dense_sym(X_l), X_upper=_dense_sym(X_u),
                       P_upper=P_u, eff_dim_upper=frobenius(P_u), eta=eta,

@@ -885,7 +885,9 @@ _TRAJECTORY_KEYS = ("truth", "observations", "seed")
 
 def trajectory_from_json(text: str) -> TrajectoryData:
     doc = json_object(text, _TRAJECTORY_KEYS, "trajectory")
-    truth = np.atleast_2d(np.asarray(doc["truth"], dtype=float))
-    observations = np.atleast_2d(np.asarray(doc["observations"], dtype=float))
-    return TrajectoryData(truth=truth, observations=observations,
-                          seed=int(doc["seed"]))
+    try:
+        truth, observations = (np.atleast_2d(np.asarray(doc[key], dtype=float))
+                               for key in ("truth", "observations"))
+        return TrajectoryData(truth, observations, int(doc["seed"]))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"trajectory JSON malformed: {exc}") from exc

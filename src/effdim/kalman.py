@@ -16,14 +16,13 @@ posterior samples concentrate (see :func:`spread_stats`).
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (_TINY, LinearGaussianProblem, SymMatrix, as_matrix,
-                    dense, frobenius, identity, mul, on_storage, pd_inverse,
-                    solve)
+                    dense, frobenius, identity, mul, pd_inverse, solve,
+                    storage)
 
 DARE_TOL = 1e-10
 DARE_MAX_ITER = 100_000
@@ -220,12 +219,10 @@ def _sweep(A, Q, H, R, X, tol: float, max_iter: int):
 def _steady(A, Q, H, R, P0, tol: float, max_iter: int):
     """(X, K, P, iterations, residual) in the form of A, Q, H, R and P0.
 
-    The dense iteration ignores floating-point errors; the diagonal one
-    keeps those :func:`effdim.model.on_storage` raises, which send it to
-    the dense form.
+    The iteration ignores floating-point errors in either form; a
+    non-finite iterate sends the doubling to the sweep.
     """
-    with (np.errstate(all="ignore") if A.ndim == 2
-          else contextlib.nullcontext()):
+    with np.errstate(all="ignore"):
         X0 = mul(mul(A, P0), A.T) + Q
         X, iterations, residual = (_doubling(A, Q, H, R, X0, tol, max_iter)
                                    or _sweep(A, Q, H, R, X0, tol, max_iter))
@@ -245,7 +242,7 @@ def solve_dare(problem: LinearGaussianProblem, tol: float = DARE_TOL,
     and the limit does not depend on Sigma0.  A non-finite iterate or a
     singular solve falls back to the fixed-point sweep from the same
     start.  A problem whose A, Q, H, R and Sigma0 are all diagonal is
-    solved on their diagonals (see :func:`effdim.model.on_storage`); the
+    solved on their diagonals (see :func:`effdim.model.storage`); the
     result is dense either way.
 
     Raises DareConvergenceError, carrying the last residual and the
@@ -257,9 +254,9 @@ def solve_dare(problem: LinearGaussianProblem, tol: float = DARE_TOL,
         raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    X, K, P, iterations, residual = on_storage(
-        lambda *forms: _steady(*forms, tol, max_iter), problem.A, problem.Q,
-        problem.H, problem.R, problem.Sigma0)
+    X, K, P, iterations, residual = _steady(
+        *storage(problem.A, problem.Q, problem.H, problem.R, problem.Sigma0),
+        tol, max_iter)
     P = SymMatrix.symmetrized(dense(P))
     return SteadyState(X=SymMatrix.symmetrized(dense(X)), K=dense(K),
                        P=P, eff_dim=frobenius(P), iterations=int(iterations),
@@ -275,8 +272,8 @@ def _residual(A, Q, H, R, X) -> float:
 
 def dare_residual(problem: LinearGaussianProblem, X) -> float:
     """||X - (A X A' - A X H'(H X H' + R)^{-1} H X A' + Q)||_F."""
-    return on_storage(_residual, problem.A, problem.Q, problem.H, problem.R,
-                      as_matrix(X))
+    return _residual(*storage(problem.A, problem.Q, problem.H, problem.R,
+                              as_matrix(X)))
 
 
 def positive_root(alpha, beta, gamma):

@@ -15,8 +15,7 @@ diagonal form when every matrix a computation uses is diagonal, and the
 product, solve, inverse and factor helpers below accept either form, so
 each computation is written once and runs in O(m) per vector on
 diagonal problems.  The filters, the smoother, the DARE, its bounds and
-the spectra all run on the storage form; :func:`on_storage` runs a
-computation whose results must keep the dense form's bits.
+the spectra all run on the storage form.
 
 The two forms round alike, except where this list says otherwise:
   - a product of diagonals is their elementwise product (:func:`mul`);
@@ -28,7 +27,9 @@ The two forms round alike, except where this list says otherwise:
     1e+-146; an eigendecomposition keeps the entries' order instead (see
     :func:`psd_factor`);
   - a Frobenius norm sums the squares in another order than over the m^2
-    entries of the dense matrix, so the two agree only to rounding.
+    entries of the dense matrix, so the two agree only to rounding;
+  - a dense product spreads NaN off the diagonal from an inf on it
+    (inf * 0), which a diagonal cannot hold: overflowed results may differ.
 """
 
 from __future__ import annotations
@@ -277,29 +278,6 @@ def identity(M) -> np.ndarray:
 def dense(M) -> np.ndarray:
     """The dense matrix M stands for: diag(M) for a 1-D M, else M."""
     return np.diag(M) if M.ndim == 1 else M
-
-
-def on_storage(fn, *matrices):
-    """fn(*matrices), with the matrices in their storage form.
-
-    In diagonal form the result has the dense form's bits for as long as
-    every value stays finite.  An inf on the diagonal of a dense matrix
-    spreads NaN off it in the next product (inf * 0), which a diagonal
-    cannot hold.  So fn runs on diagonals with floating-point overflow,
-    invalid operations and division by zero raised, and any of them, or
-    a matrix that is not finite to begin with, sends fn to the dense
-    matrices, under the caller's error state.  fn's result is returned as
-    it is: its matrices keep the form fn was given.
-    """
-    forms = storage(*matrices)
-    if forms[0].ndim == 1 and all(np.isfinite(d).all() for d in forms):
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise",
-                             under="ignore"):
-                return fn(*forms)
-        except FloatingPointError:
-            pass
-    return fn(*(as_matrix(M) for M in matrices))
 
 
 def cholesky(M) -> np.ndarray:

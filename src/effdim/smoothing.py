@@ -170,8 +170,7 @@ def smoother_condition(problem: LinearGaussianProblem) -> ConditionCheck:
     lhs = (frobenius(problem.H) ** 2 * frobenius(problem.A) ** 2
            * frobenius(problem.Sigma0))
     (R,) = storage(problem.R)
-    rhs = float(np.abs(R).max() if R.ndim == 1 and np.isfinite(R).all()
-                else np.linalg.norm(problem.R, 2))
+    rhs = float(np.abs(R).max() if R.ndim == 1 else np.linalg.norm(R, 2))
     return ConditionCheck(lhs, rhs, lhs <= rhs)
 
 

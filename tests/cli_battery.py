@@ -128,6 +128,10 @@ RAW_FILES = {
     "trajectory2.json": json.dumps({
         "truth": [[0.0, 0.0], [0.1, -0.2], [0.2, 0.1]],
         "observations": [[0.1, -0.1], [0.3, 0.0]], "seed": 7}),
+    # seeds that are not integers
+    **{f"trajectory-seed-{name}.json": json.dumps({
+        "truth": [[0, 0]], "observations": [[0.1, 0.2]], "seed": seed})
+       for name, seed in (("list", [1]), ("null", None))},
 }
 
 # --- invocations -----------------------------------------------------------
@@ -139,7 +143,8 @@ _ISO_EDGE = [("1", "1e-300", "1"), ("3", "1e-300", "1"),
              ("1", "1e-300", "1e-100"), ("4", "1e-200", "1"),
              ("1", "1e300", "1"), ("1", "1e20", "1"),
              ("1", "1e200", "1e200"), ("2", "1e210", "1e210"),
-             ("2", "1e250", "1e250"), ("1", "1e-160", "1e-160")]
+             ("2", "1e250", "1e250"), ("1", "1e-160", "1e-160"),
+             ("1", "1e-60", "1e-300")]
 _ISO_BAD = [("2", "1", "-1"), ("2", "-1", "1"), ("2", "nan", "1"),
             ("0", "1", "1"), ("2", "inf", "1")]
 _GRIDS = [[], ["--grid-points", "2"], ["--grid-points", "40"],
@@ -247,6 +252,9 @@ def invocations() -> list[list[str]]:
                 "--trajectory", "trajectory.json", "--out", "run"])
     out.append(["--command", "smooth", "--problem", "dense.json",
                 "--trajectory", "trajectory-missing.json"])
+    for name in ("list", "null"):
+        out.append(["--command", "smooth", "--m", "2", "--q", "1", "--r", "1",
+                    "--trajectory", f"trajectory-seed-{name}.json"])
     for name in SMOOTH_INVALID:
         for source in (["--trajectory", "trajectory2.json"],
                        ["--seeds", "1", "--steps", "2"]):

@@ -1136,6 +1136,11 @@ _INVALID = {"nan-mu0": _invalid(mu0=np.array([np.nan, 0.0])),
 _TRAJECTORY_2D = json.dumps({"truth": [[0.0, 0.0], [0.1, -0.2], [0.2, 0.1]],
                              "observations": [[0.1, -0.1], [0.3, 0.0]],
                              "seed": 7})
+# trajectories whose seed is not an integer
+_MALFORMED_TRAJECTORIES = {
+    f"trajectory-seed-{name}.json": json.dumps(
+        {"truth": [[0, 0]], "observations": [[0.1, 0.2]], "seed": seed})
+    for name, seed in (("list", [1]), ("null", None))}
 _EDGE_ARGV = [
     (["--command", "effdim", "--m", "1", "--q", "1e-300", "--r", "1"], 0),
     (["--command", "effdim", "--m", "3", "--q", "1e-300", "--r", "1"], 0),
@@ -1151,6 +1156,8 @@ _EDGE_ARGV = [
       for q, r in (("1", "-1"), ("-1", "1"), ("nan", "1"))],
     *[(["--command", "smooth", "--problem", name + ".json",
         "--trajectory", "trajectory.json"], 2) for name in _INVALID],
+    *[(["--command", "smooth", "--m", "2", "--q", "1", "--r", "1",
+        "--trajectory", name], 2) for name in _MALFORMED_TRAJECTORIES],
 ]
 
 
@@ -1163,6 +1170,8 @@ def test_edge_inputs_exit_0_2_or_3(argv, code, tmp_path, monkeypatch,
     for name, problem in _INVALID.items():
         save_problem(problem, name + ".json")
     (tmp_path / "trajectory.json").write_text(_TRAJECTORY_2D)
+    for name, text in _MALFORMED_TRAJECTORIES.items():
+        (tmp_path / name).write_text(text)
     out = tmp_path / "out.json"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -1172,7 +1181,9 @@ def test_edge_inputs_exit_0_2_or_3(argv, code, tmp_path, monkeypatch,
         doc = json.loads(out.read_text())
         assert doc["config"]["command"] == argv[1]
     else:
-        assert "invalid problem" in err
+        assert ("trajectory JSON malformed"
+                if argv[-1] in _MALFORMED_TRAJECTORIES
+                else "invalid problem") in err
         assert not out.exists()
 
 

@@ -430,8 +430,9 @@ _EDGE = {
 @pytest.mark.parametrize("max_iter", [1, 3, DARE_MAX_ITER])
 @pytest.mark.parametrize("name", sorted(_EDGE))
 def test_diagonal_edge_paths_match_dense(name, max_iter):
-    # singular solves fall back to the sweep, divergence raises, and an
-    # overflow sends the diagonal form to the dense one: same outcome
+    # singular solves fall back to the sweep, divergence raises, and the
+    # diagonal form, which stays on its diagonals where it overflows,
+    # ends as the dense one does
     problem = LinearGaussianProblem(
         **{key: np.diag(v) for key, v in _EDGE[name].items()},
         mu0=np.zeros(2), Sigma0=np.eye(2))
@@ -454,6 +455,28 @@ def test_singular_r_falls_back_to_the_sweep_on_diagonals(count_lapack):
         model.solve(np.diag(problem.R), np.ones(2))
     state = solve_dare(problem)
     assert state.iterations > 0 and np.isfinite(state.eff_dim)
+    assert count_lapack == []
+
+
+# diagonal problems whose runs overflow stay on their diagonals
+_OVERFLOWING = {
+    "overflowing H": LinearGaussianProblem(
+        A=0.5 * np.eye(2), Q=np.eye(2), H=1e200 * np.eye(2), R=np.eye(2),
+        mu0=np.zeros(2), Sigma0=np.eye(2)),
+    "q = 1e300": LinearGaussianProblem.isotropic(2, 1e300, 1.0),
+    "q = r = 1e200": LinearGaussianProblem.isotropic(2, 1e200, 1e200),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERFLOWING))
+def test_overflowing_diagonal_problems_make_no_lapack_call(name,
+                                                           count_lapack):
+    problem = _OVERFLOWING[name]
+    with np.errstate(all="ignore"):
+        state = _same_outcome(lambda: solve_dare(problem))
+        _same_outcome(lambda: p_upper_bound(problem))
+        for X in (problem.Q, getattr(state, "X", problem.Q)):
+            dare_residual(problem, X)
     assert count_lapack == []
 
 

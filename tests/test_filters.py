@@ -88,6 +88,13 @@ def test_trajectory_json_roundtrip():
         trajectory_from_json('{"observations": [[0.0]], "seed": 1}')
 
 
+@pytest.mark.parametrize("seed", ["[1]", "null", "Infinity", '"x"'])
+def test_trajectory_json_with_a_seed_not_an_integer_is_malformed(seed):
+    with pytest.raises(ValueError, match="trajectory JSON malformed"):
+        trajectory_from_json('{"truth": [[0, 0]], "observations": '
+                             f'[[0.1, 0.2]], "seed": {seed}}}')
+
+
 # ---------------------------------------------------------------------------
 # steps and weights
 
