@@ -130,9 +130,11 @@ def _doubling(A, Q, H, R, X0, tol: float, max_iter: int):
     H_k + A_k' X0 (I + G_k X0)^{-1} A_k the one from X0.  H_k rises to the
     minimal solution.  That is the limit from X0 too unless Q leaves a
     growing mode unexcited, which keeps ||A_k||_2 above 1; then the
-    doubling goes on from X0.  None (a non-finite iterate or a singular
-    solve) asks for the sweep.  The matrices are all dense or all
-    diagonal (1-D).
+    doubling goes on from X0.  None (a non-finite X, a non-finite G_k
+    before a doubling, or a singular solve) asks for the sweep.  The
+    matrices are all dense or all diagonal (1-D); a dense G_k H_k spreads
+    NaN off its diagonal from an inf in G_k, which a diagonal cannot hold,
+    so both forms hand such a G_k to the sweep before solving with it.
     """
     eye = identity(A)
     try:
@@ -161,6 +163,8 @@ def _doubling(A, Q, H, R, X0, tol: float, max_iter: int):
                 continue
             if stalled or k == max_iter:
                 break
+            if not np.isfinite(Gk).all():
+                return None
             V1, V2 = solve(eye + mul(Gk, Hk), Ak, Gk)
             Hk = Hk + mul(mul(Ak.T, Hk), V1)
             Hk = 0.5 * (Hk + Hk.T)
@@ -181,9 +185,11 @@ def _sweep(A, Q, H, R, X, tol: float, max_iter: int):
 
     The step ||X_new - X||_F is the DARE residual of X, so the sweep stops
     on the equation residual, relative to ||X||_F; where the sum of
-    squares in that norm overflows, the norm is taken of X / max|X|.
-    Returns (X, sweeps, residual).
+    squares in that norm overflows, the norm is taken of X / max|X|.  An
+    iterate equal to the one two sweeps back cycles forever, so it
+    raises at once.  Returns (X, sweeps, residual).
     """
+    X_back = None
     for it in range(1, max_iter + 1):
         HX = mul(H, X)
         try:
@@ -195,7 +201,7 @@ def _sweep(A, Q, H, R, X, tol: float, max_iter: int):
             ) from exc
         X_next = 0.5 * (X_next + X_next.T) + Q
         step = _norm(X_next - X)
-        X = X_next
+        X_prev, X = X, X_next
         if not np.isfinite(step):
             raise DareConvergenceError(
                 "DARE iteration diverged (non-finite covariance)",
@@ -211,6 +217,11 @@ def _sweep(A, Q, H, R, X, tol: float, max_iter: int):
                     "range)", residual=step, iterations=it)
         if _converged(step, norm_x, tol):
             return X, it, _residual(A, Q, H, R, X)
+        if X_back is not None and np.array_equal(X, X_back):
+            raise DareConvergenceError(
+                f"DARE iteration cycles with period 2 after {it} sweeps "
+                f"(last residual {step:.3e})", residual=step, iterations=it)
+        X_back = X_prev
     raise DareConvergenceError(
         f"DARE iteration did not converge in {max_iter} sweeps "
         f"(last residual {step:.3e})", residual=step, iterations=max_iter)

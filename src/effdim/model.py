@@ -14,8 +14,9 @@ exactly diagonal, as its 1-D diagonal.  :func:`storage` picks the
 diagonal form when every matrix a computation uses is diagonal, and the
 product, solve, inverse and factor helpers below accept either form, so
 each computation is written once and runs in O(m) per vector on
-diagonal problems.  The filters, the smoother, the DARE, its bounds and
-the spectra all run on the storage form.
+diagonal problems.  The filters, the smoother, the DARE, its bounds,
+the spectra and the Loewner-order comparison :func:`psd_compare` all run
+on the storage form.
 
 The two forms round alike, except where this list says otherwise:
   - a product of diagonals is their elementwise product (:func:`mul`);
@@ -131,14 +132,21 @@ class PsdOrder:
 
 
 def psd_compare(C, D) -> PsdOrder:
-    """Classify the Loewner order of two symmetric matrices."""
+    """Classify the Loewner order of two symmetric matrices.
+
+    A difference D - C that is diagonal is compared on its 1-D diagonal,
+    whose eigenvalues are its sorted entries, and ``tol`` takes the norm
+    of that diagonal: no LAPACK call.  Any other difference takes the
+    eigenvalues and the norm of its symmetric part.
+    """
     Ca = as_matrix(C)
     Da = as_matrix(D)
     if Ca.shape != Da.shape:
         raise ValueError(f"order mismatch: {Ca.shape} vs {Da.shape}")
-    E = 0.5 * ((Da - Ca) + (Da - Ca).T)
-    tol = PSD_TOL_SCALE * (1.0 + np.linalg.norm(E))
-    eigs = np.linalg.eigvalsh(E)
+    (E,) = storage(Da - Ca)
+    eigs = eigenvalues(E)
+    sym = E if E.ndim == 1 else 0.5 * (E + E.T)
+    tol = PSD_TOL_SCALE * (1.0 + frobenius(sym))
     le = eigs[0] >= -tol
     ge = eigs[-1] <= tol
     if le and ge:
@@ -213,30 +221,32 @@ def mul(x, M, out=None, finite=False) -> np.ndarray:
     """x @ M, where a 1-D M stands for the diagonal matrix diag(M), and
     :class:`RowDiagonals` for one diagonal per ensemble of x.
 
-    x is a vector, a stack of row vectors, or a matrix in M's form;
-    ``out``, which may be x itself, receives the product.  The
-    elementwise product keeps the matmul's bits: matmul sums into +0.0,
-    so a zero product is +0.0, never -0.0; and a row of x holding inf or
-    NaN gets the matmul's row, where inf * 0 spreads NaN.  A caller that
-    knows x to be finite says so with ``finite=True``, which spares the
-    scan for inf and NaN.
+    x is a row vector (1, m), a stack of row vectors, or a matrix in M's
+    form: a 1-D x with a 1-D M is a diagonal, so a vector is passed as a
+    (1, m) row.  ``out``, which may be x itself, receives the product.
+    The elementwise product keeps the matmul's bits: matmul sums into
+    +0.0, so a zero product is +0.0, never -0.0; and a row of x holding
+    inf or NaN gets the matmul's row, where inf * 0 spreads NaN.  A
+    product of two diagonals is elementwise whatever they hold, as the
+    diagonal of the dense product is.  A caller that knows x to be
+    finite says so with ``finite=True``, which spares the scan for inf
+    and NaN.
     """
     stacked = M.d if isinstance(M, RowDiagonals) else None
     if stacked is None and M.ndim != 1:
         return np.matmul(x, M, out=out)
     fix = None
-    if not finite and not np.isfinite(x).all():
-        rows = np.atleast_2d(x)
-        bad = ~np.isfinite(rows).all(axis=-1)
+    if not finite and x.ndim > 1 and not np.isfinite(x).all():
+        bad = ~np.isfinite(x).all(axis=-1)
         if stacked is None:
-            fix = bad, rows[bad] @ np.diag(M)
+            fix = bad, x[bad] @ np.diag(M)
         else:  # each ensemble's rows times its own diagonal
             fix = bad, np.concatenate([ens[b] @ np.diag(d[0]) for ens, b, d
-                                       in zip(rows, bad, stacked)])
+                                       in zip(x, bad, stacked)])
     out = np.multiply(x, M if stacked is None else stacked, out=out)
     out += 0.0
     if fix is not None:
-        np.atleast_2d(out)[fix[0]] = fix[1]
+        out[fix[0]] = fix[1]
     return out
 
 

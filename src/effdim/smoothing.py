@@ -231,7 +231,7 @@ def weak_precision(problem: LinearGaussianProblem,
     diag, off, _, _, _ = _weak_blocks(problem, n)
     L_inv, L_sub = _block_cholesky(diag, off)
     S_inv = np.array([mul(Li.T, Li) for Li in L_inv])
-    C = mul(-S_inv[:-1], off.T)
+    C = np.array([mul(-S, off.T) for S in S_inv[:-1]])  # block by block
     sigma = np.empty_like(S_inv)
     sigma[-1] = S_inv[-1]
     for i in range(n - 1, -1, -1):
@@ -251,17 +251,18 @@ def weak_precision(problem: LinearGaussianProblem,
 
 def _back_substitute(L_inv: np.ndarray, L_sub: np.ndarray,
                      y: np.ndarray) -> np.ndarray:
-    """Solve L' x = y in place, for y of shape (..., n+1, m).
+    """Solve L' x = y in place, for y of shape (S, n+1, m).
 
-    Runs blockwise from the last block back, across every leading index
-    at once: block i + 1 of y already holds x when block i needs it.
+    Runs blockwise from the last block back, across the S rows at once:
+    block i + 1 of y already holds x when block i needs it.  Each block
+    of y is a stack of (1, m) rows, never a diagonal (see ``mul``).
     """
     n = L_inv.shape[0] - 1
-    y[..., n, :] = mul(y[..., n, :], L_inv[n])
+    y[:, n] = mul(y[:, n], L_inv[n])
     for i in range(n - 1, -1, -1):
-        t = mul(y[..., i + 1, :], L_sub[i])
-        np.subtract(y[..., i, :], t, out=t)
-        y[..., i, :] = mul(t, L_inv[i], out=t)
+        t = mul(y[:, i + 1], L_sub[i])
+        np.subtract(y[:, i], t, out=t)
+        y[:, i] = mul(t, L_inv[i], out=t)
     return y
 
 
@@ -284,12 +285,12 @@ def _weak_solution(problem: LinearGaussianProblem, observations: np.ndarray,
     else:
         _, H, _, S0_inv, R_inv = _weak_inverses(problem)
         L_inv, L_sub = posterior.factor
-    y = np.empty((n + 1, problem.m))
-    y[0] = mul(mul(problem.mu0, S0_inv.T), L_inv[0].T)
+    y = np.empty((1, n + 1, problem.m))  # (1, m) rows, not diagonals
+    y[:, 0] = mul(mul(problem.mu0[None], S0_inv.T), L_inv[0].T)
     for i in range(1, n + 1):
-        b = mul(mul(observations[i - 1], R_inv.T), H)
-        y[i] = mul(b - mul(y[i - 1], L_sub[i - 1].T), L_inv[i].T)
-    return L_inv, L_sub, _back_substitute(L_inv, L_sub, y)
+        b = mul(mul(observations[None, i - 1], R_inv.T), H)
+        y[:, i] = mul(b - mul(y[:, i - 1], L_sub[i - 1].T), L_inv[i].T)
+    return L_inv, L_sub, _back_substitute(L_inv, L_sub, y)[0]
 
 
 def weak_mode(problem: LinearGaussianProblem, observations,

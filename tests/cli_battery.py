@@ -99,6 +99,12 @@ PROBLEMS = {
                              _EYE2, np.zeros(2), _EYE2),
     "overflowing-h": _problem(0.5 * _EYE2, _EYE2, 1e200 * _EYE2, _EYE2,
                               np.zeros(2), _EYE2),
+    # a diagonal problem whose G = H'R^-1 H overflows: the sweep that takes
+    # over from the doubling cycles between two iterates
+    "overflowing-diagonal": _problem(
+        np.diag([4.0e39, 1.1e-220]), np.diag([2.1e48, 7.0e-73]),
+        np.diag([-5.7e34, -1.2e151]), np.diag([7.5e-215, 1.7e-155]),
+        np.zeros(2), np.diag([5.1e-63, 2.2e-204])),
 }
 # invalid 2x2 problems for the smoother's --trajectory and --seeds paths
 _ASYMMETRIC = [[1.0, 0.5], [0.0, 1.0]]

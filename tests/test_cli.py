@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
 
@@ -99,6 +100,28 @@ def test_effdim_dare_failure_exit_code(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "numerical error" in err and "residual" in err
+
+
+# a diagonal problem whose G = H'R^-1 H overflows: the sweep that takes
+# over from the doubling cycles between two iterates
+_OVERFLOWING_DIAGONAL = LinearGaussianProblem(
+    A=np.diag([4.0e39, 1.1e-220]), Q=np.diag([2.1e48, 7.0e-73]),
+    H=np.diag([-5.7e34, -1.2e151]), R=np.diag([7.5e-215, 1.7e-155]),
+    mu0=np.zeros(2), Sigma0=np.diag([5.1e-63, 2.2e-204]))
+
+
+@pytest.mark.parametrize("command", ["effdim", "bounds"])
+def test_overflowing_diagonal_dare_exits_3_within_a_second(command, tmp_path,
+                                                           capsys):
+    path = tmp_path / "problem.json"
+    save_problem(_OVERFLOWING_DIAGONAL, path)
+    start = time.perf_counter()
+    code = run_cli("--command", command, "--problem", str(path))
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert "DARE iteration cycles with period 2 after 2 sweeps" in \
+        capsys.readouterr().err
+    assert elapsed < 1.0
 
 
 def test_bounds_command(tmp_path):

@@ -27,7 +27,7 @@ from effdim.kalman import (DARE_MAX_ITER, DareConvergenceError, dare_residual,
 from effdim.model import LinearGaussianProblem, mul, psd_factor, validate
 from effdim.smoothing import (optimal_smoother_sample, smoother_condition,
                               weak_mode, weak_precision)
-from util import dense_path
+from util import dense_path, random_spd
 
 
 def _same(a, b) -> bool:
@@ -214,7 +214,18 @@ def test_mul_non_finite_row_spreads_nan_like_matmul():
         got, want = mul(x, d), x @ np.diag(d)
     np.testing.assert_array_equal(got, want)  # NaN where the matmul has NaN
     assert np.isnan(got[0, 1:]).all() and got[0, 0] == np.inf
-    np.testing.assert_array_equal(mul(x[1], d), x[1] @ np.diag(d))
+    np.testing.assert_array_equal(mul(x[1:2], d), x[1:2] @ np.diag(d))
+
+
+def test_mul_of_two_diagonals_is_the_diagonal_of_the_dense_product():
+    # a 1-D x is a diagonal, not a row: inf * 0 lands off the diagonal
+    x = np.array([np.inf, 1.0, np.nan, -0.0])
+    d = np.array([2.0, 3.0, 1.0, 5.0])
+    with np.errstate(invalid="ignore"):
+        want = np.diag(np.diag(x) @ np.diag(d))
+    assert mul(x, d).tobytes() == want.tobytes()
+    assert mul(np.array([np.inf, 1.0]), np.array([2.0, 3.0])).tolist() == [
+        np.inf, 3.0]
 
 
 def test_filter_step_with_overflowed_particle_matches_dense():
@@ -317,6 +328,28 @@ def test_riccati_layer_makes_no_lapack_call_on_diagonal_problems(
     _riccati_layer(dataclasses.replace(problem, Q=problem.Q + 0.01,
                                        R=problem.R + 0.01))
     assert set(count_lapack) == set(_LAPACK)
+
+
+def test_psd_compare_makes_no_lapack_call_on_diagonal_differences(
+        count_lapack):
+    rng = np.random.default_rng(5)
+    problem = LinearGaussianProblem.isotropic(100, 0.01, 1.0)
+    state, db = solve_dare(problem), p_upper_bound(problem)
+    # the bounds sandwich, as the dense matrices that bounds writes
+    pairs = [(db.X_lower, state.X), (state.X, db.X_upper),
+             (state.P, db.P_upper)]
+    C = random_spd(rng, 100)
+    pairs.append((C, C + np.diag(rng.uniform(0.0, 1.0, 100))))
+    count_lapack.clear()
+    for lo, hi in pairs:
+        assert model.psd_compare(np.asarray(lo), np.asarray(hi)).verdict in (
+            model.PsdVerdict.LESS_OR_EQUAL, model.PsdVerdict.EQUAL)
+    assert count_lapack == []
+    # a difference with an entry off its diagonal keeps the dense path
+    D = C + 0.01 * np.ones((100, 100))
+    assert (model.psd_compare(C, D).verdict
+            is model.PsdVerdict.LESS_OR_EQUAL)
+    assert count_lapack == ["eigvalsh"]
 
 
 def _same_outcome(call):
@@ -424,6 +457,9 @@ _EDGE = {
                           R=[1.0, 1.0]),
     "huge Q": dict(A=[0.9, 0.5], Q=[1e300, 1.0], H=[1.0, 1.0],
                    R=[1.0, 1.0]),
+    # G = H'R^-1 H overflows and the sweep then cycles
+    "overflowing G": dict(A=[4.0e39, 1.1e-220], Q=[2.1e48, 7.0e-73],
+                          H=[-5.7e34, -1.2e151], R=[7.5e-215, 1.7e-155]),
 }
 
 

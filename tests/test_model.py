@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effdim.model import (LinearGaussianProblem, PsdVerdict, SymMatrix,
-                          frobenius, problem_from_json, problem_to_json,
-                          psd_compare, psd_factor, validate)
+from effdim.model import (PSD_TOL_SCALE, LinearGaussianProblem, PsdVerdict,
+                          SymMatrix, frobenius, problem_from_json,
+                          problem_to_json, psd_compare, psd_factor, validate)
 from util import random_orthogonal, random_spd
 
 
@@ -90,6 +90,43 @@ def test_psd_compare_greater():
 def test_psd_compare_dimension_mismatch():
     with pytest.raises(ValueError):
         psd_compare(np.eye(2), np.eye(3))
+
+
+def _eigvalsh_order(C, D):
+    """(verdict, smallest eigenvalue) from LAPACK's eigvalsh of the dense
+    symmetric difference, with tol from its dense Frobenius norm."""
+    E = 0.5 * ((D - C) + (D - C).T)
+    tol = PSD_TOL_SCALE * (1.0 + np.linalg.norm(E))
+    eigs = np.linalg.eigvalsh(E)
+    le, ge = eigs[0] >= -tol, eigs[-1] <= tol
+    verdict = {(True, True): PsdVerdict.EQUAL,
+               (True, False): PsdVerdict.LESS_OR_EQUAL,
+               (False, True): PsdVerdict.GREATER_OR_EQUAL,
+               (False, False): PsdVerdict.INCOMPARABLE}[le, ge]
+    return verdict, float(eigs[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_psd_compare_on_diagonals_equals_the_eigvalsh_path(seed):
+    # entries within 1e+-100, where LAPACK does not scale the matrix
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 12))
+    c = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-100, 100, m)
+    # per entry: equal, a few ulps apart, or apart by up to 1e100; the
+    # differences all up, all down, or of mixed signs
+    step = np.select([rng.integers(0, 3, m) == k for k in range(3)],
+                     [0.0, rng.integers(1, 4, m) * np.spacing(np.abs(c)),
+                      10.0 ** rng.uniform(-100, 100, m)])
+    sign = rng.choice([-1.0, 1.0], m) if rng.integers(0, 3) == 0 else (
+        np.full(m, rng.choice([-1.0, 1.0])))
+    C, D = np.diag(c), np.diag(c + sign * step)
+    got = psd_compare(C, D)
+    assert (got.verdict, got.min_eig_diff) == _eigvalsh_order(C, D)
+    if m > 1:  # an entry off the diagonal keeps the eigvalsh path
+        D[0, -1] = D[-1, 0] = 0.5 * (1.0 + abs(D[0, 0]))
+        got = psd_compare(C, D)
+        assert (got.verdict, got.min_eig_diff) == _eigvalsh_order(C, D)
 
 
 @settings(max_examples=40, deadline=None)
