@@ -97,12 +97,10 @@ class WeightCollapseError(RuntimeError):
 
 
 def _rng(seed, *key) -> np.random.Generator:
-    """The generator of ``seed`` and spawn ``key``; a Generator is its own,
-    a SeedSequence makes one without the key."""
+    """The generator of ``seed`` and spawn ``key``; a Generator is its
+    own."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
     return np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed),
                                spawn_key=tuple(int(k) for k in key)))
@@ -285,7 +283,7 @@ def _prior_positions(mu0: np.ndarray, prior_T: np.ndarray, N: int,
     batch; ``mu0`` is (m,) or one (1, m) row per row."""
     noise = _normals(streams.generators((_TAG_INIT,)),
                      np.empty((streams.rows, N, mu0.shape[-1])))
-    positions = mul(noise, prior_T, out=noise, finite=True)
+    positions = mul(noise, prior_T, out=noise)
     positions += mu0
     return positions
 
@@ -429,20 +427,12 @@ def _log_likelihood(x, z, obs_T, W_inv, innov, work):
     -0.5 innov' W_inv innov, with ``work`` as scratch.
 
     ``z`` is one row per ensemble of ``x``, shaped to broadcast against
-    its particles.  The products skip :func:`effdim.model.mul`'s
-    finiteness scan: an inf or NaN in x or in the innovations leaves its
-    particle's log-weight inf or NaN, and only then are they redone on
-    the guarded path.  So finite log-weights vouch for finite innovations
-    and, with a diagonal obs_T, for finite x.
+    its particles.
     """
-    for finite in (True, False):
-        mul(x, obs_T, out=innov, finite=finite)
-        np.subtract(z, innov, out=innov)
-        incr = -0.5 * np.einsum("...j,...j->...", innov,
-                                mul(innov, W_inv, out=work, finite=finite))
-        if np.isfinite(incr).all():
-            break
-    return incr
+    mul(x, obs_T, out=innov)
+    np.subtract(z, innov, out=innov)
+    return -0.5 * np.einsum("...j,...j->...", innov,
+                           mul(innov, W_inv, out=work))
 
 
 def _observation_rows(z) -> np.ndarray:
@@ -467,10 +457,8 @@ def sir_step(problem: LinearGaussianProblem, ensemble: ParticleEnsemble,
     plan = plan or step_plan(problem, FilterKind.SIR, float("nan"))
     x = ensemble.positions
     positions, noise, scratch = _workspace(work, x, 3)
-    # standard normals are finite; the positions are scanned once
-    mul(_normals(_generators(seed, x), scratch), plan.L_T, out=noise,
-        finite=True)
-    mul(x, plan.A_T, out=positions, finite=np.isfinite(x).all())
+    mul(_normals(_generators(seed, x), scratch), plan.L_T, out=noise)
+    mul(x, plan.A_T, out=positions)
     positions += noise
     k = z.shape[-1]
     incr = _log_likelihood(positions, z, plan.H_T, plan.R_inv,
@@ -504,19 +492,17 @@ def optimal_step(problem: LinearGaussianProblem, ensemble: ParticleEnsemble,
     innov = _head(noise, z.shape[-1])
     incr = _log_likelihood(x, z, plan.HA_T, plan.S_inv, innov,
                            _head(positions, z.shape[-1]))
-    # finite log-weights vouch for x and the innovations
-    finite = np.isfinite(incr).all()
     if plan.G_T is None:
         # Sigma_o (H' (R^{-1} z)) as a row vector, in that association
         data = mul(mul(mul(z, _transpose(plan.R_inv)),
                        _transpose(plan.H_T)), _transpose(plan.Sigma_o))
-        mul(x, plan.mean_T, out=positions, finite=finite)
+        mul(x, plan.mean_T, out=positions)
         positions += data
     else:
-        mul(x, plan.A_T, out=positions, finite=finite)
-        positions += mul(innov, plan.G_T, out=noise, finite=finite)
+        mul(x, plan.A_T, out=positions)
+        positions += mul(innov, plan.G_T, out=noise)
     positions += mul(_normals(_generators(seed, x), noise), plan.L_T,
-                     out=noise, finite=True)
+                     out=noise)
     return ParticleEnsemble(step=ensemble.step + 1, positions=positions,
                             log_weights=ensemble.log_weights + incr,
                             normalized=False)
@@ -888,6 +874,9 @@ def trajectory_from_json(text: str) -> TrajectoryData:
     try:
         truth, observations = (np.atleast_2d(np.asarray(doc[key], dtype=float))
                                for key in ("truth", "observations"))
-        return TrajectoryData(truth, observations, int(doc["seed"]))
+        seed = doc["seed"]
+        if type(seed) is not int or seed < 0:  # a bool is not a seed
+            raise ValueError(f"seed must be an integer >= 0, not {seed!r}")
+        return TrajectoryData(truth, observations, seed)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"trajectory JSON malformed: {exc}") from exc

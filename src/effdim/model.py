@@ -29,8 +29,9 @@ The two forms round alike, except where this list says otherwise:
     :func:`psd_factor`);
   - a Frobenius norm sums the squares in another order than over the m^2
     entries of the dense matrix, so the two agree only to rounding;
-  - a dense product spreads NaN off the diagonal from an inf on it
-    (inf * 0), which a diagonal cannot hold: overflowed results may differ.
+  - a product with a diagonal is elementwise on every row, so an inf stays
+    in its own entry, where a dense product spreads NaN over the row
+    (inf * 0): overflowed results differ.
 """
 
 from __future__ import annotations
@@ -217,36 +218,22 @@ class RowDiagonals:
         return self.d.shape
 
 
-def mul(x, M, out=None, finite=False) -> np.ndarray:
+def mul(x, M, out=None) -> np.ndarray:
     """x @ M, where a 1-D M stands for the diagonal matrix diag(M), and
     :class:`RowDiagonals` for one diagonal per ensemble of x.
 
     x is a row vector (1, m), a stack of row vectors, or a matrix in M's
     form: a 1-D x with a 1-D M is a diagonal, so a vector is passed as a
     (1, m) row.  ``out``, which may be x itself, receives the product.
-    The elementwise product keeps the matmul's bits: matmul sums into
-    +0.0, so a zero product is +0.0, never -0.0; and a row of x holding
-    inf or NaN gets the matmul's row, where inf * 0 spreads NaN.  A
-    product of two diagonals is elementwise whatever they hold, as the
-    diagonal of the dense product is.  A caller that knows x to be
-    finite says so with ``finite=True``, which spares the scan for inf
-    and NaN.
+    A product with a diagonal is elementwise on every row, inf and NaN
+    included, and keeps the matmul's bits on every finite row of x:
+    matmul sums into +0.0, so a zero product is +0.0, never -0.0.
     """
-    stacked = M.d if isinstance(M, RowDiagonals) else None
-    if stacked is None and M.ndim != 1:
+    stacked = isinstance(M, RowDiagonals)
+    if not stacked and M.ndim != 1:
         return np.matmul(x, M, out=out)
-    fix = None
-    if not finite and x.ndim > 1 and not np.isfinite(x).all():
-        bad = ~np.isfinite(x).all(axis=-1)
-        if stacked is None:
-            fix = bad, x[bad] @ np.diag(M)
-        else:  # each ensemble's rows times its own diagonal
-            fix = bad, np.concatenate([ens[b] @ np.diag(d[0]) for ens, b, d
-                                       in zip(x, bad, stacked)])
-    out = np.multiply(x, M if stacked is None else stacked, out=out)
+    out = np.multiply(x, M.d if stacked else M, out=out)
     out += 0.0
-    if fix is not None:
-        out[fix[0]] = fix[1]
     return out
 
 

@@ -105,6 +105,17 @@ PROBLEMS = {
         np.diag([4.0e39, 1.1e-220]), np.diag([2.1e48, 7.0e-73]),
         np.diag([-5.7e34, -1.2e151]), np.diag([7.5e-215, 1.7e-155]),
         np.zeros(2), np.diag([5.1e-63, 2.2e-204])),
+    # a diagonal problem whose first component overflows to inf in some
+    # particles at the first filter step, while the others keep finite
+    # log-weights
+    "exploding-diagonal": _problem(np.diag([1e158, 0.5]), _EYE2,
+                                   1e-300 * _EYE2, 1e16 * _EYE2, np.zeros(2),
+                                   1e300 * _EYE2),
+    # a dense problem with a PSD but singular Q: the optimal filter's
+    # innovation form
+    "singular-q-dense": _problem([[0.9, 0.1], [0.0, 0.8]],
+                                 [[1.0, 1.0], [1.0, 1.0]], _EYE2, _EYE2,
+                                 np.zeros(2), _EYE2),
 }
 # invalid 2x2 problems for the smoother's --trajectory and --seeds paths
 _ASYMMETRIC = [[1.0, 0.5], [0.0, 1.0]]
@@ -120,6 +131,9 @@ SMOOTH_INVALID = {
     "smooth-asymmetric-q": _problem(0.5 * _EYE2, _ASYMMETRIC, _EYE2, _EYE2,
                                     np.zeros(2), _EYE2),
 }
+# trajectory seeds that are not integers >= 0
+_BAD_SEEDS = {"list": [1], "null": None, "float": 1.5, "bool": True,
+              "string": "7", "negative": -1}
 # problem files that are not problems, and trajectories for the smoother
 RAW_FILES = {
     **{name + ".json": json.dumps(doc)
@@ -134,10 +148,9 @@ RAW_FILES = {
     "trajectory2.json": json.dumps({
         "truth": [[0.0, 0.0], [0.1, -0.2], [0.2, 0.1]],
         "observations": [[0.1, -0.1], [0.3, 0.0]], "seed": 7}),
-    # seeds that are not integers
     **{f"trajectory-seed-{name}.json": json.dumps({
         "truth": [[0, 0]], "observations": [[0.1, 0.2]], "seed": seed})
-       for name, seed in (("list", [1]), ("null", None))},
+       for name, seed in _BAD_SEEDS.items()},
 }
 
 # --- invocations -----------------------------------------------------------
@@ -243,6 +256,16 @@ def invocations() -> list[list[str]]:
                     "--m", "66", "--grid-min", "0.1", "--grid-max", "10",
                     "--grid-points", "3", "--particles", "1000",
                     "--steps", "2", "--seeds", "1,2", "--out", "run"])
+    for kind in ("sir", "optimal"):
+        for fmt in ("json", "csv"):
+            out.append(["--command", "filter", "--kind", kind,
+                        "--problem", "exploding-diagonal.json",
+                        "--particles", "200", "--steps", "3",
+                        "--seeds", "3,4", "--format", fmt])
+    for name in ("singular-q", "singular-q-dense"):
+        out.append(["--command", "filter", "--kind", "optimal",
+                    "--problem", name + ".json", *_RUN, "--seeds", "1,2",
+                    "--out", "run"])
     out.append(["--command", "filter", "--kind", "sir", "--m", "2", "--q", "1",
                 "--r", "1", "--steps", "2"])
     out.append(["--command", "nope"])
@@ -258,7 +281,7 @@ def invocations() -> list[list[str]]:
                 "--trajectory", "trajectory.json", "--out", "run"])
     out.append(["--command", "smooth", "--problem", "dense.json",
                 "--trajectory", "trajectory-missing.json"])
-    for name in ("list", "null"):
+    for name in _BAD_SEEDS:
         out.append(["--command", "smooth", "--m", "2", "--q", "1", "--r", "1",
                     "--trajectory", f"trajectory-seed-{name}.json"])
     for name in SMOOTH_INVALID:

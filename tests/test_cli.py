@@ -1163,7 +1163,8 @@ _TRAJECTORY_2D = json.dumps({"truth": [[0.0, 0.0], [0.1, -0.2], [0.2, 0.1]],
 _MALFORMED_TRAJECTORIES = {
     f"trajectory-seed-{name}.json": json.dumps(
         {"truth": [[0, 0]], "observations": [[0.1, 0.2]], "seed": seed})
-    for name, seed in (("list", [1]), ("null", None))}
+    for name, seed in (("list", [1]), ("null", None), ("float", 1.5),
+                       ("bool", True), ("string", "7"), ("negative", -1))}
 _EDGE_ARGV = [
     (["--command", "effdim", "--m", "1", "--q", "1e-300", "--r", "1"], 0),
     (["--command", "effdim", "--m", "3", "--q", "1e-300", "--r", "1"], 0),

@@ -207,14 +207,18 @@ def test_mul_zero_products_are_positive_zero_like_matmul():
     assert got.tobytes() == want.tobytes()
 
 
-def test_mul_non_finite_row_spreads_nan_like_matmul():
-    x = np.array([[np.inf, 1.0, 2.0], [1.0, 2.0, 3.0], [np.nan, 0.0, 1.0]])
-    d = np.array([2.0, 0.5, 1.0])
+def test_mul_with_a_diagonal_is_elementwise_on_non_finite_rows():
+    # an inf or NaN stays in its own entry, where a matmul spreads NaN
+    # over the row (inf * 0)
+    x = np.array([[np.inf, 1.0, 2.0], [1.0, -2.0, 3.0], [np.nan, 0.0, 1.0],
+                  [-np.inf, 4.0, np.inf]])
+    d = np.array([2.0, 0.5, 0.0])
+    stack = np.stack([x, x[::-1]])
+    stacked = np.stack([d, d[::-1]])[:, None]
     with np.errstate(invalid="ignore"):
-        got, want = mul(x, d), x @ np.diag(d)
-    np.testing.assert_array_equal(got, want)  # NaN where the matmul has NaN
-    assert np.isnan(got[0, 1:]).all() and got[0, 0] == np.inf
-    np.testing.assert_array_equal(mul(x[1:2], d), x[1:2] @ np.diag(d))
+        assert mul(x, d).tobytes() == (x * d + 0.0).tobytes()
+        assert (mul(stack, model.RowDiagonals(stacked)).tobytes()
+                == (stack * stacked + 0.0).tobytes())
 
 
 def test_mul_of_two_diagonals_is_the_diagonal_of_the_dense_product():
@@ -228,22 +232,31 @@ def test_mul_of_two_diagonals_is_the_diagonal_of_the_dense_product():
         np.inf, 3.0]
 
 
-def test_filter_step_with_overflowed_particle_matches_dense():
+def test_filter_step_with_overflowed_particle_weighs_it_zero():
     problem = _diagonal_problem(3, 0.7)
     ens = init_ensemble(problem, 10, seed=1)
     positions = ens.positions.copy()
     positions[4, 1] = np.inf
     ens = dataclasses.replace(ens, positions=positions)
     z = np.zeros(3)
+    others = np.arange(10) != 4
     for kind, step in (("sir", sir_step), ("optimal", optimal_step)):
         with np.errstate(invalid="ignore", over="ignore"):
             got = step(problem, ens, z, 9, plan=step_plan(problem, kind, 1.0))
             with dense_path():
                 want = step(problem, ens, z, 9,
                             plan=step_plan(problem, kind, 1.0))
-        np.testing.assert_array_equal(got.positions, want.positions)
-        np.testing.assert_array_equal(got.log_weights, want.log_weights)
-        assert np.isnan(got.positions[4]).any()
+        # the other particles keep the dense step's bits ...
+        assert (got.positions[others].tobytes()
+                == want.positions[others].tobytes())
+        assert (got.log_weights[others].tobytes()
+                == want.log_weights[others].tobytes())
+        # ... and the overflowed one keeps its inf in its own component and
+        # weighs 0, where the dense step's NaN spreads over its row
+        assert np.isfinite(got.positions[4]).tolist() == [True, False, True]
+        assert got.log_weights[4] == -np.inf
+        assert np.isnan(want.positions[4]).any()
+        assert np.isnan(want.log_weights[4])
 
 
 def test_validate_rejects_entries_that_overflow_symmetrization():

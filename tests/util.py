@@ -139,6 +139,13 @@ def steady_state_to_json(state: SteadyState, indent: int = 2) -> str:
     return json.dumps(doc, indent=indent, default=_tolist)
 
 
+def _generator(seed: int, *key) -> np.random.Generator:
+    """Seed ``seed``'s generator for spawn ``key``, made as the module
+    docstring of :mod:`effdim.filters` states."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                        spawn_key=key))
+
+
 def serial_run_filter(problem: LinearGaussianProblem, kind, n_steps: int,
                       N: int, seed: int, resample_every: int = 1):
     """One seed's filter run, step by step on its own (N, m) ensemble:
@@ -156,9 +163,7 @@ def serial_run_filter(problem: LinearGaussianProblem, kind, n_steps: int,
     reports, means = [], []
     for n in range(n_steps):
         ensemble = step(problem, ensemble, trajectory.observations[n],
-                        np.random.SeedSequence(entropy=seed,
-                                               spawn_key=(_TAG_STEP, n)),
-                        plan=plan)
+                        _generator(seed, _TAG_STEP, n), plan=plan)
         try:
             norm = ensemble.normalize()
         except WeightCollapseError:
@@ -177,8 +182,7 @@ def serial_run_filter(problem: LinearGaussianProblem, kind, n_steps: int,
             max_weight=float(np.max(weights)), var_log_w=var_log_w,
             sigma_frob=float(plan.sigma_frob), kind=kind, step=n + 1))
         if (n + 1) % resample_every == 0:
-            ensemble = resample(norm, np.random.SeedSequence(
-                entropy=seed, spawn_key=(_TAG_RESAMPLE, n)))
+            ensemble = resample(norm, _generator(seed, _TAG_RESAMPLE, n))
         else:
             ensemble = norm
     return reports, np.reshape(means, (-1, problem.m)), trajectory
