@@ -841,7 +841,13 @@ def _run_batch(problems: list, plans: list[StepPlan], n_steps: int, N: int,
         norm = replace(ensemble, normalized=True,
                        log_weights=ensemble.log_weights - totals[:, None])
         weights = np.exp(norm.log_weights)
-        means[live, n] = np.matmul(weights[:, None], norm.positions)[:, 0]
+        mean = np.matmul(weights[:, None], norm.positions)[:, 0]
+        bad = ~np.isfinite(mean).all(axis=1)
+        if bad.any():  # 0 * inf is NaN: leave out the particles of weight 0
+            held = np.where(weights[bad, :, None] == 0.0, 0.0,
+                            norm.positions[bad])
+            mean[bad] = np.matmul(weights[bad, None], held)[:, 0]
+        means[live, n] = mean
         for i, report in zip(live, _reports(weights, ensemble.log_weights,
                                             kind, plan.sigma_frob, n + 1)):
             reports[i].append(report)

@@ -102,16 +102,6 @@ def _converged(residual: float, norm_x: float, tol: float) -> bool:
     return np.isfinite(norm_x) and residual <= tol * norm_x
 
 
-def _norm(M) -> float:
-    """||M||_F of the dense matrix M stands for.
-
-    The BLAS dot sums a diagonal's squares in another order than the m^2
-    entries of its matrix, so a diagonal is expanded first: O(m^2), and
-    the same bits as the dense form.
-    """
-    return frobenius(dense(M))
-
-
 def _norm_1_inf(M) -> float:
     """||M||_1 ||M||_inf; max|d|^2 for a diagonal M (1-D)."""
     if M.ndim == 1:
@@ -147,12 +137,13 @@ def _doubling(A, Q, H, R, X0, tol: float, max_iter: int):
                 X_next = Hk + mul(mul(Ak.T, X0),
                                   solve(eye + mul(Gk, X0), Ak))
                 X_next = 0.5 * (X_next + X_next.T)
-            norm_x = _norm(X_next)
+            norm_x = frobenius(X_next)
             if not np.isfinite(norm_x):
                 return None
             # X no longer moves (or A_k is gone): more doublings are idle
             stalled = X is not None and (
-                _norm(X_next - X) <= _STALL_RTOL * norm_x or not np.any(Ak))
+                frobenius(X_next - X) <= _STALL_RTOL * norm_x
+                or not np.any(Ak))
             X = X_next
             residual = _residual(A, Q, H, R, X)
             if _converged(residual, norm_x, tol):
@@ -200,17 +191,17 @@ def _sweep(A, Q, H, R, X, tol: float, max_iter: int):
                 "innovation covariance singular during DARE iteration"
             ) from exc
         X_next = 0.5 * (X_next + X_next.T) + Q
-        step = _norm(X_next - X)
+        step = frobenius(X_next - X)
         X_prev, X = X, X_next
         if not np.isfinite(step):
             raise DareConvergenceError(
                 "DARE iteration diverged (non-finite covariance)",
                 residual=step, iterations=it)
-        norm_x = _norm(X)
+        norm_x = frobenius(X)
         if not np.isfinite(norm_x):
             # the sum of squares overflows; the entries are finite
             top = float(np.abs(X).max())
-            norm_x = top * _norm(X / top)
+            norm_x = top * frobenius(X / top)
             if not np.isfinite(norm_x):
                 raise DareConvergenceError(
                     "DARE iteration overflowed (||X||_F beyond the float "
@@ -278,7 +269,7 @@ def _residual(A, Q, H, R, X) -> float:
     S = mul(mul(H, X), H.T) + R
     HXA = mul(mul(H, X), A.T)
     rhs = mul(mul(A, X), A.T) - mul(HXA.T, solve(S, HXA)) + Q
-    return _norm(X - rhs)
+    return frobenius(X - rhs)
 
 
 def dare_residual(problem: LinearGaussianProblem, X) -> float:

@@ -18,7 +18,8 @@ diagonal problems.  The filters, the smoother, the DARE, its bounds,
 the spectra and the Loewner-order comparison :func:`psd_compare` all run
 on the storage form.
 
-The two forms round alike, except where this list says otherwise:
+The two forms round alike (a Frobenius norm skips zero entries, so both
+give it the same bits), except where this list says otherwise:
   - a product of diagonals is their elementwise product (:func:`mul`);
   - a solve multiplies by the reciprocal pivots, as OpenBLAS does for two
     or more right-hand side columns; with one column, so in a 1x1 system,
@@ -27,8 +28,6 @@ The two forms round alike, except where this list says otherwise:
     returns too unless it scales the matrix, for entries beyond about
     1e+-146; an eigendecomposition keeps the entries' order instead (see
     :func:`psd_factor`);
-  - a Frobenius norm sums the squares in another order than over the m^2
-    entries of the dense matrix, so the two agree only to rounding;
   - a product with a diagonal is elementwise on every row, so an inf stays
     in its own entry, where a dense product spreads NaN over the row
     (inf * 0): overflowed results differ.
@@ -63,7 +62,7 @@ def _is_symmetric(M: np.ndarray) -> bool:
     d = diagonal(M)
     if d is not None:  # M - M' is zero, or NaN where d is not finite
         return bool(np.isfinite(d).all())
-    return np.linalg.norm(M - M.T) <= SYM_RTOL * (1.0 + np.linalg.norm(M))
+    return frobenius(M - M.T) <= SYM_RTOL * (1.0 + frobenius(M))
 
 
 def eigenvalues(M: np.ndarray) -> np.ndarray:
@@ -162,14 +161,22 @@ def psd_compare(C, D) -> PsdOrder:
 
 
 def frobenius(M) -> float:
-    """Frobenius norm (sum of squared entries, square-rooted).
+    """Frobenius norm: the square root of the sum of the squares of M's
+    nonzero entries, in ``ravel(order="K")`` order, as BLAS dots of at
+    most 10 000 entries added in turn.
 
-    The arithmetic of ``np.linalg.norm``.  A 1-D diagonal and its dense
-    matrix agree to rounding only: the BLAS dot sums the squares in
-    another order.
+    So a 1-D diagonal and its dense matrix give the same bits, no dot is
+    split across threads, and a matrix of at most 10 000 entries, none
+    zero, has the bits of ``np.linalg.norm``.
     """
     x = as_matrix(M).ravel(order="K")
-    return float(np.sqrt(x.dot(x)))
+    x = x[x != 0.0]  # NaN stays
+    span = 10_000  # OpenBLAS threads a dot of more entries than this
+    total = 0.0
+    for start in range(0, x.size, span):
+        part = x[start:start + span]
+        total += part.dot(part)
+    return float(np.sqrt(total))
 
 
 def diagonal(M) -> np.ndarray | None:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .balance import ConditionCheck, MapKind, BalanceMap, build_map
 from .model import (LinearGaussianProblem, SymMatrix, cholesky, frobenius,
-                    inverse, mul, pd_inverse, storage)
+                    identity, inverse, mul, pd_inverse, storage)
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,7 @@ def weak_precision(problem: LinearGaussianProblem,
     for i in range(n - 1, -1, -1):
         sigma[i] = S_inv[i] + mul(mul(C[i], sigma[i + 1]), C[i].T)
     W = np.zeros_like(S_inv)
-    eye = np.ones(problem.m) if off.ndim == 1 else np.eye(problem.m)
+    eye = identity(off)
     for i in range(1, n + 1):
         W[i] = mul(mul(C[i - 1].T, eye + W[i - 1]), C[i - 1])
     if off.ndim == 1:  # tr(W_i Sigma_ii^2) of diagonal blocks

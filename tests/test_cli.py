@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -353,6 +354,21 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("command", ["effdim", "bounds"])
+def test_m300_output_does_not_depend_on_the_blas_threads(command):
+    # ||P||_F of a 300 x 300 P: a sum of more squares than OpenBLAS's dot
+    # keeps on one thread
+    argv = [sys.executable, "-m", "effdim", "--command", command,
+            "--m", "300", "--q", "1e-2", "--r", "1", "--format", "csv"]
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    threaded = subprocess.run(argv, capture_output=True, text=True,
+                              check=True, env=env)
+    serial = subprocess.run(argv, capture_output=True, text=True, check=True,
+                            env={**env, "OPENBLAS_NUM_THREADS": "1"})
+    assert threaded.stdout == serial.stdout
 
 
 def _no_csv(*_args, **_kwargs):

@@ -429,10 +429,12 @@ def test_diagonal_riccati_equals_dense_bit_for_bit(data):
 
 
 @pytest.mark.parametrize("m, q", [(100, 1e-4), (100, 1e-2), (100, 1.0),
-                                  (20, None), (100, None)])
+                                  (300, 1e-2), (20, None), (100, None),
+                                  (300, None)])
 def test_large_diagonal_riccati_equals_dense_bit_for_bit(m, q):
-    # m^2 entries reach the BLAS dot's SIMD lanes, where a diagonal's
-    # squares would sum in another order than its dense matrix's
+    # a dense norm sums the squares of its m nonzeros alone, as the
+    # diagonal's does; at m = 300 its m^2 entries pass the size from which
+    # OpenBLAS would thread one dot across the CPUs
     if q is not None:
         problem = LinearGaussianProblem.isotropic(m, q, 1.0)
     else:

@@ -1191,3 +1191,26 @@ def test_non_finite_steps_run_as_the_serial_oracle(kind):
                 assert np.isfinite(run.trajectory.truth[1]).all()
                 assert [r.degenerate for r in run.reports] == [False, True]
                 _assert_run_is_oracle(run, problem, kind, 3, 200, 1)
+
+
+def test_weighted_mean_leaves_out_particles_of_weight_zero(monkeypatch):
+    # 0 * inf is NaN: an inf particle of weight 0 must not reach the mean
+    problem = _exploding_problem(2)
+    steps = []
+
+    def spy(*args, **kwargs):
+        ensemble = sir_step(*args, **kwargs)
+        steps.append((ensemble.positions.copy(), ensemble.log_weights.copy()))
+        return ensemble
+
+    monkeypatch.setattr(filters, "sir_step", spy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        runs = run_filters(problem, "sir", 1, 200, [3, 4])
+    [(positions, log_weights)] = steps
+    for run, x, lw in zip(runs, positions, log_weights):
+        w = np.exp(lw - logsumexp(lw))
+        zero = w == 0.0
+        assert np.isinf(x[zero]).any() and np.isfinite(x[~zero]).all()
+        assert np.isfinite(run.means).all()
+        np.testing.assert_allclose(run.means[0], w[~zero] @ x[~zero],
+                                   rtol=1e-14)

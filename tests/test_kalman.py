@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -7,10 +8,10 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effdim.kalman import (DareConvergenceError, dare_residual,
-                           effective_dimension, isotropic_steady_p,
-                           kalman_cov_step, positive_root, solve_dare,
-                           spread_stats)
+from effdim.kalman import (DARE_MAX_ITER, DARE_TOL, DareConvergenceError,
+                           _steady, dare_residual, effective_dimension,
+                           isotropic_steady_p, kalman_cov_step, positive_root,
+                           solve_dare, spread_stats)
 from effdim.model import (LinearGaussianProblem, PsdVerdict, frobenius,
                           psd_compare, psd_factor)
 from util import random_problem, random_spd, steady_state_to_json
@@ -254,6 +255,19 @@ def test_solve_dare_unexcited_marginal_mode_is_exact():
     state = solve_dare(LinearGaussianProblem.isotropic(50, 0.0, 1.0))
     assert state.eff_dim == 0.0
     assert state.iterations == 0
+
+
+def test_diagonal_dare_takes_o_m_memory():
+    # the diagonals of an isotropic m = 2000 problem: an m x m matrix
+    # would take 32 MB
+    ones = np.ones(2000)
+    tracemalloc.start()
+    try:
+        _steady(ones, 1e-2 * ones, ones, ones, ones, DARE_TOL, DARE_MAX_ITER)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("tol,max_iter", [(0.0, 10), (-1.0, 10),

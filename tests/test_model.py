@@ -64,6 +64,42 @@ def test_frobenius_matches_eigenvalue_form():
     assert abs(frobenius(M) - np.sqrt(np.sum(eigs ** 2))) < 1e-10
 
 
+def _diagonal_with_specials(rng, m):
+    """Entries over ten decades, some 0.0 and -0.0, and in about one in
+    five diagonals an inf, -inf or NaN."""
+    d = rng.standard_normal(m) * 10.0 ** rng.uniform(-5, 5, m)
+    kinds = rng.integers(0, 10, m)
+    d[kinds == 0] = 0.0
+    d[kinds == 1] = -0.0
+    if rng.uniform() < 0.2:
+        d[rng.integers(m)] = rng.choice([np.inf, -np.inf, np.nan])
+    return d
+
+
+@pytest.mark.parametrize("m", [1, 2, 10, 30, 100, 300])
+def test_frobenius_of_a_diagonal_equals_its_dense_matrix_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    for _ in range(50):
+        d = _diagonal_with_specials(rng, m)
+        want = np.float64(frobenius(d)).tobytes()
+        D = np.diag(d)
+        for M in (D, D.T, np.asfortranarray(D)):
+            assert np.float64(frobenius(M)).tobytes() == want
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (10_000,), (3, 5), (60, 60),
+                                   (100, 100), (40, 250)])
+def test_frobenius_without_zero_entries_is_numpys_norm(shape):
+    # up to 10 000 entries the sum is one BLAS dot, as in np.linalg.norm
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(20):
+        M = rng.standard_normal(shape) * 10.0 ** rng.uniform(-100, 100)
+        assert np.all(M != 0.0)
+        for view in (M, M.T):
+            assert (np.float64(frobenius(view)).tobytes()
+                    == np.float64(np.linalg.norm(view)).tobytes())
+
+
 def test_psd_compare_scaled_identity():
     out = psd_compare(np.eye(3), 2 * np.eye(3))
     assert out.verdict is PsdVerdict.LESS_OR_EQUAL

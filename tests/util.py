@@ -173,7 +173,11 @@ def serial_run_filter(problem: LinearGaussianProblem, kind, n_steps: int,
                 degenerate=True))
             break
         weights = np.exp(norm.log_weights)
-        means.append(weights @ norm.positions)
+        mean = weights @ norm.positions
+        if not np.isfinite(mean).all():  # a weight-0 particle adds nothing
+            mean = weights @ np.where(weights[:, None] == 0.0, 0.0,
+                                      norm.positions)
+        means.append(mean)
         finite = np.isfinite(ensemble.log_weights)
         var_log_w = (float(np.var(ensemble.log_weights[finite], ddof=1))
                      if np.count_nonzero(finite) >= 2 else float("inf"))
