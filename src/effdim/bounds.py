@@ -15,13 +15,13 @@ the positive root (:func:`effdim.kalman.positive_root`) of
     lam_n(M) eta^2 + a eta - lam_1(Q) = 0,
 
 a = 1 - lam_1(AA') - lam_n(M) lam_1(Q).  For rank-deficient H (lam_n(M)
-= 0, numerically at most 1e-14) the root is eta = lam_1(Q) / a when
-a > 0; otherwise the bound does not exist and BoundInapplicableError is
-raised.  It is raised too, naming the matrix, when one of the three
-spectra is not finite (AA' or H'R^{-1}H overflowing).  Because
-lam_1(AA') majorizes A for any asymmetry, the sandwich holds for
-general A; the acceptance suite still reports (rather than asserts)
-asymmetric-A violations as a guard.
+= 0, numerically at most lam_1(M) / PD_COND_LIMIT at every scale of R)
+the root is eta = lam_1(Q) / a when a > 0; otherwise the bound does not
+exist and BoundInapplicableError is raised.  It is raised too, naming
+the matrix, when one of the three spectra is not finite (AA' or
+H'R^{-1}H overflowing).  Because lam_1(AA') majorizes A for any
+asymmetry, the sandwich holds for general A; the acceptance suite still
+reports (rather than asserts) asymmetric-A violations as a guard.
 
 The posterior bound follows from operator monotonicity of
 Y -> (Y^{-1} + M)^{-1}:
@@ -96,7 +96,8 @@ def _upper(A, Q, H, R):
     lam_min_M = max(spectra["H'R^-1 H"][0], 0.0)
     lam_max_Q = spectra["Q"][-1]
     a = 1.0 - lam_AAt - lam_min_M * lam_max_Q
-    if not lam_min_M > 1e-14:  # rank-deficient H
+    # rank-deficient H: M is singular at pd_inverse's condition limit
+    if not lam_min_M > spectra["H'R^-1 H"][-1] / PD_COND_LIMIT:
         if not a > 0.0:
             raise BoundInapplicableError(
                 "upper bound inapplicable: lam_1(AA') >= 1 with "

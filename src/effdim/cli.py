@@ -26,8 +26,8 @@ import numpy as np
 
 from . import balance, bounds, filters, kalman, smoothing
 from ._util import fmt17
-from .model import (LinearGaussianProblem, SymMatrix, problem_from_json,
-                    validate)
+from .model import (LinearGaussianProblem, SymMatrix, _exponent, frobenius,
+                    problem_from_json, validate)
 
 COMMANDS = ("effdim", "bounds", "map", "maxdim", "filter", "smooth",
             "collapse-sweep")
@@ -455,7 +455,9 @@ def _run_summary(run: filters.FilterRun, threshold: float) -> dict:
                   if rep.max_weight > threshold), None)
     n_means = run.means.shape[0]
     errors = run.means - run.trajectory.truth[1:n_means + 1]
-    mean_rmse = (float(np.sqrt(np.mean(errors ** 2)))
+    e = _exponent(errors)  # exact scaling: the squares stay in range
+    mean_rmse = (float(np.ldexp(np.sqrt(np.mean(np.ldexp(errors, -e) ** 2)),
+                                e))
                  if n_means else float("nan"))
     return {
         "seed": run.seed,
@@ -474,8 +476,8 @@ def _filter_csv_rows(run: filters.FilterRun) -> list[str]:
     n_means = run.means.shape[0]
     for rep in run.reports:
         if rep.step <= n_means:
-            err = float(np.linalg.norm(
-                run.means[rep.step - 1] - run.trajectory.truth[rep.step]))
+            err = frobenius(run.means[rep.step - 1]
+                            - run.trajectory.truth[rep.step])
         else:
             err = float("nan")
         rows.append(",".join([str(run.seed), str(rep.step), fmt17(rep.ess),

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (_TINY, LinearGaussianProblem, SymMatrix, as_matrix,
-                    dense, frobenius, identity, mul, pd_inverse, solve,
-                    storage)
+from .model import (_TINY, LinearGaussianProblem, SymMatrix, _exponent,
+                    as_matrix, dense, frobenius, identity, mul, pd_inverse,
+                    solve, storage)
 
 DARE_TOL = 1e-10
 DARE_MAX_ITER = 100_000
@@ -94,14 +94,6 @@ def kalman_cov_step(problem: LinearGaussianProblem, P_n) -> SymMatrix:
     return SymMatrix.symmetrized(P_next)
 
 
-def _converged(residual: float, norm_x: float, tol: float) -> bool:
-    """Residual test relative to ||X||_F (X = 0 passes at residual 0).
-
-    An overflowed norm never passes.
-    """
-    return np.isfinite(norm_x) and residual <= tol * norm_x
-
-
 def _norm_1_inf(M) -> float:
     """||M||_1 ||M||_inf; max|d|^2 for a diagonal M (1-D)."""
     if M.ndim == 1:
@@ -146,7 +138,7 @@ def _doubling(A, Q, H, R, X0, tol: float, max_iter: int):
                 or not np.any(Ak))
             X = X_next
             residual = _residual(A, Q, H, R, X)
-            if _converged(residual, norm_x, tol):
+            if residual <= tol * norm_x:  # X = 0 passes at residual 0
                 # ||A_k||_2^2 <= ||A_k||_1 ||A_k||_inf
                 if from_x0 or _norm_1_inf(Ak) <= 1.0:
                     return X, k, residual
@@ -175,10 +167,9 @@ def _sweep(A, Q, H, R, X, tol: float, max_iter: int):
     """Fixed-point sweep X <- A (X - X H' S^{-1} H X) A' + Q from X.
 
     The step ||X_new - X||_F is the DARE residual of X, so the sweep stops
-    on the equation residual, relative to ||X||_F; where the sum of
-    squares in that norm overflows, the norm is taken of X / max|X|.  An
-    iterate equal to the one two sweeps back cycles forever, so it
-    raises at once.  Returns (X, sweeps, residual).
+    on the equation residual, relative to ||X||_F.  An iterate equal to
+    the one two sweeps back cycles forever, so it raises at once.
+    Returns (X, sweeps, residual).
     """
     X_back = None
     for it in range(1, max_iter + 1):
@@ -199,14 +190,10 @@ def _sweep(A, Q, H, R, X, tol: float, max_iter: int):
                 residual=step, iterations=it)
         norm_x = frobenius(X)
         if not np.isfinite(norm_x):
-            # the sum of squares overflows; the entries are finite
-            top = float(np.abs(X).max())
-            norm_x = top * frobenius(X / top)
-            if not np.isfinite(norm_x):
-                raise DareConvergenceError(
-                    "DARE iteration overflowed (||X||_F beyond the float "
-                    "range)", residual=step, iterations=it)
-        if _converged(step, norm_x, tol):
+            raise DareConvergenceError(
+                "DARE iteration overflowed (||X||_F beyond the float range)",
+                residual=step, iterations=it)
+        if step <= tol * norm_x:
             return X, it, _residual(A, Q, H, R, X)
         if X_back is not None and np.array_equal(X, X_back):
             raise DareConvergenceError(
@@ -303,10 +290,14 @@ def isotropic_steady_p(q: float, r: float) -> float:
     """Per-component steady posterior variance for A = H = I, Q = qI, R = rI.
 
     The positive root p of p^2 + q p - q r = 0; the isotropic effective
-    dimension is sqrt(m) times this value.
+    dimension is sqrt(m) times this value.  p is homogeneous, p(cq, cr) =
+    c p(q, r), so it is taken at q 2^-e and r 2^-e, e the binary exponent
+    of max(q, r), and scaled back: exact, and in range at every scale.
     """
     _check_domain(q, r)
-    return float(positive_root(1.0, q, q * r))
+    e = _exponent(max(q, r))
+    q, r = np.ldexp(q, -e), np.ldexp(r, -e)
+    return float(np.ldexp(positive_root(1.0, q, q * r), e))
 
 
 def spread_stats(P) -> SpreadStats:

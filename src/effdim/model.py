@@ -18,6 +18,11 @@ diagonal problems.  The filters, the smoother, the DARE, its bounds,
 the spectra and the Loewner-order comparison :func:`psd_compare` all run
 on the storage form.
 
+A Frobenius norm (:func:`frobenius`) scales by an exact power of two
+where its sum of squares leaves [2^-600, 2^600], so every norm in the
+float range is found, and the DARE and its bounds scale with Q, R and
+Sigma0 out to 2^+-1000.
+
 The two forms round alike (a Frobenius norm skips zero entries, so both
 give it the same bits), except where this list says otherwise:
   - a product of diagonals is their elementwise product (:func:`mul`);
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +55,8 @@ PD_COND_LIMIT = 1e14    # largest condition number pd_inverse accepts
 # entries beyond this overflow the symmetrization (M + M')/2
 _SYM_MAX = np.finfo(float).max / 2.0
 _TINY = np.finfo(float).tiny  # smallest normal float
+# frobenius window: no partial sum overflows, no square that matters underflows
+_SUM_MIN, _SUM_MAX = 2.0 ** -600, 2.0 ** 600
 
 
 def as_matrix(M) -> np.ndarray:
@@ -160,6 +168,12 @@ def psd_compare(C, D) -> PsdOrder:
     return PsdOrder(verdict, float(eigs[0]))
 
 
+def _exponent(x) -> int:
+    """e with max|x| in [2^(e-1), 2^e); 0 where max|x| is 0 or not finite."""
+    top = float(np.max(np.abs(x), initial=0.0))
+    return math.frexp(top)[1] if math.isfinite(top) else 0
+
+
 def frobenius(M) -> float:
     """Frobenius norm: the square root of the sum of the squares of M's
     nonzero entries, in ``ravel(order="K")`` order, as BLAS dots of at
@@ -167,7 +181,10 @@ def frobenius(M) -> float:
 
     So a 1-D diagonal and its dense matrix give the same bits, no dot is
     split across threads, and a matrix of at most 10 000 entries, none
-    zero, has the bits of ``np.linalg.norm``.
+    zero, has the bits of ``np.linalg.norm``.  A sum outside [2^-600,
+    2^600] is taken again over the entries times 2^-e, e the binary
+    exponent of the largest |entry|, and scaled back: exact, so every norm
+    in the float range is found, and one beyond it is inf, unwarned.
     """
     x = as_matrix(M).ravel(order="K")
     x = x[x != 0.0]  # NaN stays
@@ -175,8 +192,12 @@ def frobenius(M) -> float:
     total = 0.0
     for start in range(0, x.size, span):
         part = x[start:start + span]
-        total += part.dot(part)
-    return float(np.sqrt(total))
+        total += np.vdot(part, part)  # ndarray.dot's ddot, unwarned
+    e = 0 if _SUM_MIN <= total <= _SUM_MAX or not x.size else _exponent(x)
+    if not e:  # in the window, or no finite entry to scale by
+        return float(np.sqrt(total))
+    with np.errstate(over="ignore"):  # a norm beyond the float range
+        return float(np.ldexp(frobenius(np.ldexp(x, -e)), e))
 
 
 def diagonal(M) -> np.ndarray | None:

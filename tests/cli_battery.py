@@ -60,13 +60,23 @@ def _random_dense(seed: int, m: int) -> dict:
                     np.eye(m))
 
 
+def _scaled(doc: dict, j: int) -> dict:
+    """The problem ``doc`` with Q, R and Sigma0 multiplied by 2^j."""
+    return {key: np.ldexp(value, j).tolist() if key in ("Q", "R", "Sigma0")
+            else value for key, value in doc.items()}
+
+
 _EYE2, _EYE3 = np.eye(2), np.eye(3)
+_DENSE = _problem(
+    [[0.9, 0.1, 0.0], [0.2, 0.5, 0.1], [0.0, 0.3, 0.7]],
+    [[1.0, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.5]],
+    [[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]], [[0.5, 0.1], [0.1, 0.4]],
+    [0.0, 0.5, -0.5], [[1.0, 0.0, 0.0], [0.0, 2.0, 0.3], [0.0, 0.3, 1.0]])
 PROBLEMS = {
-    "dense": _problem(
-        [[0.9, 0.1, 0.0], [0.2, 0.5, 0.1], [0.0, 0.3, 0.7]],
-        [[1.0, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.5]],
-        [[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]], [[0.5, 0.1], [0.1, 0.4]],
-        [0.0, 0.5, -0.5], [[1.0, 0.0, 0.0], [0.0, 2.0, 0.3], [0.0, 0.3, 1.0]]),
+    "dense": _DENSE,
+    # the DARE is homogeneous in (Q, R, Sigma0): the outputs scale exactly
+    "dense-2pow900": _scaled(_DENSE, 900),
+    "dense-2pow-900": _scaled(_DENSE, -900),
     # non-isotropic diagonal with an unstable component
     "diagonal": _problem(np.diag([0.9, -0.5, 1.1]), np.diag([0.5, 2.0, 0.1]),
                          np.diag([1.0, 0.5, -2.0]), np.diag([0.3, 1.0, 4.0]),
@@ -164,7 +174,8 @@ _ISO_EDGE = [("1", "1e-300", "1"), ("3", "1e-300", "1"),
              ("1", "1e-300", "1e-100"), ("4", "1e-200", "1"),
              ("1", "1e300", "1"), ("1", "1e20", "1"),
              ("1", "1e200", "1e200"), ("2", "1e210", "1e210"),
-             ("2", "1e250", "1e250"), ("1", "1e-160", "1e-160"),
+             ("2", "1e250", "1e250"), ("3", "1e-250", "1e-250"),
+             ("1", "1e-160", "1e-160"),
              ("1", "1e-60", "1e-300")]
 _ISO_BAD = [("2", "1", "-1"), ("2", "-1", "1"), ("2", "nan", "1"),
             ("0", "1", "1"), ("2", "inf", "1")]

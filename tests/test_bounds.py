@@ -4,8 +4,10 @@ import pytest
 from effdim.bounds import (BoundInapplicableError, dare_lower_bound,
                            dare_upper_bound, p_upper_bound)
 from effdim.kalman import isotropic_steady_p, solve_dare
-from effdim.model import (LinearGaussianProblem, PsdVerdict, psd_compare)
-from util import random_problem, random_spd
+from effdim.model import (LinearGaussianProblem, PsdVerdict, diagonal,
+                          psd_compare)
+from util import (SCALES, random_problem, random_spd, scale_problems,
+                  scaled)
 
 OK_ORDER = (PsdVerdict.LESS_OR_EQUAL, PsdVerdict.EQUAL)
 
@@ -200,3 +202,32 @@ def test_eff_dim_upper_monotone_in_q():
         problem = LinearGaussianProblem.isotropic(3, float(q), 1.0)
         values.append(p_upper_bound(problem).eff_dim_upper)
     assert np.all(np.diff(values) > 0)
+
+
+@pytest.mark.parametrize("name", sorted(scale_problems()))
+def test_upper_bound_is_scale_covariant(name):
+    # the bounds scale with Q, R and Sigma0: H is full rank at every scale
+    # of R, and eta and ||P_u||_F scale exactly on diagonal problems and
+    # within LAPACK's own scaling of eigvalsh on dense ones
+    problem = scale_problems()[name]
+    base = p_upper_bound(problem)
+    exact = all(diagonal(M) is not None
+                for M in (problem.A, problem.Q, problem.H, problem.R))
+    for j in SCALES:
+        got = p_upper_bound(scaled(problem, j))
+        for value, want in ((got.eta, base.eta),
+                            (got.eff_dim_upper, base.eff_dim_upper)):
+            if exact:
+                assert value == np.ldexp(want, j)
+            else:
+                assert value == pytest.approx(np.ldexp(want, j), rel=1e-13)
+
+
+def test_rank_deficient_h_is_found_at_every_scale():
+    # H = [1, 0] leaves H'R^-1 H singular whatever R is
+    problem = LinearGaussianProblem(A=1.2 * np.eye(2), Q=np.eye(2),
+                                    H=[[1.0, 0.0]], R=[[1.0]],
+                                    mu0=np.zeros(2), Sigma0=np.eye(2))
+    for j in (0, *SCALES):
+        with pytest.raises(BoundInapplicableError, match="rank-deficient"):
+            p_upper_bound(scaled(problem, j))

@@ -125,6 +125,47 @@ def test_overflowing_diagonal_dare_exits_3_within_a_second(command, tmp_path,
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("command", ["effdim", "bounds"])
+@pytest.mark.parametrize("m,c", [(2, "1e250"), (3, "1e-250")])
+def test_effdim_at_the_ends_of_the_float_range(command, m, c, tmp_path):
+    # the DARE and its bounds scale with q = r = c; the rel 6e-14 is the
+    # doubling's stop, as at q = r = 1
+    out = tmp_path / "out.json"
+    assert run_cli("--command", command, "--m", str(m), "--q", c, "--r", c,
+                   "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    want = math.sqrt(m) * kalman.isotropic_steady_p(float(c), float(c))
+    eff_dim = doc["steady_state"]["eff_dim"]
+    assert eff_dim == pytest.approx(want, rel=1e-13, abs=0.0)
+    if command == "bounds":
+        assert doc["bounds"]["eff_dim_upper"] >= eff_dim
+
+
+def test_filter_error_norms_stay_finite_where_the_errors_are(tmp_path):
+    # seed 3's step-1 error is about (9.1e306, -2.7e148): its norm and
+    # its rms are finite although its squares overflow
+    eye = np.eye(2)
+    problem = LinearGaussianProblem(
+        A=np.diag([1e158, 0.5]), Q=eye, H=1e-300 * eye, R=1e16 * eye,
+        mu0=np.zeros(2), Sigma0=1e300 * eye)
+    path = tmp_path / "problem.json"
+    save_problem(problem, path)
+    stem = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli("--command", "filter", "--kind", "sir", "--problem",
+                       str(path), "--particles", "200", "--steps", "3",
+                       "--seeds", "3", "--out", str(stem)) == 0
+        [run] = filters.run_filters(problem, "sir", 3, 200, [3])
+    errors = run.means - run.trajectory.truth[1:len(run.means) + 1]
+    assert np.isfinite(errors).all() and np.abs(errors).max() > 1e306
+    [summary] = json.loads((tmp_path / "run.json").read_text())["runs"]
+    assert summary["mean_rmse"] == pytest.approx(
+        math.hypot(*errors.ravel()) / math.sqrt(errors.size), rel=1e-15)
+    row = (tmp_path / "run.csv").read_text().splitlines()[2].split(",")
+    assert float(row[-1]) == pytest.approx(math.hypot(*errors[0]),
+                                           rel=1e-15)
+
+
 def test_bounds_command(tmp_path):
     out = tmp_path / "bounds.json"
     code = run_cli("--command", "bounds", "--m", "3", "--q", "1", "--r", "1",
@@ -935,10 +976,11 @@ _CANONICAL_ARGV = {
     "collapse-sweep": ["--command", "collapse-sweep", "--kind", "sir",
                        "--m", "3", "--grid-points", "2", "--particles", "20",
                        "--steps", "3", "--seeds", "1"],
-    # the cell fails, so its collapse fraction is NaN
+    # the steady innovation covariance X + R (about 2.1e308) overflows,
+    # so the cell's sigma_frob is NaN
     "collapse-sweep-nan": ["--command", "collapse-sweep", "--kind", "optimal",
-                           "--sweep", "m", "--dims", "2", "--q", "1e300",
-                           "--r", "1e300", "--particles", "20", "--steps",
+                           "--sweep", "m", "--dims", "2", "--q", "8e307",
+                           "--r", "8e307", "--particles", "20", "--steps",
                            "3", "--seeds", "1"],
 }
 

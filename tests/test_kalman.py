@@ -14,7 +14,8 @@ from effdim.kalman import (DARE_MAX_ITER, DARE_TOL, DareConvergenceError,
                            solve_dare, spread_stats)
 from effdim.model import (LinearGaussianProblem, PsdVerdict, frobenius,
                           psd_compare, psd_factor)
-from util import random_problem, random_spd, steady_state_to_json
+from util import (SCALES, random_problem, random_spd, scale_problems,
+                  scaled, steady_state_to_json)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0  # steady per-component P at q = r = 1
 
@@ -210,11 +211,27 @@ def test_solve_dare_overflow_is_not_convergence():
 @pytest.mark.parametrize("m", [1, 3])
 def test_solve_dare_converges_where_the_norm_of_x_overflows(m):
     # ||X||_F^2 overflows at q = 1e300 although every entry is finite:
-    # doubling hands over to the sweep, which decides on a scaled norm
+    # the doubling decides on the norm, which keeps in range by scaling
     with np.errstate(over="ignore"):
         state = solve_dare(LinearGaussianProblem.isotropic(m, 1e300, 1.0))
     np.testing.assert_array_equal(np.diag(state.X.a), np.full(m, 1e300))
     assert state.iterations < 10 and state.residual == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(scale_problems()))
+def test_solve_dare_is_scale_covariant_bit_for_bit(name):
+    # the DARE is homogeneous in (Q, R, Sigma0), and doubling never squares
+    # X: scaled by 2^j, X and P scale exactly and K and the doublings stay,
+    # out to the ends of the float range
+    problem = scale_problems()[name]
+    base = solve_dare(problem)
+    for j in SCALES:
+        state = solve_dare(scaled(problem, j))
+        np.testing.assert_array_equal(state.X.a, np.ldexp(base.X.a, j))
+        np.testing.assert_array_equal(state.P.a, np.ldexp(base.P.a, j))
+        np.testing.assert_array_equal(state.K, base.K)
+        assert state.iterations == base.iterations
+        assert state.eff_dim == np.ldexp(base.eff_dim, j)
 
 
 def test_solve_dare_singular_r_falls_back_to_sweep():
@@ -277,6 +294,19 @@ def test_solve_dare_rejects_bad_options(tol, max_iter):
     with pytest.raises(ValueError):
         solve_dare(LinearGaussianProblem.isotropic(2, 1.0, 1.0), tol=tol,
                    max_iter=max_iter)
+
+
+def test_isotropic_steady_p_is_homogeneous_at_every_scale():
+    # p(2^j q, 2^j r) = 2^j p(q, r) exactly, also where q q and 4 q r
+    # leave the float range
+    for q, r in ((1.0, 1.0), (0.3, 1.7), (1e-4, 1.0), (100.0, 3.0)):
+        p = isotropic_steady_p(q, r)
+        for j in SCALES:
+            assert (isotropic_steady_p(np.ldexp(q, j), np.ldexp(r, j))
+                    == np.ldexp(p, j))
+    for c in (1e200, 1e-160, 1e-250, 1e300):
+        assert isotropic_steady_p(c, c) == pytest.approx(GOLDEN * c,
+                                                         rel=1e-15, abs=0.0)
 
 
 def test_isotropic_steady_p_values():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,36 @@ def test_frobenius_without_zero_entries_is_numpys_norm(shape):
         for view in (M, M.T):
             assert (np.float64(frobenius(view)).tobytes()
                     == np.float64(np.linalg.norm(view)).tobytes())
+
+
+def test_frobenius_keeps_in_range_where_its_sum_of_squares_does_not():
+    assert frobenius(np.full(4, 1e200)) == 2e200
+    assert frobenius(np.full(4, 1e-200)) == 2e-200
+    assert frobenius(np.full((2, 2), 1.5e308)) == np.inf
+    # subnormal entries: 2^-1074 is the smallest float, 5 * 2^-1070 exact
+    assert frobenius(np.full(4, 5e-324)) == 1e-323
+    assert frobenius(np.ldexp([3.0, 0.0, -4.0], -1070)) == np.ldexp(5.0, -1070)
+    rng = np.random.default_rng(11)
+    for shape in ((3,), (5, 5), (60, 60), (120, 120)):
+        M = rng.standard_normal(shape)
+        for j in (-1000, -900, -600, -300, 300, 600, 1000):
+            assert frobenius(np.ldexp(M, j)) == np.ldexp(frobenius(M), j)
+
+
+def test_frobenius_propagates_inf_and_nan():
+    for x in (1.0, 1e-300, 1e300):
+        assert frobenius([np.inf, x]) == np.inf
+        assert frobenius([-np.inf, x]) == np.inf
+        assert np.isnan(frobenius([np.nan, x]))
+        assert np.isnan(frobenius([[np.nan, np.inf], [x, 0.0]]))
+
+
+def test_frobenius_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for M in (np.full(5, 1e300), np.full(5, 1e-300), np.full(5, 5e-324),
+                  np.full(5, 1.7e308), np.full((200, 200), 1e200)):
+            frobenius(M)
 
 
 def test_psd_compare_scaled_identity():

@@ -6,6 +6,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from cli_battery import PROBLEMS
 from effdim import filters, model
 from effdim.filters import (_TAG_RESAMPLE, _TAG_STEP, CollapseReport,
                             FilterKind, TrajectoryData, WeightCollapseError,
@@ -46,6 +47,26 @@ def random_problem(rng, m=None, k=None, symmetric_a=False, radius=0.9):
     return LinearGaussianProblem(
         A=A, Q=random_spd(rng, m), H=H, R=random_spd(rng, k),
         mu0=rng.standard_normal(m), Sigma0=random_spd(rng, m))
+
+
+# powers of two by which the scale-covariance tests multiply Q, R, Sigma0
+SCALES = tuple(s * j for j in (300, 500, 700, 900, 1000) for s in (1, -1))
+
+
+def scale_problems() -> dict:
+    """The battery's dense, dense8, diagonal and stable problems, and an
+    isotropic m = 5 problem."""
+    problems = {name: LinearGaussianProblem(**PROBLEMS[name])
+                for name in ("dense", "dense8", "diagonal", "stable")}
+    problems["isotropic"] = LinearGaussianProblem.isotropic(5, 0.3, 1.7, 0.9)
+    return problems
+
+
+def scaled(problem: LinearGaussianProblem, j: int) -> LinearGaussianProblem:
+    """The problem with Q, R and Sigma0 multiplied by 2^j, exactly."""
+    return dataclasses.replace(problem, Q=np.ldexp(problem.Q, j),
+                               R=np.ldexp(problem.R, j),
+                               Sigma0=np.ldexp(problem.Sigma0, j))
 
 
 def kalman_filter_means(problem: LinearGaussianProblem,
