@@ -10,7 +10,12 @@ Each command writes its documents here: a JSON document renders a result
 dataclass as the object of its fields (:func:`_render`), and every
 command's CSV rows are built in this module.
 
-Exit status: 0 success, 2 input error, 3 numerical failure.
+Exit status: 0 success, 2 input error, 3 numerical failure.  :func:`main`
+alone turns an exception into a status: a ``ValueError``, which is how
+the library and this module report bad input, is an input error; a
+``LinAlgError`` or one of the three ``RuntimeError``s
+(``DareConvergenceError``, ``BoundInapplicableError``,
+``WeightCollapseError``) is a numerical failure.
 """
 
 from __future__ import annotations
@@ -27,14 +32,10 @@ import numpy as np
 from . import balance, bounds, filters, kalman, smoothing
 from ._util import fmt17
 from .model import (LinearGaussianProblem, SymMatrix, _exponent, frobenius,
-                    problem_from_json, validate)
+                    problem_from_json, require_valid)
 
 COMMANDS = ("effdim", "bounds", "map", "maxdim", "filter", "smooth",
             "collapse-sweep")
-
-
-class InputError(ValueError):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,36 +86,40 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise InputError(f"{what} must be comma-separated integers: {text}") \
+        raise ValueError(f"{what} must be comma-separated integers: {text}") \
             from exc
     if not values:
-        raise InputError(f"{what} is empty")
+        raise ValueError(f"{what} is empty")
     return values
 
 
 def _read(path: str, parse, what: str):
-    """``parse`` of the ``what`` file at ``path``, or an input error."""
+    """``parse`` of the ``what`` file at ``path``; ValueError when it
+    cannot be read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(fh.read())
     except FileNotFoundError as exc:
-        raise InputError(f"{what} file not found: {path}") from exc
+        raise ValueError(f"{what} file not found: {path}") from exc
     except OSError as exc:
-        raise InputError(f"cannot read {what} file {path}: "
+        raise ValueError(f"cannot read {what} file {path}: "
                          f"{exc.strerror}") from exc
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+
+
+def _state_dim(args) -> int:
+    """--m, rejected below 1."""
+    if args.m < 1:
+        raise ValueError("--m must be >= 1")
+    return args.m
 
 
 def _resolve_problem(args) -> LinearGaussianProblem:
     if args.problem is not None:
         return _read(args.problem, problem_from_json, "problem")
     if args.m is not None and args.q is not None and args.r is not None:
-        if args.m < 1:
-            raise InputError("--m must be >= 1")
-        return LinearGaussianProblem.isotropic(args.m, args.q, args.r,
-                                               sigma0=args.sigma0)
-    raise InputError("provide --problem or the inline --m/--q/--r triple")
+        return LinearGaussianProblem.isotropic(_state_dim(args), args.q,
+                                               args.r, sigma0=args.sigma0)
+    raise ValueError("provide --problem or the inline --m/--q/--r triple")
 
 
 def _config_dict(args) -> dict:
@@ -127,24 +132,24 @@ def _config_dict(args) -> dict:
 def _dare_options(args) -> dict:
     """--dare-tol and --dare-max-iter as solve_dare keywords, validated."""
     if not (args.dare_tol > 0 and np.isfinite(args.dare_tol)):
-        raise InputError("--dare-tol must be positive and finite")
+        raise ValueError("--dare-tol must be positive and finite")
     if args.dare_max_iter < 1:
-        raise InputError("--dare-max-iter must be >= 1")
+        raise ValueError("--dare-max-iter must be >= 1")
     return {"tol": args.dare_tol, "max_iter": args.dare_max_iter}
 
 
 def _require_seeds(args) -> list[int]:
     if args.seeds is None:
-        raise InputError("--seeds is required (no wall-clock default)")
+        raise ValueError("--seeds is required (no wall-clock default)")
     seeds = _parse_int_list(args.seeds, "--seeds")
     if min(seeds) < 0:
-        raise InputError("--seeds must be non-negative integers")
+        raise ValueError("--seeds must be non-negative integers")
     return seeds
 
 
 def _check_collapse_threshold(args) -> None:
     if not np.isfinite(args.collapse_threshold):
-        raise InputError("--collapse-threshold must be finite")
+        raise ValueError("--collapse-threshold must be finite")
 
 
 def _csv_text(config: dict, lines: list[str]) -> str:
@@ -307,7 +312,7 @@ def _write(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _emit(args, config: dict, payload: dict, csv_lines,
@@ -330,18 +335,9 @@ def _emit(args, config: dict, payload: dict, csv_lines,
         sys.stdout.write(text)
 
 
-def _valid(problem: LinearGaussianProblem,
-           dare: bool = False) -> LinearGaussianProblem:
-    """``problem``, rejected unless it is valid (and its DARE posed)."""
-    report = validate(problem, dare=dare)
-    if report:
-        raise InputError("invalid problem: " + "; ".join(report))
-    return problem
-
-
 def _dare_problem(args) -> LinearGaussianProblem:
     """The problem of the arguments, rejected unless its DARE is posed."""
-    return _valid(_resolve_problem(args), dare=True)
+    return require_valid(_resolve_problem(args), dare=True)
 
 
 def _cmd_effdim(args) -> int:
@@ -389,7 +385,7 @@ def _cmd_bounds(args) -> int:
 def _map_kind(args, allowed, default=None) -> str:
     kind = args.kind or default
     if kind is None or kind not in allowed:
-        raise InputError(f"--kind must be one of {', '.join(allowed)}")
+        raise ValueError(f"--kind must be one of {', '.join(allowed)}")
     return kind
 
 
@@ -398,7 +394,7 @@ def _grid(args) -> np.ndarray:
         return balance.log_grid(args.grid_min, args.grid_max,
                                 args.grid_points)
     except ValueError as exc:
-        raise InputError(f"--grid-min/--grid-max/--grid-points: {exc}") \
+        raise ValueError(f"--grid-min/--grid-max/--grid-points: {exc}") \
             from exc
 
 
@@ -420,11 +416,8 @@ def _cmd_map(args) -> int:
                      default="feasibility")
     dims = _parse_int_list(args.dims, "--dims")
     grid = _grid(args)
-    try:
-        bm = balance.build_map(kind, grid, grid, dims,
-                               constant=args.balance_constant)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    bm = balance.build_map(kind, grid, grid, dims,
+                           constant=args.balance_constant)
     config = _config_dict(args)
     print(f"{kind} map: {len(bm.level_sets)} level-set polylines for "
           f"dims {dims}")
@@ -436,11 +429,8 @@ def _cmd_map(args) -> int:
 def _cmd_maxdim(args) -> int:
     kind = _map_kind(args, ("optimal", "sir"))
     grid = _grid(args)
-    try:
-        curve = balance.build_max_dim_curve(grid, kind,
-                                            constant=args.balance_constant)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    curve = balance.build_max_dim_curve(grid, kind,
+                                        constant=args.balance_constant)
     config = _config_dict(args)
     print(f"max dimension curve ({kind}): min m_max = "
           f"{fmt17(float(np.min(curve.m_max)))}")
@@ -486,23 +476,14 @@ def _filter_csv_rows(run: filters.FilterRun) -> list[str]:
     return rows
 
 
-def _run_filters(args, problem, kind, seeds) -> list[filters.FilterRun]:
-    try:
-        return filters.run_filters(problem, kind, args.steps, args.particles,
-                                   seeds, resample_every=args.resample_every)
-    except np.linalg.LinAlgError:
-        raise  # a numerical failure, not bad input
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _cmd_filter(args) -> int:
     problem = _resolve_problem(args)
     kind = _map_kind(args, ("sir", "optimal"))
     seeds = _require_seeds(args)
     _check_collapse_threshold(args)
     config = _config_dict(args)
-    runs = _run_filters(args, problem, kind, seeds)
+    runs = filters.run_filters(problem, kind, args.steps, args.particles,
+                               seeds, resample_every=args.resample_every)
     summaries = [_run_summary(run, args.collapse_threshold) for run in runs]
     fraction = float(np.mean([s["collapsed"] for s in summaries]))
     payload = {
@@ -523,18 +504,19 @@ def _cmd_filter(args) -> int:
 def _sweep_cells(args, seeds):
     if args.sweep == "eps":
         if args.m is None:
-            raise InputError("eps sweep needs --m (fixed state dimension)")
+            raise ValueError("eps sweep needs --m (fixed state dimension)")
+        m = _state_dim(args)
         r = args.r if args.r is not None else 1.0
         grid = _grid(args)
-        return [{"eps": float(eps), "m": args.m, "q": float(eps) * r, "r": r}
+        return [{"eps": float(eps), "m": m, "q": float(eps) * r, "r": r}
                 for eps in grid]
     if args.q is None or args.r is None:
-        raise InputError("m sweep needs --q and --r")
+        raise ValueError("m sweep needs --q and --r")
     if not (np.isfinite(args.r) and args.r > 0):
-        raise InputError("--r must be positive and finite")
+        raise ValueError("--r must be positive and finite")
     dims = _parse_int_list(args.dims, "--dims")
     if min(dims) < 1:
-        raise InputError("--dims must be >= 1")
+        raise ValueError("--dims must be >= 1")
     return [{"eps": args.q / args.r, "m": m, "q": args.q, "r": args.r}
             for m in dims]
 
@@ -547,13 +529,10 @@ def _sweep_runs(args, kind, seeds, cells) -> list[dict]:
     (:func:`effdim.filters.run_plans`): the cells of an eps sweep share
     m, so each seed's noise is drawn once for all of them.
     """
-    try:
-        filters.check_run(args.steps, args.particles, args.resample_every)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    filters.check_run(args.steps, args.particles, args.resample_every)
     results, planned = list(cells), []
     for i, cell in enumerate(cells):
-        problem = _valid(LinearGaussianProblem.isotropic(
+        problem = require_valid(LinearGaussianProblem.isotropic(
             cell["m"], cell["q"], cell["r"], sigma0=args.sigma0))
         try:
             planned.append((i, problem, filters.step_plan(problem, kind)))
@@ -596,34 +575,23 @@ def _cmd_collapse_sweep(args) -> int:
 
 
 def _cmd_smooth(args) -> int:
-    try:
-        balance._check_constant(args.balance_constant)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    balance._check_constant(args.balance_constant)
     dare = _dare_options(args)
-    problem = _valid(_resolve_problem(args))
+    problem = require_valid(_resolve_problem(args))
     if args.trajectory is not None:
         trajectory = _read(args.trajectory, filters.trajectory_from_json,
                            "trajectory")
         traj_source = {"trajectory_path": args.trajectory}
     else:
         seeds = _require_seeds(args)
-        try:
-            trajectory = filters.simulate(problem, args.steps, seeds[0])
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        trajectory = filters.simulate(problem, args.steps, seeds[0])
         traj_source = {"simulated_with_seed": seeds[0],
                        "n_steps": args.steps}
     observations = trajectory.observations
     n = observations.shape[0]
     posterior = smoothing.weak_precision(problem, n)
-    try:
-        mode = smoothing.weak_mode(problem, observations, posterior)
-    except np.linalg.LinAlgError:
-        raise  # a numerical failure, not bad input
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    mode = mode.reshape(n + 1, problem.m)
+    mode = smoothing.weak_mode(problem, observations,
+                               posterior).reshape(n + 1, problem.m)
     condition = smoothing.smoother_condition(problem)
     conditions = balance.general_sufficient_conditions(
         problem, constant=args.balance_constant, **dare)
@@ -659,21 +627,23 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place an exception becomes an exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except InputError as exc:
-        print(f"effdim: input error: {exc}", file=sys.stderr)
-        return 2
     except kalman.DareConvergenceError as exc:
         print(f"effdim: numerical error: {exc} "
               f"(residual {fmt17(exc.residual)})", file=sys.stderr)
         return 3
+    # LinAlgError subclasses ValueError, so it is caught first
     except (np.linalg.LinAlgError, bounds.BoundInapplicableError,
             filters.WeightCollapseError) as exc:
         print(f"effdim: numerical error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"effdim: input error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -70,8 +70,8 @@ import numpy as np
 from ._util import logsumexp
 from .kalman import DareConvergenceError, solve_dare
 from .model import (LinearGaussianProblem, RowDiagonals, frobenius, inverse,
-                    json_object, mul, pd_inverse, psd_factor, storage,
-                    validate)
+                    json_object, mul, pd_inverse, psd_factor,
+                    require_valid, storage)
 
 _TAG_SIM = 0
 _TAG_INIT = 1
@@ -211,12 +211,6 @@ class TrajectoryData:
     seed: int
 
 
-def _check(problem: LinearGaussianProblem) -> None:
-    report = validate(problem)
-    if report:
-        raise ValueError("invalid problem: " + "; ".join(report))
-
-
 def _model_factors(problem: LinearGaussianProblem) -> tuple:
     """(A', H', L0', Lq', Lr') for :func:`simulate`, L L' factoring
     Sigma0, Q and R, all in the storage form of the five matrices."""
@@ -266,7 +260,7 @@ def simulate(problem: LinearGaussianProblem, n_steps: int,
     """Draw x^0 ~ N(mu0, Sigma0) and run the model/data recursions."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    _check(problem)
+    require_valid(problem)
     return _simulate(problem.mu0, _model_factors(problem), n_steps,
                      _Streams([seed]))[0]
 
@@ -641,7 +635,7 @@ def run_filters(problem: LinearGaussianProblem, kind, n_steps: int, N: int,
     check_run(n_steps, N, resample_every)
     if plan is not None and plan.kind is not kind:
         raise ValueError(f"plan is for the {plan.kind.value} filter")
-    _check(problem)
+    require_valid(problem)
     plan = plan or step_plan(problem, kind)
     return run_plans([problem], [plan], n_steps, N, seeds,
                      resample_every=resample_every)[0]

@@ -327,6 +327,12 @@ def _spectrum(M: np.ndarray):
     return np.linalg.eigh(0.5 * (M + M.T))
 
 
+def _psd_floor(w: np.ndarray) -> float:
+    """The least eigenvalue a PSD matrix of eigenvalues ``w`` may have:
+    -PSD_FACTOR_RTOL (1 + lambda_max), lambda_max clipped at 0."""
+    return -PSD_FACTOR_RTOL * (1.0 + max(w.max(), 0.0))
+
+
 def psd_factor(M) -> np.ndarray:
     """A factor L with L @ L.T = M for symmetric PSD M.
 
@@ -339,7 +345,7 @@ def psd_factor(M) -> np.ndarray:
     agree bit for bit when the entries are equal.
     """
     w, V = _spectrum(as_matrix(M))
-    if w.min() < -PSD_FACTOR_RTOL * (1.0 + max(w.max(), 0.0)):
+    if w.min() < _psd_floor(w):
         raise np.linalg.LinAlgError("matrix is not positive semi-definite within tolerance")
     root = np.sqrt(np.clip(w, 0.0, None))
     return root if V is None else V * root
@@ -428,11 +434,10 @@ def _psd_report(name: str, M: np.ndarray, strict: bool) -> list[str]:
                 "overflow"]
     w = eigenvalues(*storage(M))
     lo, hi = w.min(), w.max()
-    tol = PSD_TOL_SCALE * (1.0 + max(abs(lo), abs(hi)))
     if strict:
-        if lo <= tol:
+        if lo <= PSD_TOL_SCALE * (1.0 + max(abs(lo), abs(hi))):
             return [f"{name} not positive definite"]
-    elif lo < -tol:
+    elif lo < _psd_floor(w):  # what psd_factor accepts
         return [f"{name} not positive semi-definite"]
     return []
 
@@ -465,6 +470,16 @@ def validate(problem: LinearGaussianProblem, dare: bool = False) -> list[str]:
     if not any(r.startswith("Sigma0 ") for r in report):
         report += _psd_report("Sigma0", problem.Sigma0, strict=False)
     return report
+
+
+def require_valid(problem: LinearGaussianProblem,
+                  dare: bool = False) -> LinearGaussianProblem:
+    """``problem``, or a ValueError "invalid problem: ..." that joins the
+    :func:`validate` report (``dare`` as there)."""
+    report = validate(problem, dare=dare)
+    if report:
+        raise ValueError("invalid problem: " + "; ".join(report))
+    return problem
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ Run it from the repository root:
 
     PYTHONPATH=src python tests/cli_battery.py > battery.txt
 
-Every invocation runs in-process through ``effdim.cli.main`` in a fresh
-working directory that holds the battery's problem and trajectory files,
-so the config each output echoes names them by relative path.  For each
-invocation the battery prints one line per output file, then one each
-for stdout, stderr and warnings:
+The battery has 338 invocations.  Every invocation runs in-process
+through ``effdim.cli.main`` in a fresh working directory that holds the
+battery's problem and trajectory files, so the config each output
+echoes names them by relative path.  For each invocation the battery
+prints one line per output file, then one each for stdout, stderr and
+warnings:
 
     <sha256> <exit code> <argv> [<output>]
 
@@ -155,6 +156,9 @@ RAW_FILES = {
         "truth": [[0.0, 0.0, 0.0], [0.1, -0.2, 0.3], [0.2, 0.1, -0.1]],
         "observations": [[0.1, -0.1], [0.3, 0.0]], "seed": 7}),
     "trajectory-missing.json": json.dumps({"truth": [[0.0]], "seed": 1}),
+    # Q just below what psd_factor accepts: invalid before any factoring
+    "negative-q.json": json.dumps(_problem([[0.5]], [[-1.00000000005e-10]],
+                                           [[1.0]], [[1.0]], [0.0], [[1.0]])),
     "trajectory2.json": json.dumps({
         "truth": [[0.0, 0.0], [0.1, -0.2], [0.2, 0.1]],
         "observations": [[0.1, -0.1], [0.3, 0.0]], "seed": 7}),
@@ -302,6 +306,18 @@ def invocations() -> list[list[str]]:
                        ["--seeds", "1", "--steps", "2"]):
             out.append(["--command", "smooth", "--problem", name + ".json",
                         *source, "--out", "run"])
+    for fmt in ("json", "csv"):
+        f = ["--format", fmt]
+        for m in ("0", "-2"):
+            out.append(["--command", "collapse-sweep", "--kind", "sir",
+                        "--m", m, "--particles", "5", "--steps", "2",
+                        "--seeds", "1", *f])
+        out.append(["--command", "effdim", "--problem", "negative-q.json", *f])
+        out.append(["--command", "filter", "--kind", "sir",
+                    "--problem", "negative-q.json", "--particles", "5",
+                    "--steps", "2", "--seeds", "1", *f])
+        out.append(["--command", "smooth", "--problem", "negative-q.json",
+                    "--steps", "2", "--seeds", "1", *f])
     # files that cannot be read or written: a directory as an input, and
     # outputs into a directory that does not exist
     out.append(["--command", "effdim", "--problem", "."])

@@ -513,6 +513,16 @@ def test_collapse_sweep_m_axis_bad_dims_exits_2(dims, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_eps_sweep_rejects_m_below_1(m, tmp_path, capsys):
+    stem = tmp_path / "sweep"
+    assert run_cli("--command", "collapse-sweep", "--kind", "sir", "--m", m,
+                   "--particles", "5", "--steps", "2", "--seeds", "1",
+                   "--out", str(stem)) == 2
+    assert capsys.readouterr().err == "effdim: input error: --m must be >= 1\n"
+    assert not list(tmp_path.iterdir())
+
+
 _ISO = ["--m", "2", "--q", "1", "--r", "1", "--seeds", "1"]
 
 
@@ -640,6 +650,59 @@ def test_collapse_sweep_records_a_numerical_failure_per_cell(tmp_path,
     for cell in (cells[0], cells[2]):
         assert [run["seed"] for run in cell["runs"]] == [1, 2]
         assert "error" not in cell["runs"][0]
+
+
+# per command, one library call it makes and the rest of its argv
+_POLICY_CALLS = {
+    "effdim": (kalman, "solve_dare", _ISO),
+    "bounds": (bounds, "p_upper_bound", _ISO),
+    "map": (balance, "build_map", ["--grid-points", "5"]),
+    "maxdim": (balance, "build_max_dim_curve",
+               ["--kind", "sir", "--grid-points", "5"]),
+    "filter": (filters, "run_filters", ["--kind", "sir", *_ISO]),
+    "smooth": (filters, "simulate", _ISO),
+    "collapse-sweep": (filters, "run_plans",
+                       ["--kind", "sir", *_ISO, "--grid-points", "2"]),
+}
+
+
+@pytest.mark.parametrize("error,code,label", [
+    (ValueError, 2, "input"), (np.linalg.LinAlgError, 3, "numerical")])
+@pytest.mark.parametrize("command", sorted(_POLICY_CALLS))
+def test_main_maps_a_library_error_to_its_exit_code(command, error, code,
+                                                    label, tmp_path,
+                                                    monkeypatch, capsys):
+    # a ValueError is bad input and a LinAlgError (a ValueError subclass)
+    # a numerical failure, whichever command's call raised it
+    module, name, argv = _POLICY_CALLS[command]
+
+    def failing(*_args, **_kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(module, name, failing)
+    assert run_cli("--command", command, *argv,
+                   "--out", str(tmp_path / "out")) == code
+    assert capsys.readouterr().err == f"effdim: {label} error: boom\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["--command", "effdim"],
+    ["--command", "filter", "--kind", "sir", "--particles", "5",
+     "--steps", "2", "--seeds", "1"],
+    ["--command", "smooth", "--steps", "2", "--seeds", "1"],
+], ids=["effdim", "filter", "smooth"])
+def test_a_covariance_psd_factor_rejects_is_an_invalid_problem(argv, tmp_path,
+                                                               capsys):
+    path = tmp_path / "problem.json"
+    save_problem(LinearGaussianProblem(
+        A=[[0.5]], Q=[[-1.00000000005e-10]], H=[[1.0]], R=[[1.0]], mu0=[0.0],
+        Sigma0=[[1.0]]), path)
+    assert run_cli(*argv, "--problem", str(path),
+                   "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        "effdim: input error: invalid problem: Q not positive semi-definite\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["problem.json"]
 
 
 _SWEEP_RUN = ["--particles", "30", "--steps", "4"]

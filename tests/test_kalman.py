@@ -400,7 +400,7 @@ def test_spread_stats_scales_where_the_trace_underflows(p):
     assert stats.e_hat == np.sqrt(p) / 2
     three = spread_stats(np.diag([p, p, p]))
     assert three.e_hat == pytest.approx(np.sqrt(3 * p) * (1 - 1 / 6),
-                                        rel=1e-15)
+                                        rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("p", [1e-200, 1e-160, 1e160, 1e200, 1e210, 1e300])
@@ -412,8 +412,9 @@ def test_spread_stats_scales_where_the_plain_terms_leave_the_range(p):
     assert stats.e_hat == np.sqrt(p) / 2
     assert stats.v_hat == p / 2
     two = spread_stats(np.diag([p, p]))
-    assert two.e_hat == pytest.approx(np.sqrt(2 * p) * 0.75, rel=1e-15)
-    assert two.v_hat == pytest.approx(p / 2, rel=1e-15)
+    assert two.e_hat == pytest.approx(np.sqrt(2 * p) * 0.75, rel=1e-15,
+                                      abs=0.0)
+    assert two.v_hat == pytest.approx(p / 2, rel=1e-15, abs=0.0)
 
 
 def test_spread_stats_keeps_the_plain_terms_in_the_normal_range():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from effdim.model import (PSD_TOL_SCALE, LinearGaussianProblem, PsdVerdict,
                           SymMatrix, frobenius, problem_from_json,
-                          problem_to_json, psd_compare, psd_factor, validate)
+                          problem_to_json, psd_compare, psd_factor,
+                          require_valid, validate)
 from util import random_orthogonal, random_spd
 
 
@@ -47,6 +48,49 @@ def test_validate_nonfinite_entries():
     problem = LinearGaussianProblem(A=A, Q=eye, H=eye, R=eye,
                                     mu0=np.zeros(2), Sigma0=eye)
     assert any("A has non-finite entries" in line for line in validate(problem))
+
+
+def test_require_valid_returns_the_problem_or_joins_the_report():
+    problem = LinearGaussianProblem.isotropic(2, 1.0, 1.0)
+    assert require_valid(problem) is problem
+    eye = np.eye(2)
+    wide = LinearGaussianProblem(A=eye, Q=eye, H=np.ones((3, 2)),
+                                 R=np.eye(3), mu0=np.array([np.nan, 0.0]),
+                                 Sigma0=-eye)
+    with pytest.raises(ValueError) as info:
+        require_valid(wide)
+    assert str(info.value) == ("invalid problem: mu0 has non-finite entries; "
+                               "k > m (3 > 2); Sigma0 not positive "
+                               "semi-definite")
+    # the DARE reads neither mu0 nor k <= m
+    with pytest.raises(ValueError, match="^invalid problem: Sigma0 not "
+                                         "positive semi-definite$"):
+        require_valid(wide, dare=True)
+
+
+# lambda_min just below psd_factor's floor -1e-10 (1 + max(lambda_max, 0)),
+# and above the floor -1e-10 (1 + max|lambda|); last a rotated, dense one
+_LO = -1.00000000005e-10
+_U = random_orthogonal(np.random.default_rng(5), 2)
+_BELOW_THE_FLOOR = [np.array([[_LO]]), np.diag([_LO, 0.0]),
+                    _U @ np.diag([_LO, -1e-12]) @ _U.T]
+
+
+@pytest.mark.parametrize("index", range(len(_BELOW_THE_FLOOR)))
+@pytest.mark.parametrize("name,dare", [("Q", False), ("Sigma0", False),
+                                       ("R", True)])
+def test_validate_rejects_the_covariances_psd_factor_rejects(index, name,
+                                                             dare):
+    M = _BELOW_THE_FLOOR[index]
+    m = M.shape[0]
+    eye = np.eye(m)
+    problem = LinearGaussianProblem(**{"A": 0.5 * eye, "Q": eye, "H": eye,
+                                       "R": eye, "mu0": np.zeros(m),
+                                       "Sigma0": eye, name: M})
+    with pytest.raises(np.linalg.LinAlgError):
+        psd_factor(M)
+    assert validate(problem, dare=dare) == [
+        f"{name} not positive semi-definite"]
 
 
 def test_frobenius_identity():
